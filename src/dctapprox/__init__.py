@@ -30,6 +30,7 @@ from .core import (
     Transform,
     build_matrix,
     exact_dct_matrix,
+    feasible_mask,
     gram,
     gram_diagnostics,
     gram_quarter_units,
@@ -70,7 +71,6 @@ from .search import (
     dominates,
     enumerate_candidates,
     feasible_candidates,
-    feasible_mask,
     objectives,
     pareto_front,
     run_search,

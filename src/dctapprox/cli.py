@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +40,6 @@ from .search import SearchResult, run_search
 
 __all__ = ["parse_params", "write_front_csv", "report_tables", "main"]
 
-_ALLOWED_FRACTIONS = {
-    Fraction(0), Fraction(1, 2), Fraction(-1, 2),
-    Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-}
-
 EVAL_HEADER = "a1,a2,a3,a4,a5,a6,a7,a8,epsilon,mse,cg,eta,adds,shifts"
 COMPLEXITY_HEADER = "a1,a2,a3,a4,a5,a6,a7,a8,adds,shifts,rule"
 FRONT_HEADER = "rank," + EVAL_HEADER
@@ -58,18 +52,7 @@ def parse_params(text: str) -> ParamVector:
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != 8:
         raise ValueError(f"expected 8 comma-separated parameters, got {len(tokens)}")
-    values = []
-    for tok in tokens:
-        try:
-            f = Fraction(tok)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid parameter token '{tok}'") from None
-        if f not in _ALLOWED_FRACTIONS:
-            raise ValueError(
-                f"parameter '{tok}' not in {{0, +-0.5, +-1, +-2}}"
-            )
-        values.append(f)
-    return ParamVector.from_values(values)
+    return ParamVector.from_values(tokens)
 
 
 def _fmt(x: float) -> str:

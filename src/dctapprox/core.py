@@ -31,6 +31,7 @@ __all__ = [
     "gram",
     "gram_diagnostics",
     "is_feasible",
+    "feasible_mask",
     "scale_factors",
     "orthonormal_approx",
 ]
@@ -67,9 +68,12 @@ class ParamVector:
         """Build from numbers (int, float, Fraction or numeric string)."""
         doubled = []
         for v in values:
-            f = 2 * Fraction(v)
-            if f.denominator != 1:
-                raise ValueError(f"parameter value {v} not in {{0, +-1/2, +-1, +-2}}")
+            try:
+                f = 2 * Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(f"invalid parameter value {v!r}") from None
+            if f not in _ALLOWED_SET:
+                raise ValueError(f"parameter {v!r} not in {{0, +-1/2, +-1, +-2}}")
             doubled.append(int(f))
         return cls(tuple(doubled))
 
@@ -199,34 +203,44 @@ def gram_diagnostics(params: ParamVector) -> GramDiagnostics:
     )
 
 
+def _feasible(u1, u2, u3, u4, u5, u6, u7, u8):
+    """Feasibility of doubled parameters, element-wise: takes 8 ints or 8
+    integer columns.
+
+    The six polynomials are the cross terms of gram_diagnostics scaled by
+    two; all must vanish.  The last three conditions keep rows 3, 5 and 7
+    from being identically zero, which makes the Gram diagonal positive.
+    """
+    return (
+        (2 * u1 - u1 * u1 + 2 * u3 - u1 * u4 == 0)
+        & (u1 * (u6 - u1) == 0)
+        & (u1 * u1 - 2 * u6 + 2 * u7 - u1 * u8 == 0)
+        & (u1 * u4 + u1 * u5 - u3 * u5 - u1 * u6 == 0)
+        & (u1 * u8 + u1 * u7 - u3 * u6 - u1 * u4 == 0)
+        & (u5 * u7 + u5 * u6 - u1 * u1 - u6 * u8 == 0)
+        & ((u1 != 0) | (u3 != 0) | (u4 != 0))
+        & ((u1 != 0) | (u5 != 0) | (u6 != 0))
+        & ((u1 != 0) | (u6 != 0) | (u7 != 0) | (u8 != 0))
+    )
+
+
 def is_feasible(params: ParamVector) -> bool:
     """True iff the matrix is orthogonal (all six cross terms vanish) and
-    nonsingular (strictly positive Gram diagonal).
+    nonsingular (strictly positive Gram diagonal), in integer arithmetic on
+    the doubled parameters."""
+    return bool(_feasible(*params.doubled))
 
-    Integer arithmetic on the doubled parameters; each check below is the
-    corresponding cross term scaled by two.
-    """
-    u1, u2, u3, u4, u5, u6, u7, u8 = params.doubled
-    if 2 * u1 - u1 * u1 + 2 * u3 - u1 * u4 != 0:
-        return False
-    if u1 * (u6 - u1) != 0:
-        return False
-    if u1 * u1 - 2 * u6 + 2 * u7 - u1 * u8 != 0:
-        return False
-    if u1 * u4 + u1 * u5 - u3 * u5 - u1 * u6 != 0:
-        return False
-    if u1 * u8 + u1 * u7 - u3 * u6 - u1 * u4 != 0:
-        return False
-    if u5 * u7 + u5 * u6 - u1 * u1 - u6 * u8 != 0:
-        return False
-    # Nonsingularity: rows 3, 5 and 7 must not be identically zero.
-    if u1 == 0 and u3 == 0 and u4 == 0:
-        return False
-    if u1 == 0 and u5 == 0 and u6 == 0:
-        return False
-    if u1 == 0 and u6 == 0 and u7 == 0 and u8 == 0:
-        return False
-    return True
+
+def feasible_mask(doubled: np.ndarray) -> np.ndarray:
+    """is_feasible over the rows of an (m, 8) array of doubled values."""
+    return _feasible(*(doubled[:, k].astype(np.int32) for k in range(8)))
+
+
+def _row_scale(half_units: np.ndarray) -> np.ndarray:
+    """1/sqrt(row norm^2) of a half-unit matrix or stack of them: the
+    diagonal scaling that orthonormalizes orthogonal rows."""
+    quarter_norms = np.sum(half_units * half_units, axis=-1)
+    return 2.0 / np.sqrt(quarter_norms.astype(np.float64))
 
 
 def scale_factors(params: ParamVector) -> np.ndarray:
@@ -237,8 +251,7 @@ def scale_factors(params: ParamVector) -> np.ndarray:
     """
     if not is_feasible(params):
         raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
-    quarter_diag = np.diagonal(gram_quarter_units(build_matrix(params)))
-    return 2.0 / np.sqrt(quarter_diag.astype(np.float64))
+    return _row_scale(build_matrix(params).half_units)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ what the addition/shift counting below models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import floordiv, truediv
 
 import numpy as np
 
@@ -33,36 +34,55 @@ __all__ = [
     "count_operations",
 ]
 
-# Output permutation: stage-core output w maps to X = w[_PERM_SRC].
-_PERM_SRC = (0, 4, 2, 6, 1, 5, 3, 7)
+_U = None  # the fixed unit coefficient of a term
 
-_STAGE1 = np.array(
-    [
-        [1, 0, 0, 0, 0, 0, 0, 1],
-        [0, 1, 0, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 1, 0, 0],
-        [0, 0, 0, 1, 1, 0, 0, 0],
-        [0, 0, 0, 1, -1, 0, 0, 0],
-        [0, 0, 1, 0, 0, -1, 0, 0],
-        [0, 1, 0, 0, 0, 0, -1, 0],
-        [1, 0, 0, 0, 0, 0, 0, -1],
-    ],
-    dtype=np.int64,
+# Each factor is a table of output rows; a row is a tuple of
+# (sign, coefficient, input wire) terms, where the coefficient indexes
+# params.doubled or is _U.  Everything else (the factor matrices, the forward
+# and transposed walks, the operation count) is derived from these tables.
+_STAGE1 = (
+    ((1, _U, 0), (1, _U, 7)), ((1, _U, 1), (1, _U, 6)),
+    ((1, _U, 2), (1, _U, 5)), ((1, _U, 3), (1, _U, 4)),
+    ((1, _U, 3), (-1, _U, 4)), ((1, _U, 2), (-1, _U, 5)),
+    ((1, _U, 1), (-1, _U, 6)), ((1, _U, 0), (-1, _U, 7)),
 )
+_STAGE2 = (
+    ((1, _U, 0), (1, _U, 3)), ((1, _U, 1), (1, _U, 2)),
+    ((1, _U, 1), (-1, _U, 2)), ((1, _U, 0), (-1, _U, 3)),
+    ((1, _U, 4),), ((1, _U, 5),), ((1, _U, 6),), ((1, _U, 7),),
+)
+_CORE = (
+    ((1, _U, 0), (1, _U, 1)),
+    ((1, _U, 0), (-1, _U, 1)),
+    ((1, 1, 2), (1, _U, 3)),
+    ((-1, _U, 2), (1, 1, 3)),
+    ((1, 0, 4), (1, 0, 5), (1, _U, 6), (1, _U, 7)),
+    ((1, 5, 4), (-1, 0, 5), (-1, 4, 6), (1, 4, 7)),
+    ((-1, 0, 4), (-1, 3, 5), (1, 2, 6), (1, 0, 7)),
+    ((-1, 7, 4), (1, 0, 5), (-1, 5, 6), (1, 6, 7)),
+)
+# Output permutation: X[i] = w[src].
+_PERM = tuple(((1, _U, src),) for src in (0, 4, 2, 6, 1, 5, 3, 7))
 
-_STAGE2 = np.array(
-    [
-        [1, 0, 0, 1, 0, 0, 0, 0],
-        [0, 1, 1, 0, 0, 0, 0, 0],
-        [0, 1, -1, 0, 0, 0, 0, 0],
-        [1, 0, 0, -1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1],
-    ],
-    dtype=np.int64,
-)
+_FORWARD = (_STAGE1, _STAGE2, _CORE, _PERM)
+
+
+def _transpose(rows):
+    """The table of the transposed factor: column j's terms, in row order."""
+    return tuple(
+        tuple(
+            (sign, coef, i)
+            for i, terms in enumerate(rows)
+            for sign, coef, wire in terms
+            if wire == j
+        )
+        for j in range(len(rows))
+    )
+
+
+# T^t = stage1^t stage2^t core^t perm^t, so the inverse walks the transposed
+# tables in reverse order (the two +-1 stages are their own transposes).
+_TRANSPOSED = tuple(_transpose(rows) for rows in reversed(_FORWARD))
 
 
 @dataclass(frozen=True)
@@ -76,33 +96,20 @@ class FactorSet:
     perm: DyadicMatrix
 
 
-def _core_half_units(params: ParamVector) -> np.ndarray:
-    u1, u2, u3, u4, u5, u6, u7, u8 = params.doubled
-    return np.array(
-        [
-            [2, 2, 0, 0, 0, 0, 0, 0],
-            [2, -2, 0, 0, 0, 0, 0, 0],
-            [0, 0, u2, 2, 0, 0, 0, 0],
-            [0, 0, -2, u2, 0, 0, 0, 0],
-            [0, 0, 0, 0, u1, u1, 2, 2],
-            [0, 0, 0, 0, u6, -u1, -u5, u5],
-            [0, 0, 0, 0, -u1, -u4, u3, u1],
-            [0, 0, 0, 0, -u8, u1, -u6, u7],
-        ],
-        dtype=np.int64,
-    )
+def _coef(coef, doubled) -> int:
+    return 2 if coef is None else doubled[coef]
+
+
+def _factor(rows, doubled) -> DyadicMatrix:
+    h = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for i, terms in enumerate(rows):
+        for sign, coef, wire in terms:
+            h[i, wire] = sign * _coef(coef, doubled)
+    return DyadicMatrix(h)
 
 
 def factor_matrices(params: ParamVector) -> FactorSet:
-    perm = np.zeros((8, 8), dtype=np.int64)
-    for i, src in enumerate(_PERM_SRC):
-        perm[i, src] = 1
-    return FactorSet(
-        stage1=DyadicMatrix(2 * _STAGE1),
-        stage2=DyadicMatrix(2 * _STAGE2),
-        core=DyadicMatrix(_core_half_units(params)),
-        perm=DyadicMatrix(2 * perm),
-    )
+    return FactorSet(*(_factor(rows, params.doubled) for rows in _FORWARD))
 
 
 def factored_product(factors: FactorSet) -> DyadicMatrix:
@@ -122,22 +129,9 @@ def factored_product(factors: FactorSet) -> DyadicMatrix:
     return DyadicMatrix(prod // 8)
 
 
-def _stage1_apply(x):
-    return [
-        x[0] + x[7], x[1] + x[6], x[2] + x[5], x[3] + x[4],
-        x[3] - x[4], x[2] - x[5], x[1] - x[6], x[0] - x[7],
-    ]
-
-
-def _stage2_apply(y):
-    return [
-        y[0] + y[3], y[1] + y[2], y[1] - y[2], y[0] - y[3],
-        y[4], y[5], y[6], y[7],
-    ]
-
-
-def _mul(doubled_coef: int, v):
-    """Multiply by a parameter given as value*2: skip, negate, halve or double."""
+def _mul(doubled_coef: int, v, div):
+    """Multiply by a parameter given as value*2: skip, negate, halve or double.
+    Halving is div(v, 2): truediv on floats, floordiv on even integers."""
     if doubled_coef == 0:
         return 0 * v
     if doubled_coef == 2:
@@ -145,52 +139,40 @@ def _mul(doubled_coef: int, v):
     if doubled_coef == -2:
         return -v
     if doubled_coef == 1:
-        return v / 2
+        return div(v, 2)
     if doubled_coef == -1:
-        return -(v / 2)
+        return -div(v, 2)
     if doubled_coef == 4:
         return v + v
     return -(v + v)  # -4
 
 
-def _mul_int(doubled_coef: int, v: int) -> int:
-    # Same dispatch on even integers; halving is exact.
-    if doubled_coef == 0:
-        return 0
-    if doubled_coef == 2:
-        return v
-    if doubled_coef == -2:
-        return -v
-    if doubled_coef == 1:
-        return v // 2
-    if doubled_coef == -1:
-        return -(v // 2)
-    if doubled_coef == 4:
-        return v + v
-    return -(v + v)  # -4
+def _walk(stages, doubled, x, div) -> list:
+    """Push the wires x through the stage tables, summing terms left to right."""
+    for rows in stages:
+        out = []
+        for terms in rows:
+            acc = None
+            for sign, coef, wire in terms:
+                v = _mul(_coef(coef, doubled), x[wire], div)
+                if sign < 0:
+                    v = -v
+                acc = v if acc is None else acc + v
+            out.append(acc)
+        x = out
+    return x
 
 
-def _core_apply(params: ParamVector, z, mul):
-    u1, u2, u3, u4, u5, u6, u7, u8 = params.doubled
-    return [
-        z[0] + z[1],
-        z[0] - z[1],
-        mul(u2, z[2]) + z[3],
-        -z[2] + mul(u2, z[3]),
-        mul(u1, z[4]) + mul(u1, z[5]) + z[6] + z[7],
-        mul(u6, z[4]) - mul(u1, z[5]) - mul(u5, z[6]) + mul(u5, z[7]),
-        -mul(u1, z[4]) - mul(u4, z[5]) + mul(u3, z[6]) + mul(u1, z[7]),
-        -mul(u8, z[4]) + mul(u1, z[5]) - mul(u6, z[6]) + mul(u7, z[7]),
-    ]
+def _check_vector(x: np.ndarray) -> None:
+    if x.shape != (8,):
+        raise ValueError(f"input must be a length-8 vector, got shape {x.shape}")
 
 
 def apply_fast(params: ParamVector, x) -> np.ndarray:
     """Evaluate T(params) @ x stage by stage (no matrix multiply)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (8,):
-        raise ValueError(f"input must be a length-8 vector, got shape {x.shape}")
-    w = _core_apply(params, _stage2_apply(_stage1_apply(list(x))), _mul)
-    return np.array([w[s] for s in _PERM_SRC], dtype=np.float64)
+    _check_vector(x)
+    return np.array(_walk(_FORWARD, params.doubled, list(x), truediv), dtype=np.float64)
 
 
 def apply_fast_doubled(params: ParamVector, x) -> np.ndarray:
@@ -198,11 +180,9 @@ def apply_fast_doubled(params: ParamVector, x) -> np.ndarray:
     integer x.  All intermediate values stay even where halving occurs, so
     the result is exact."""
     x = np.asarray(x)
-    if x.shape != (8,):
-        raise ValueError(f"input must be a length-8 vector, got shape {x.shape}")
-    s = [2 * int(v) for v in x]
-    w = _core_apply(params, _stage2_apply(_stage1_apply(s)), _mul_int)
-    return np.array([w[i] for i in _PERM_SRC], dtype=np.int64)
+    _check_vector(x)
+    y = _walk(_FORWARD, params.doubled, [2 * int(v) for v in x], floordiv)
+    return np.array(y, dtype=np.int64)
 
 
 def apply_inverse(params: ParamVector, coeffs) -> np.ndarray:
@@ -211,36 +191,9 @@ def apply_inverse(params: ParamVector, coeffs) -> np.ndarray:
     if not is_feasible(params):
         raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (8,):
-        raise ValueError(f"input must be a length-8 vector, got shape {coeffs.shape}")
-    u1, u2, u3, u4, u5, u6, u7, u8 = params.doubled
+    _check_vector(coeffs)
     y = list(coeffs * scale_factors(params))
-    # Transposed permutation: w[src] = y[dst].
-    w = [0.0] * 8
-    for dst, src in enumerate(_PERM_SRC):
-        w[src] = y[dst]
-    m = _mul
-    z = [
-        w[0] + w[1],
-        w[0] - w[1],
-        m(u2, w[2]) - w[3],
-        w[2] + m(u2, w[3]),
-        m(u1, w[4]) + m(u6, w[5]) - m(u1, w[6]) - m(u8, w[7]),
-        m(u1, w[4]) - m(u1, w[5]) - m(u4, w[6]) + m(u1, w[7]),
-        w[4] - m(u5, w[5]) + m(u3, w[6]) - m(u6, w[7]),
-        w[4] + m(u5, w[5]) + m(u1, w[6]) + m(u7, w[7]),
-    ]
-    t = [
-        z[0] + z[3], z[1] + z[2], z[1] - z[2], z[0] - z[3],
-        z[4], z[5], z[6], z[7],
-    ]
-    return np.array(
-        [
-            t[0] + t[7], t[1] + t[6], t[2] + t[5], t[3] + t[4],
-            t[3] - t[4], t[2] - t[5], t[1] - t[6], t[0] - t[7],
-        ],
-        dtype=np.float64,
-    )
+    return np.array(_walk(_TRANSPOSED, params.doubled, y, truediv), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -252,51 +205,65 @@ class ComplexityCount:
     rule: str
 
 
-# Magnitudes are on doubled values: |value*2| of 1 or 4 needs a bit-shift.
-_SHIFT_MAGS = frozenset((1, 4))
+def _needs_shift(mag):
+    """Element-wise: a doubled magnitude of 1 or 4 (value 1/2 or 2) costs a
+    bit-shift."""
+    return (mag == 1) | (mag == 4)
 
-# (name, base additions, per-parameter weights, predicate on |doubled| mags).
-# The general rule always applies; the others trade shared sub-expressions
-# for lower bases or weights when parameter magnitudes coincide.  Predicates
-# use & and pairwise == so they work element-wise on arrays too (|1| is a
-# doubled magnitude of 2).
+
+_ONE = 8  # chain index standing for the magnitude 2 (parameter value +-1)
+
+# (name, base additions, per-parameter weights, equality chains).  A chain
+# lists parameter indices whose |doubled| magnitudes must all be equal, and
+# _ONE in a chain pins them to value +-1.  A rule applies when all its
+# chains hold, so the general rule, which has none, always applies; the
+# others trade shared sub-expressions for lower bases or weights when
+# parameter magnitudes coincide.
 _RULES = (
-    ("general", 28, (6, 2, 1, 1, 2, 2, 1, 1), None),
-    ("r1", 26, (6, 2, 1, 0, 2, 0, 1, 0),
-     lambda m: (m[0] == m[3]) & (m[3] == m[5]) & (m[5] == m[7])),
-    ("r2", 26, (0, 2, 0, 1, 3, 0, 1, 0),
-     lambda m: (m[0] == 2) & (m[2] == 2) & (m[4] == m[5]) & (m[5] == m[7])),
-    ("r3", 26, (0, 2, 1, 1, 3, 0, 1, 0),
-     lambda m: (m[0] == 2) & (m[4] == m[5]) & (m[6] == m[7])),
-    ("r4", 26, (0, 2, 1, 0, 0, 0, 1, 1),
-     lambda m: (m[0] == 2) & (m[4] == 2) & (m[5] == 2) & (m[2] == m[3])),
-    ("r5", 26, (0, 2, 1, 0, 0, 2, 0, 1),
-     lambda m: (m[0] == 2) & (m[3] == 2) & (m[4] == 2) & (m[6] == 2)),
-    ("r6", 26, (6, 2, 0, 1, 1, 2, 0, 1),
-     lambda m: (m[0] == m[2]) & (m[5] == m[6])),
-    ("r7", 24, (6, 2, 0, 0, 1, 0, 0, 0),
-     lambda m: (m[0] == m[2]) & (m[2] == m[3]) & (m[3] == m[5])
-     & (m[5] == m[6]) & (m[6] == m[7])),
-    ("r8", 24, (0, 2, 0, 0, 0, 0, 0, 0),
-     lambda m: (m[0] == 2) & (m[2] == 2) & (m[3] == 2) & (m[4] == 2)
-     & (m[5] == 2) & (m[6] == 2) & (m[7] == 2)),
-    ("r9", 24, (0, 2, 1, 0, 0, 0, 1, 0),
-     lambda m: (m[0] == 2) & (m[4] == 2) & (m[5] == 2) & (m[2] == m[3])
-     & (m[6] == m[7])),
+    ("general", 28, (6, 2, 1, 1, 2, 2, 1, 1), ()),
+    ("r1", 26, (6, 2, 1, 0, 2, 0, 1, 0), ((0, 3, 5, 7),)),
+    ("r2", 26, (0, 2, 0, 1, 3, 0, 1, 0), ((0, 2, _ONE), (4, 5, 7))),
+    ("r3", 26, (0, 2, 1, 1, 3, 0, 1, 0), ((0, _ONE), (4, 5), (6, 7))),
+    ("r4", 26, (0, 2, 1, 0, 0, 0, 1, 1), ((0, 4, 5, _ONE), (2, 3))),
+    ("r5", 26, (0, 2, 1, 0, 0, 2, 0, 1), ((0, 3, 4, 6, _ONE),)),
+    ("r6", 26, (6, 2, 0, 1, 1, 2, 0, 1), ((0, 2), (5, 6))),
+    ("r7", 24, (6, 2, 0, 0, 1, 0, 0, 0), ((0, 2, 3, 5, 6, 7),)),
+    ("r8", 24, (0, 2, 0, 0, 0, 0, 0, 0), ((0, 2, 3, 4, 5, 6, 7, _ONE),)),
+    ("r9", 24, (0, 2, 1, 0, 0, 0, 1, 0), ((0, 4, 5, _ONE), (2, 3), (6, 7))),
 )
 
+_BASES = np.array([base for _, base, _, _ in _RULES])
+_WEIGHTS = np.array([weights for _, _, weights, _ in _RULES]).T  # (8, rules)
+# Every link of every chain as an index pair, and a (links, rules) incidence
+# matrix that counts each rule's broken links.
+_LINKS = [
+    (i, j, r)
+    for r, (*_, chains) in enumerate(_RULES)
+    for chain in chains
+    for i, j in zip(chain, chain[1:])
+]
+_LINK_I, _LINK_J, _LINK_RULE = (np.array(c) for c in zip(*_LINKS))
+_LINK_RULES = np.eye(len(_RULES), dtype=np.int64)[_LINK_RULE]
+_NOT_APPLICABLE = np.iinfo(np.int64).max
 
-def _complexity_doubled(doubled) -> tuple[int, int, str]:
-    mags = tuple(abs(d) for d in doubled)
-    best = None
-    for name, base, weights, pred in _RULES:
-        if pred is not None and not pred(mags):
-            continue
-        adds = base - sum(w for w, d in zip(weights, doubled) if d == 0)
-        shifts = sum(w for w, m in zip(weights, mags) if m in _SHIFT_MAGS)
-        if best is None or (adds, shifts) < best[:2]:
-            best = (adds, shifts, name)
-    return best
+
+def _cheapest_rule(doubled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(additions, shifts, rule index) of the cheapest applicable rule, for
+    an (8,) or (m, 8) array of doubled values.
+
+    Each rule's cost is packed as additions*64 + shifts (shifts never reach
+    64), so argmin picks the fewest additions, then the fewest shifts, then
+    the first rule in order.
+    """
+    d = np.asarray(doubled, dtype=np.int64)
+    mags = np.abs(d)
+    adds = _BASES - (d == 0) @ _WEIGHTS
+    shifts = _needs_shift(mags) @ _WEIGHTS
+    ext = np.concatenate([mags, np.full(d.shape[:-1] + (1,), 2)], axis=-1)
+    broken = (ext[..., _LINK_I] != ext[..., _LINK_J]) @ _LINK_RULES
+    key = np.where(broken == 0, adds * 64 + shifts, _NOT_APPLICABLE)
+    best_adds, best_shifts = np.divmod(np.min(key, axis=-1), 64)
+    return best_adds, best_shifts, np.argmin(key, axis=-1)
 
 
 def complexity(params: ParamVector) -> ComplexityCount:
@@ -305,22 +272,8 @@ def complexity(params: ParamVector) -> ComplexityCount:
     Ties on additions break toward fewer shifts, then rule order (general
     first).
     """
-    adds, shifts, rule = _complexity_doubled(params.doubled)
-    return ComplexityCount(additions=adds, shifts=shifts, rule=rule)
-
-
-# Core rows as (coefficient index or +-2 constant, input wire) terms.
-# None means the fixed +-1 coefficient; integers index into params.doubled.
-_CORE_TERMS = (
-    ((None, 0), (None, 1)),
-    ((None, 0), (None, 1)),
-    ((1, 2), (None, 3)),
-    ((None, 2), (1, 3)),
-    ((0, 4), (0, 5), (None, 6), (None, 7)),
-    ((5, 4), (0, 5), (4, 6), (4, 7)),
-    ((0, 4), (3, 5), (2, 6), (0, 7)),
-    ((7, 4), (0, 5), (5, 6), (6, 7)),
-)
+    adds, shifts, rule = _cheapest_rule(params.doubled)
+    return ComplexityCount(additions=int(adds), shifts=int(shifts), rule=_RULES[rule][0])
 
 
 def count_operations(params: ParamVector) -> tuple[int, int]:
@@ -330,18 +283,11 @@ def count_operations(params: ParamVector) -> tuple[int, int]:
     A zero parameter removes both its multiplication and the downstream
     addition; negation is free.
     """
-    doubled = params.doubled
-    adds = 8  # stage 1: eight two-term butterflies
-    adds += 4  # stage 2: four two-term butterflies, four pass-throughs
-    shifts = 0
-    for terms in _CORE_TERMS:
-        live = 0
-        for coef_idx, _wire in terms:
-            mag = 2 if coef_idx is None else abs(doubled[coef_idx])
-            if mag == 0:
-                continue
-            live += 1
-            if mag in _SHIFT_MAGS:
-                shifts += 1
-        adds += max(0, live - 1)
+    adds = shifts = 0
+    for rows in _FORWARD:
+        for terms in rows:
+            mags = [abs(_coef(coef, params.doubled)) for _, coef, _ in terms]
+            live = [m for m in mags if m != 0]
+            adds += max(0, len(live) - 1)
+            shifts += sum(_needs_shift(m) for m in live)
     return adds, shifts

@@ -63,32 +63,41 @@ def ar1_covariance(model: SignalModel) -> np.ndarray:
     return r
 
 
-def _check_square(c_hat: np.ndarray) -> np.ndarray:
+def _check_square(c_hat: np.ndarray, model: SignalModel | None = None) -> np.ndarray:
     c_hat = np.asarray(c_hat, dtype=np.float64)
-    if c_hat.ndim != 2 or c_hat.shape[0] != c_hat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {c_hat.shape}")
+    if c_hat.ndim < 2 or c_hat.shape[-1] != c_hat.shape[-2]:
+        raise ValueError(
+            f"expected a square matrix or a stack of them, got shape {c_hat.shape}"
+        )
+    if model is not None and c_hat.shape[-1] != model.n:
+        raise ValueError(f"matrix size {c_hat.shape[-1]} != model size {model.n}")
     return c_hat
 
 
-def total_error_energy(c_hat: np.ndarray) -> float:
+def _float_or_array(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if np.ndim(x) == 0 else x
+
+
+# Every metric takes one (n, n) matrix or an (..., n, n) stack and returns a
+# float or an array of the stack's leading shape.
+
+def total_error_energy(c_hat: np.ndarray) -> float | np.ndarray:
     """pi-scaled squared Frobenius distance to the exact DCT of equal size."""
     c_hat = _check_square(c_hat)
-    d = exact_dct_matrix(c_hat.shape[0]) - c_hat
-    return float(np.pi * np.sum(d * d))
+    d = exact_dct_matrix(c_hat.shape[-1]) - c_hat
+    return _float_or_array(np.pi * np.sum(d * d, axis=(-2, -1)))
 
 
-def mse(c_hat: np.ndarray, model: SignalModel) -> float:
+def mse(c_hat: np.ndarray, model: SignalModel) -> float | np.ndarray:
     """Mean square error against the exact DCT under the signal model:
     trace((C - C_hat) R (C - C_hat)^t) / n."""
-    c_hat = _check_square(c_hat)
-    if c_hat.shape[0] != model.n:
-        raise ValueError(f"matrix size {c_hat.shape[0]} != model size {model.n}")
+    c_hat = _check_square(c_hat, model)
     d = exact_dct_matrix(model.n) - c_hat
     r = ar1_covariance(model)
-    return float(np.einsum("ij,jk,ik->", d, r, d) / model.n)
+    return _float_or_array(np.einsum("...ij,jk,...ik->...", d, r, d) / model.n)
 
 
-def unified_coding_gain(c_hat: np.ndarray, model: SignalModel) -> float:
+def unified_coding_gain(c_hat: np.ndarray, model: SignalModel) -> float | np.ndarray:
     """Energy-compaction gain in dB, valid for any invertible transform.
 
     With h_k the rows of the transform and g_k the rows of its transposed
@@ -96,26 +105,23 @@ def unified_coding_gain(c_hat: np.ndarray, model: SignalModel) -> float:
     and B_k = ||g_k||^2 (synthesis gain); the result is the geometric mean
     of 1/(A_k B_k) in dB.  For orthonormal rows B_k = 1.
     """
-    c_hat = _check_square(c_hat)
-    if c_hat.shape[0] != model.n:
-        raise ValueError(f"matrix size {c_hat.shape[0]} != model size {model.n}")
+    c_hat = _check_square(c_hat, model)
     r = ar1_covariance(model)
     try:
-        g = np.linalg.inv(c_hat).T
+        g = np.swapaxes(np.linalg.inv(c_hat), -1, -2)
     except np.linalg.LinAlgError:
         raise ValueError("transform is singular; coding gain undefined") from None
-    band_var = np.einsum("ki,kj,ij->k", c_hat, c_hat, r)
-    synth = np.sum(g * g, axis=1)
-    return float(10.0 * np.mean(np.log10(1.0 / (band_var * synth))))
+    band_var = np.einsum("...ki,...kj,ij->...k", c_hat, c_hat, r)
+    synth = np.sum(g * g, axis=-1)
+    return _float_or_array(10.0 * np.mean(np.log10(1.0 / (band_var * synth)), axis=-1))
 
 
-def transform_efficiency(c_hat: np.ndarray, model: SignalModel) -> float:
+def transform_efficiency(c_hat: np.ndarray, model: SignalModel) -> float | np.ndarray:
     """Percentage of transformed-covariance energy on the diagonal."""
-    c_hat = _check_square(c_hat)
-    if c_hat.shape[0] != model.n:
-        raise ValueError(f"matrix size {c_hat.shape[0]} != model size {model.n}")
-    r_y = c_hat @ ar1_covariance(model) @ c_hat.T
-    return float(100.0 * np.sum(np.abs(np.diag(r_y))) / np.sum(np.abs(r_y)))
+    c_hat = _check_square(c_hat, model)
+    r_y = c_hat @ ar1_covariance(model) @ np.swapaxes(c_hat, -1, -2)
+    diag = np.sum(np.abs(np.diagonal(r_y, axis1=-2, axis2=-1)), axis=-1)
+    return _float_or_array(100.0 * diag / np.sum(np.abs(r_y), axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,9 @@ class MetricsReport:
     shifts: int
 
 
-def evaluate_matrix(c_hat: np.ndarray, model: SignalModel) -> tuple[float, float, float, float]:
-    """(total error energy, mse, coding gain dB, efficiency %) of a matrix."""
+def evaluate_matrix(c_hat: np.ndarray, model: SignalModel) -> tuple:
+    """(total error energy, mse, coding gain dB, efficiency %) of a matrix,
+    or four arrays for a stack of matrices."""
     return (
         total_error_energy(c_hat),
         mse(c_hat, model),

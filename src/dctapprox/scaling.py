@@ -19,8 +19,8 @@ from .core import (
     FeasibilityError,
     ParamVector,
     Transform,
+    _row_scale,
     build_matrix,
-    gram_quarter_units,
     is_feasible,
 )
 from .kernel import ComplexityCount, complexity
@@ -73,10 +73,5 @@ def build_scaled(params: ParamVector, target: int) -> ScaledTransform:
         m = scale_once(m)
         cost = scaled_complexity(cost, n)
         n *= 2
-    quarter_diag = np.diagonal(gram_quarter_units(m))
-    scale = 2.0 / np.sqrt(quarter_diag.astype(np.float64))
-    return ScaledTransform(
-        seed=params,
-        transform=Transform(n=target, half_units=m.half_units, scale=scale),
-        complexity=cost,
-    )
+    transform = Transform(n=target, half_units=m.half_units, scale=_row_scale(m.half_units))
+    return ScaledTransform(seed=params, transform=transform, complexity=cost)

@@ -2,11 +2,13 @@
 for the six-objective problem (error energy, mse, -gain, -efficiency,
 additions, shifts).
 
-The default pipeline filters to orthogonal candidates first (six integer
-polynomial checks prune 5.76M vectors to a few thousand) and only then pays
-for metric evaluation.  Candidate evaluation is pure, so the sweep can be
-chunked across workers; results are merged in fixed chunk order and are
-byte-identical for any worker count.
+The default pipeline keeps only orthogonal candidates (six integer
+polynomial checks prune 5.76M vectors to a few thousand); without the
+filter every candidate is scored.  The selected rows are scored in fixed
+chunks of the enumeration order, each chunk as one stack of row-normalized
+matrices through the metrics functions, and the front is updated chunk by
+chunk.  Chunks can be spread over worker processes; results are merged in
+chunk order and are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ALLOWED_DOUBLED, ParamVector, build_matrix, exact_dct_matrix
-from .kernel import _RULES, _SHIFT_MAGS
-from .metrics import MetricsReport, SignalModel, ar1_covariance, evaluate
+from .core import ALLOWED_DOUBLED, ParamVector, _row_scale, build_matrix, feasible_mask
+from .kernel import _cheapest_rule
+from .metrics import MetricsReport, SignalModel, evaluate_matrix
 
 __all__ = [
     "N_CANDIDATES",
@@ -38,8 +40,7 @@ __all__ = [
 
 N_CANDIDATES = 7**8  # 5,764,801
 
-_EVAL_CHUNK = 512        # fixed so worker count cannot affect merge order
-_SWEEP_CHUNK = 16807     # 7^5, for the unfiltered sweep
+_CHUNK = 16807  # 7^5 rows; fixed so worker count cannot affect merge order
 
 
 def enumerate_candidates() -> Iterator[ParamVector]:
@@ -57,22 +58,6 @@ def all_candidates_doubled() -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def feasible_mask(doubled: np.ndarray) -> np.ndarray:
-    """Vectorized twin of core.is_feasible over rows of doubled values."""
-    u = [doubled[:, k].astype(np.int32) for k in range(8)]
-    u1, u2, u3, u4, u5, u6, u7, u8 = u
-    ok = (2 * u1 - u1 * u1 + 2 * u3 - u1 * u4) == 0
-    ok &= u1 * (u6 - u1) == 0
-    ok &= (u1 * u1 - 2 * u6 + 2 * u7 - u1 * u8) == 0
-    ok &= (u1 * u4 + u1 * u5 - u3 * u5 - u1 * u6) == 0
-    ok &= (u1 * u8 + u1 * u7 - u3 * u6 - u1 * u4) == 0
-    ok &= (u5 * u7 + u5 * u6 - u1 * u1 - u6 * u8) == 0
-    ok &= (u1 != 0) | (u3 != 0) | (u4 != 0)
-    ok &= (u1 != 0) | (u5 != 0) | (u6 != 0)
-    ok &= (u1 != 0) | (u6 != 0) | (u7 != 0) | (u8 != 0)
-    return ok
-
-
 def feasible_candidates() -> Iterator[ParamVector]:
     """Feasible vectors in enumeration order (count is deterministic)."""
     doubled = all_candidates_doubled()
@@ -80,17 +65,27 @@ def feasible_candidates() -> Iterator[ParamVector]:
         yield ParamVector(tuple(int(v) for v in row))
 
 
-def objectives(report: MetricsReport) -> tuple:
-    """Minimization vector; floats rounded to 1e-9 so dominance is not
-    decided by summation noise."""
+def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
+    """Minimization vector, element-wise over scalars or columns: gain and
+    efficiency negated, floats rounded to 1e-9 so dominance is not decided
+    by summation noise."""
     return (
-        round(report.epsilon, 9),
-        round(report.mse, 9),
-        round(-report.coding_gain_db, 9),
-        round(-report.efficiency_pct, 9),
-        report.additions,
-        report.shifts,
+        np.round(epsilon, 9),
+        np.round(mse, 9),
+        np.round(-gain, 9),
+        np.round(-efficiency, 9),
+        additions,
+        shifts,
     )
+
+
+def objectives(report: MetricsReport) -> tuple:
+    """Minimization vector of one report."""
+    eps, m, gain, eff, adds, shifts = _minimized(
+        report.epsilon, report.mse, report.coding_gain_db,
+        report.efficiency_pct, report.additions, report.shifts,
+    )
+    return (float(eps), float(m), float(gain), float(eff), adds, shifts)
 
 
 def dominates(x: Sequence, y: Sequence) -> bool:
@@ -132,8 +127,8 @@ def pareto_front(
 
     Entries whose objective vectors are identical are grouped; exactly one
     member per group is flagged canonical.  Output order is deterministic:
-    additions, then error energy, then shifts, canonical members first
-    within a tie group.
+    additions, then error energy, then shifts, then mse (the floats rounded
+    as in objectives), canonical members first within a tie group.
     """
     if not evaluated:
         return []
@@ -148,17 +143,12 @@ def pareto_front(
         for i in idxs:
             pv, report = evaluated[i]
             entries.append(ParetoEntry(pv, report, canonical=(pv == rep_pv)))
-    entries.sort(
-        key=lambda e: (
-            e.report.additions,
-            e.report.epsilon,
-            e.report.shifts,
-            e.report.mse,
-            not e.canonical,
-            e.params.values,
-        )
-    )
-    return entries
+
+    def order(e: ParetoEntry) -> tuple:
+        eps, m, _gain, _eff, adds, shifts = objectives(e.report)
+        return (adds, eps, shifts, m, not e.canonical, e.params.values)
+
+    return sorted(entries, key=order)
 
 
 @dataclass(frozen=True)
@@ -175,151 +165,36 @@ class SearchResult:
         return tuple(e for e in self.entries if e.canonical)
 
 
-def _eval_chunk(args) -> list[tuple[tuple, MetricsReport]]:
-    rows, rho = args
-    model = SignalModel(rho=rho, n=8)
-    out = []
-    for row in rows:
-        pv = ParamVector(row)
-        out.append((row, evaluate(pv, model)))
-    return out
+def _affine_basis() -> tuple[np.ndarray, np.ndarray]:
+    """build_matrix is affine in the doubled parameters: half units
+    H0 + sum_k u_k B_k.  Returns (H0, B) with B of shape (8, 8, 8)."""
+    h0 = build_matrix(ParamVector((0,) * 8)).half_units
+    basis = np.stack([
+        build_matrix(ParamVector(tuple(int(i == k) for i in range(8)))).half_units - h0
+        for k in range(8)
+    ])
+    return h0, basis
 
 
-def run_search(
-    model: SignalModel,
-    feasibility_filter: bool = True,
-    workers: int = 1,
-) -> SearchResult:
-    """Full pipeline: enumerate, filter, evaluate, extract the front.
+def _score_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """Metric rows (epsilon, mse, gain, efficiency, additions, shifts) of the
+    nonsingular candidates among some doubled rows, and those rows.
 
-    Deterministic regardless of worker count: candidates are evaluated in
-    fixed chunks of the enumeration order and merged in chunk order.
-    Without the feasibility filter every nonsingular candidate is evaluated
-    with row-norm diagonal scaling (orthogonality not required), which is
-    several orders of magnitude slower.
-    """
-    if model.n != 8:
-        raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
-    doubled = all_candidates_doubled()
-    if not feasibility_filter:
-        return _run_search_unfiltered(model, doubled, workers)
-
-    survivors = doubled[feasible_mask(doubled)]
-    rows = [tuple(int(v) for v in r) for r in survivors]
-    chunks = [rows[i : i + _EVAL_CHUNK] for i in range(0, len(rows), _EVAL_CHUNK)]
-    args = [(chunk, model.rho) for chunk in chunks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(_eval_chunk, args))
-    else:
-        chunk_results = [_eval_chunk(a) for a in args]
-    evaluated = [
-        (ParamVector(row), report)
-        for chunk in chunk_results
-        for row, report in chunk
-    ]
-    entries = pareto_front(evaluated)
-    return SearchResult(
-        entries=tuple(entries),
-        n_candidates=N_CANDIDATES,
-        n_feasible=len(rows),
-        n_evaluated=len(rows),
-        model=model,
-        feasibility_filter=True,
-    )
-
-
-# --- unfiltered sweep -------------------------------------------------------
-#
-# Metric evaluation is batched in numpy and the front is maintained
-# incrementally; candidates that some current front member already dominates
-# are discarded before the quadratic local-front pass.
-
-def _basis_decomposition() -> tuple[np.ndarray, np.ndarray]:
-    """The parametrized matrix is affine in the parameters: T(a) = T0 + sum
-    a_i B_i.  Returns (T0, B) with B of shape (8, 8, 8)."""
-    zero = ParamVector((0,) * 8)
-    t0 = build_matrix(zero).to_float()
-    basis = np.empty((8, 8, 8))
-    for i in range(8):
-        d = [0] * 8
-        d[i] = 2
-        basis[i] = build_matrix(ParamVector(tuple(d))).to_float() - t0
-    return t0, basis
-
-
-def _batch_complexity(doubled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mags = np.abs(doubled.astype(np.int64))
-    zero = doubled == 0
-    shiftable = np.isin(mags, tuple(_SHIFT_MAGS))
-    best_adds = best_shifts = None
-    for _name, base, weights, pred in _RULES:
-        w = np.array(weights, dtype=np.int64)
-        adds = base - zero @ w
-        shifts = shiftable @ w
-        if pred is None:
-            applies = np.ones(len(doubled), dtype=bool)
-        else:
-            m = [mags[:, k] for k in range(8)]
-            applies = pred(m)
-        if best_adds is None:
-            best_adds, best_shifts = adds, shifts
-            continue
-        better = applies & (
-            (adds < best_adds) | ((adds == best_adds) & (shifts < best_shifts))
-        )
-        best_adds = np.where(better, adds, best_adds)
-        best_shifts = np.where(better, shifts, best_shifts)
-    return best_adds, best_shifts
-
-
-def _batch_objectives(
-    doubled: np.ndarray, model: SignalModel, t0: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Objective vectors for every nonsingular candidate in a chunk.
-
-    Returns (objs, valid_mask).  Candidates are row-normalized (diagonal
-    scaling only); the coding gain uses the true matrix inverse, so it is
+    Each candidate is row-normalized exactly as orthonormal_approx scales a
+    feasible one; the coding gain uses the true matrix inverse, so it is
     meaningful for non-orthogonal matrices too.
     """
-    a = doubled.astype(np.float64) / 2.0
-    t = t0 + np.einsum("mi,ijk->mjk", a, basis)
-    row_norm_sq = np.sum(t * t, axis=2)
-    valid = np.all(row_norm_sq > 0, axis=1)
-    t = t[valid]
-    c_hat = t / np.sqrt(row_norm_sq[valid])[:, :, None]
-    dets = np.linalg.det(c_hat)
-    nonsing = np.abs(dets) > 1e-12
-    valid_idx = np.flatnonzero(valid)[nonsing]
-    c_hat = c_hat[nonsing]
-    full_valid = np.zeros(len(doubled), dtype=bool)
-    full_valid[valid_idx] = True
-
-    dct = exact_dct_matrix(8)
-    r = ar1_covariance(SignalModel(rho=model.rho, n=8))
-    d = dct - c_hat
-    eps = np.pi * np.sum(d * d, axis=(1, 2))
-    mse_v = np.einsum("mij,jk,mik->m", d, r, d) / 8.0
-    inv_t = np.linalg.inv(c_hat).transpose(0, 2, 1)
-    band = np.einsum("mki,mkj,ij->mk", c_hat, c_hat, r)
-    synth = np.sum(inv_t * inv_t, axis=2)
-    cg = 10.0 * np.mean(np.log10(1.0 / (band * synth)), axis=1)
-    r_y = c_hat @ r @ c_hat.transpose(0, 2, 1)
-    diag_sum = np.abs(np.diagonal(r_y, axis1=1, axis2=2)).sum(axis=1)
-    eta = 100.0 * diag_sum / np.abs(r_y).sum(axis=(1, 2))
-
-    adds, shifts = _batch_complexity(doubled[full_valid])
-    objs = np.column_stack(
-        [
-            np.round(eps, 9),
-            np.round(mse_v, 9),
-            np.round(-cg, 9),
-            np.round(-eta, 9),
-            adds.astype(np.float64),
-            shifts.astype(np.float64),
-        ]
-    )
-    return objs, full_valid
+    rows, rho = args
+    h0, basis = _affine_basis()
+    half = h0 + np.einsum("mk,kij->mij", rows.astype(np.int64), basis)
+    nonzero_rows = np.all(np.any(half != 0, axis=2), axis=1)
+    rows, half = rows[nonzero_rows], half[nonzero_rows]
+    c_hat = _row_scale(half)[..., None] * (half / 2.0)
+    nonsingular = np.abs(np.linalg.det(c_hat)) > 1e-12
+    rows, c_hat = rows[nonsingular], c_hat[nonsingular]
+    adds, shifts, _rule = _cheapest_rule(rows)
+    metrics = evaluate_matrix(c_hat, SignalModel(rho=rho, n=8))
+    return np.column_stack([*metrics, adds, shifts]), rows
 
 
 def _filter_against(front_objs: np.ndarray, objs: np.ndarray) -> np.ndarray:
@@ -353,69 +228,86 @@ def _local_front(objs: np.ndarray) -> np.ndarray:
     return np.array(sorted(front), dtype=np.int64)
 
 
-def _run_search_unfiltered(
-    model: SignalModel, doubled: np.ndarray, workers: int
+def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fold a stream of (metric rows, candidate rows) chunks into the
+    non-dominated metric rows, their candidates, and the number scored.
+
+    Candidates that some current front member already dominates are dropped
+    before the quadratic local-front pass; identical objective vectors never
+    dominate each other, so whole tie groups survive.
+    """
+    values = np.empty((0, 6))
+    rows = np.empty((0, 8), dtype=np.int8)
+    n_scored = 0
+    for new_values, new_rows in scored:
+        n_scored += len(new_values)
+        objs = np.column_stack(_minimized(*new_values.T))
+        front_objs = np.column_stack(_minimized(*values.T))
+        survivors = _filter_against(front_objs, objs)
+        objs, new_values, new_rows = (
+            objs[survivors], new_values[survivors], new_rows[survivors]
+        )
+        if len(objs) == 0:
+            continue
+        local = _local_front(objs)
+        objs, new_values, new_rows = objs[local], new_values[local], new_rows[local]
+        # prune current front members the new points dominate
+        keep_old = _filter_against(objs, front_objs)
+        values = np.vstack([values[keep_old], new_values])
+        rows = np.vstack([rows[keep_old], new_rows])
+    return values, rows, n_scored
+
+
+def run_search(
+    model: SignalModel,
+    feasibility_filter: bool = True,
+    workers: int = 1,
 ) -> SearchResult:
-    t0, basis = _basis_decomposition()
-    front_objs = np.empty((0, 6))
-    front_rows: list[tuple] = []
-    n_evaluated = 0
-    chunk_args = [
-        doubled[s : s + _SWEEP_CHUNK] for s in range(0, len(doubled), _SWEEP_CHUNK)
+    """Full pipeline: enumerate, select, evaluate, extract the front.
+
+    The selected candidates (the feasible ones, or all of them without the
+    filter) are scored in fixed chunks of the enumeration order; with
+    ``workers > 1`` a process pool scores the chunks, and they are merged in
+    chunk order, so the result does not depend on the worker count.
+    Without the filter every nonsingular candidate is scored with row-norm
+    diagonal scaling (orthogonality not required), which takes about 2,000
+    times as many evaluations.
+    """
+    if model.n != 8:
+        raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    doubled = all_candidates_doubled()
+    if feasibility_filter:
+        doubled = doubled[feasible_mask(doubled)]
+    chunks = [
+        (doubled[s : s + _CHUNK], model.rho) for s in range(0, len(doubled), _CHUNK)
     ]
-
-    def process(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        objs, valid = _batch_objectives(chunk, model, t0, basis)
-        return objs, chunk[valid]
-
-    def consume(stream) -> None:
-        nonlocal front_objs, front_rows, n_evaluated
-        for objs, rows in stream:
-            n_evaluated += objs.shape[0]
-            survivors = _filter_against(front_objs, objs)
-            objs, rows = objs[survivors], rows[survivors]
-            if objs.shape[0] == 0:
-                continue
-            local = _local_front(objs)
-            objs, rows = objs[local], rows[local]
-            # prune current front members the new points dominate
-            keep_old = _filter_against(objs, front_objs)
-            front_objs = np.vstack([front_objs[keep_old], objs])
-            front_rows = [r for r, k in zip(front_rows, keep_old) if k] + [
-                tuple(int(v) for v in r) for r in rows
-            ]
-
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            consume(pool.map(_sweep_worker, [(c, model.rho) for c in chunk_args]))
+            values, rows, n_scored = _running_front(pool.map(_score_chunk, chunks))
     else:
-        consume(process(c) for c in chunk_args)
+        values, rows, n_scored = _running_front(map(_score_chunk, chunks))
 
-    evaluated = []
-    for row, obj in zip(front_rows, front_objs):
-        report = MetricsReport(
-            epsilon=float(obj[0]),
-            mse=float(obj[1]),
-            coding_gain_db=float(-obj[2]),
-            efficiency_pct=float(-obj[3]),
-            additions=int(obj[4]),
-            shifts=int(obj[5]),
+    evaluated = [
+        (
+            ParamVector(tuple(int(v) for v in row)),
+            MetricsReport(
+                epsilon=float(eps),
+                mse=float(m),
+                coding_gain_db=float(cg),
+                efficiency_pct=float(eta),
+                additions=int(adds),
+                shifts=int(shifts),
+            ),
         )
-        evaluated.append((ParamVector(row), report))
-    entries = pareto_front(evaluated)
+        for row, (eps, m, cg, eta, adds, shifts) in zip(rows, values)
+    ]
     return SearchResult(
-        entries=tuple(entries),
+        entries=tuple(pareto_front(evaluated)),
         n_candidates=N_CANDIDATES,
-        n_feasible=None,
-        n_evaluated=n_evaluated,
+        n_feasible=len(doubled) if feasibility_filter else None,
+        n_evaluated=n_scored,
         model=model,
-        feasibility_filter=False,
+        feasibility_filter=feasibility_filter,
     )
-
-
-def _sweep_worker(args):
-    chunk, rho = args
-    model = SignalModel(rho=rho, n=8)
-    t0, basis = _basis_decomposition()
-    objs, valid = _batch_objectives(chunk, model, t0, basis)
-    return objs, chunk[valid]

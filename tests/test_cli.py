@@ -193,6 +193,11 @@ class TestSearchCli:
         assert main(["search", "--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_search_rejects_nonpositive_workers(self, tmp_path):
+        out = tmp_path / "front.csv"
+        assert main(["search", "--out", str(out), "--workers", "0"]) == 2
+        assert not out.exists()
+
     def test_search_matches_golden_values(self, tmp_path):
         out = tmp_path / "front.csv"
         assert main(["search", "--out", str(out)]) == 0

@@ -16,7 +16,14 @@ from dctapprox import (
     factored_product,
     orthonormal_approx,
 )
-from helpers import EXPECTED_8PT, feasible_param_vectors, param_vectors, rng
+from dctapprox.kernel import _RULES
+from helpers import (
+    EXPECTED_8PT,
+    FEASIBLE_DOUBLED,
+    feasible_param_vectors,
+    param_vectors,
+    rng,
+)
 
 
 class TestFactorMatrices:
@@ -116,6 +123,31 @@ class TestComplexity:
         assert complexity(CATALOG[1]).rule == "general"
         assert complexity(CATALOG[9]).rule == "r6"
         assert complexity(CATALOG[5]).rule == "general"  # r6 ties, general wins
+
+    def test_matches_rule_by_rule_minimum(self):
+        # Reference: try every rule whose chains each hold one magnitude
+        # (index 8 is the magnitude 2), in order, and keep the first strictly
+        # cheaper (additions, shifts) pair.  The sample makes every rule win
+        # somewhere except r8, which applies only where r7 does, at equal
+        # cost, so r7 wins the tie.
+        sample = list(FEASIBLE_DOUBLED) + [(2, -2, 2, 2, -2, 2, 2, -2), (2,) * 8]
+        sample += [tuple(int(v) for v in r)
+                   for r in rng(8).choice([-4, -2, -1, 0, 1, 2, 4], size=(3000, 8))]
+        rules = set()
+        for doubled in sample:
+            mags = [abs(d) for d in doubled]
+            best = None
+            for name, base, weights, chains in _RULES:
+                if any(len({(mags + [2])[i] for i in chain}) > 1 for chain in chains):
+                    continue
+                adds = base - sum(w for w, d in zip(weights, doubled) if d == 0)
+                shifts = sum(w for w, m in zip(weights, mags) if m in (1, 4))
+                if best is None or (adds, shifts) < best[:2]:
+                    best = (adds, shifts, name)
+            c = complexity(ParamVector(doubled))
+            assert (c.additions, c.shifts, c.rule) == best
+            rules.add(c.rule)
+        assert rules == {name for name, *_ in _RULES} - {"r8"}
 
     @given(param_vectors)
     def test_ranges(self, pv):

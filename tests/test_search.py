@@ -12,14 +12,14 @@ from dctapprox import (
     ParamVector,
     all_candidates_doubled,
     dominates,
+    complexity,
     evaluate,
     feasible_mask,
-    is_feasible,
+    gram_diagnostics,
     objectives,
     pareto_front,
     run_search,
 )
-from dctapprox.kernel import _complexity_doubled
 from dctapprox.metrics import (
     mse,
     total_error_energy,
@@ -27,10 +27,9 @@ from dctapprox.metrics import (
     unified_coding_gain,
 )
 from dctapprox.search import (
-    _basis_decomposition,
-    _batch_objectives,
+    _minimized,
     _nondominated_mask,
-    _run_search_unfiltered,
+    _score_chunk,
     enumerate_candidates,
 )
 from helpers import FEASIBLE_DOUBLED, rng
@@ -72,7 +71,9 @@ class TestFeasibleSet:
         rows = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(2000, 8)).astype(np.int8)
         mask = feasible_mask(rows)
         for row, ok in zip(rows, mask):
-            assert is_feasible(ParamVector(tuple(int(v) for v in row))) == bool(ok)
+            g = gram_diagnostics(ParamVector(tuple(int(v) for v in row)))
+            exact = g.off_diagonal_zero and all(d > 0 for d in g.diagonal_terms)
+            assert exact == bool(ok)
 
     def test_count_is_stable(self):
         grid = all_candidates_doubled()
@@ -157,6 +158,20 @@ class TestRunSearch:
         ]
         assert key(a) == key(b)
 
+    def test_nonpositive_workers_rejected(self, model8):
+        with pytest.raises(ValueError, match="workers"):
+            run_search(model8, workers=0)
+
+    def test_stacked_objectives_equal_per_candidate_exactly(self, model8):
+        # Dominance is decided on rounded floats, so the stacked evaluation
+        # the search runs must agree with evaluate() bit for bit.
+        rows = np.array(FEASIBLE_DOUBLED, dtype=np.int8)
+        values, kept = _score_chunk((rows, model8.rho))
+        assert np.array_equal(kept, rows)
+        stacked = np.column_stack(_minimized(*values.T))
+        for d, obj in zip(FEASIBLE_DOUBLED, stacked):
+            assert objectives(evaluate(ParamVector(d), model8)) == tuple(obj)
+
 
 class TestUnfilteredSweep:
     def _reference_objectives(self, doubled_row, model):
@@ -168,14 +183,14 @@ class TestUnfilteredSweep:
         c = t / norms[:, None]
         if abs(np.linalg.det(c)) <= 1e-12:
             return None
-        adds, shifts, _rule = _complexity_doubled(pv.doubled)
+        cost = complexity(pv)
         return (
             round(total_error_energy(c), 9),
             round(mse(c, model), 9),
             round(-unified_coding_gain(c, model), 9),
             round(-transform_efficiency(c, model), 9),
-            adds,
-            shifts,
+            cost.additions,
+            cost.shifts,
         )
 
     def test_batch_matches_reference(self, model8):
@@ -183,25 +198,28 @@ class TestUnfilteredSweep:
         rows = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(300, 8)).astype(np.int8)
         rows[:20] = np.array([list(d) for d in FEASIBLE_DOUBLED[:20]], dtype=np.int8)
         rows[20] = 0  # singular candidate must be excluded
-        t0, basis = _basis_decomposition()
-        objs, valid = _batch_objectives(rows, model8, t0, basis)
+        values, kept = _score_chunk((rows, model8.rho))
         expected = [self._reference_objectives(r, model8) for r in rows]
-        assert list(valid) == [e is not None for e in expected]
-        kept = [e for e in expected if e is not None]
-        assert objs.shape[0] == len(kept)
-        for got, want in zip(objs, kept):
-            assert got == pytest.approx(np.array(want, dtype=np.float64), abs=1e-8)
+        valid = [e is not None for e in expected]
+        assert np.array_equal(kept, rows[valid])
+        objs = np.column_stack(_minimized(*values.T))
+        want = np.array([e for e in expected if e is not None], dtype=np.float64)
+        assert objs.shape == want.shape
+        for got, w in zip(objs, want):
+            assert got == pytest.approx(w, abs=1e-8)
 
     def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
-        monkeypatch.setattr(search_mod, "_SWEEP_CHUNK", 500)
         gen = rng(13)
         rows = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(2000, 8)).astype(np.int8)
         rows[:15] = np.array([list(pv.doubled) for pv in CATALOG.values()], dtype=np.int8)
-        result = _run_search_unfiltered(model8, rows, workers=1)
-        t0, basis = _basis_decomposition()
-        objs, _valid = _batch_objectives(rows, model8, t0, basis)
+        monkeypatch.setattr(search_mod, "_CHUNK", 500)
+        monkeypatch.setattr(search_mod, "all_candidates_doubled", lambda: rows)
+        result = run_search(model8, feasibility_filter=False)
+        values, _kept = _score_chunk((rows, model8.rho))
+        objs = np.column_stack(_minimized(*values.T))
         brute = objs[_nondominated_mask(objs)]
         produced = np.array(sorted(objectives(e.report) for e in result.entries))
         expected = np.array(sorted(map(tuple, brute)))
+        assert result.n_evaluated == len(values)
         assert produced.shape == expected.shape
         assert np.allclose(produced, expected, atol=1e-9)
