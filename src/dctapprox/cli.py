@@ -209,6 +209,8 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
     out = []
     seen = set()
     for item in spec_list:
+        if not isinstance(item, dict):
+            raise ValueError(f"transform list entries must be objects, got {item!r}")
         ident = item.get("id")
         if not ident or ident in seen:
             raise ValueError(f"transform list entries need unique 'id' (got {ident!r})")
@@ -312,11 +314,9 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    if not 0.0 < args.r <= 1.0:
-        raise ValueError(f"retention fraction must be in (0, 1], got {args.r}")
     ident, transform, size = _transform_for(args)
-    image = read_pgm(args.infile)
     policy = RetentionPolicy(n=size, r_fraction=args.r)
+    image = read_pgm(args.infile)
     recon, scores = compress_image(image, transform, policy)
     if args.out:
         write_pgm(args.out, np.clip(np.rint(recon), 0, 255).astype(np.uint8))

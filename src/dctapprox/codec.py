@@ -113,10 +113,11 @@ def _as_matrix(transform) -> np.ndarray:
 
 
 def forward_2d(transform, block: np.ndarray) -> np.ndarray:
-    """Separable 2-d forward transform of one block: M @ A @ M^t."""
+    """Separable 2-d forward transform of a block, or of each block in a
+    (..., n, n) stack: M @ A @ M^t."""
     m = _as_matrix(transform)
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != m.shape:
+    if block.shape[-2:] != m.shape:
         raise ValueError(f"block shape {block.shape} != transform size {m.shape}")
     return m @ block @ m.T
 
@@ -125,14 +126,15 @@ def inverse_2d(transform, block: np.ndarray) -> np.ndarray:
     """Inverse of forward_2d for orthonormal transforms: M^t @ B @ M."""
     m = _as_matrix(transform)
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != m.shape:
+    if block.shape[-2:] != m.shape:
         raise ValueError(f"block shape {block.shape} != transform size {m.shape}")
     return m.T @ block @ m
 
 
 def retain(block: np.ndarray, policy: RetentionPolicy) -> np.ndarray:
+    """Zero the coefficients the policy drops, in a block or a stack."""
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (policy.n, policy.n):
+    if block.shape[-2:] != (policy.n, policy.n):
         raise ValueError(f"block shape {block.shape} != policy size {policy.n}")
     return block * policy.mask
 
@@ -206,11 +208,22 @@ def _unblockify(blocks: np.ndarray, h: int, w: int, n: int) -> np.ndarray:
     return blocks.reshape(h // n, w // n, n, n).swapaxes(1, 2).reshape(h, w)
 
 
-def _reconstruct(coeffs: np.ndarray, m: np.ndarray, mask: np.ndarray,
-                 h: int, w: int, orig_h: int, orig_w: int) -> np.ndarray:
-    rec = m.T @ (coeffs * mask) @ m
-    out = _unblockify(rec, h, w, m.shape[0])[:orig_h, :orig_w]
-    return np.clip(out, 0.0, 255.0)
+def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionPolicy]):
+    """Yield the reconstruction of a float image under each policy: forward
+    transform once, then per policy retain, inverse, crop, clamp to [0, 255]."""
+    m = _as_matrix(transform)
+    n = m.shape[0]
+    if image.ndim != 2:
+        raise ValueError(f"image must be 2-d, got shape {image.shape}")
+    rows, cols = image.shape
+    padded = _pad_to_multiple(image, n)
+    h, w = padded.shape
+    coeffs = forward_2d(m, _blockify(padded, n))
+    for policy in policies:
+        if policy.n != n:
+            raise ValueError(f"policy block size {policy.n} != transform size {n}")
+        blocks = inverse_2d(m, retain(coeffs, policy))
+        yield np.clip(_unblockify(blocks, h, w, n)[:rows, :cols], 0.0, 255.0)
 
 
 def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
@@ -219,17 +232,8 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
     Returns (reconstruction, QualityScores); the reconstruction is float,
     clamped to [0, 255], same shape as the input.
     """
-    m = _as_matrix(transform)
-    n = m.shape[0]
-    if policy.n != n:
-        raise ValueError(f"policy block size {policy.n} != transform size {n}")
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"image must be 2-d, got shape {image.shape}")
-    padded = _pad_to_multiple(image, n)
-    h, w = padded.shape
-    coeffs = m @ _blockify(padded, n) @ m.T
-    recon = _reconstruct(coeffs, m, policy.mask, h, w, *image.shape)
+    recon = next(_reconstructions(image, transform, [policy]))
     return recon, QualityScores(psnr_db=psnr(image, recon), ssim=ssim(image, recon))
 
 
@@ -238,17 +242,10 @@ def retention_sweep(
 ) -> list[tuple[float, float, float]]:
     """(r, psnr, ssim) over a retention grid, forward-transforming once."""
     m = _as_matrix(transform)
-    n = m.shape[0]
     image = np.asarray(image, dtype=np.float64)
-    padded = _pad_to_multiple(image, n)
-    h, w = padded.shape
-    coeffs = m @ _blockify(padded, n) @ m.T
-    out = []
-    for r in r_values:
-        mask = RetentionPolicy(n=n, r_fraction=r).mask
-        recon = _reconstruct(coeffs, m, mask, h, w, *image.shape)
-        out.append((r, psnr(image, recon), ssim(image, recon)))
-    return out
+    policies = [RetentionPolicy(n=m.shape[0], r_fraction=r) for r in r_values]
+    recons = _reconstructions(image, m, policies)
+    return [(r, psnr(image, rec), ssim(image, rec)) for r, rec in zip(r_values, recons)]
 
 
 def default_r_grid() -> tuple[float, ...]:

@@ -254,6 +254,19 @@ def scale_factors(params: ParamVector) -> np.ndarray:
     return _row_scale(build_matrix(params).half_units)
 
 
+def _json_array(d: dict, key: str, shape: tuple, kinds: str) -> np.ndarray:
+    """d[key] as an array of the given shape and dtype kind ('i' integer, 'f'
+    float); ValueError otherwise, a missing key included."""
+    try:
+        arr = np.array(d.get(key))
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.shape != shape or arr.dtype.kind not in kinds:
+        what = "integers" if kinds == "i" else "numbers"
+        raise ValueError(f"transform {key!r} must be a {shape} array of {what}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Transform:
     """An orthonormal approximation: integer part plus diagonal scaling.
@@ -303,13 +316,29 @@ class Transform:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Transform":
+        """Inverse of to_json_dict.  A malformed document raises ValueError;
+        one that is not an orthonormal dyadic transform of size 8, 16 or 32
+        (scale within 1e-12 of the row norms) raises FeasibilityError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"transform must be a JSON object, got {type(d).__name__}")
         if d.get("den") != 2:
             raise ValueError(f"unsupported denominator {d.get('den')!r}, expected 2")
-        return cls(
-            n=int(d["n"]),
-            half_units=np.array(d["entries"], dtype=np.int64),
-            scale=np.array(d["scale"], dtype=np.float64),
-        )
+        n = d.get("n")
+        if type(n) is not int:
+            raise ValueError(f"transform size 'n' must be an integer, got {n!r}")
+        if n not in (8, 16, 32):
+            raise FeasibilityError(f"transform size {n} not in (8, 16, 32)")
+        half = _json_array(d, "entries", (n, n), "i")
+        scale = _json_array(d, "scale", (n,), "if")
+        if not np.all(np.isin(half, ALLOWED_DOUBLED)):
+            raise FeasibilityError("transform entries outside {0, +-1/2, +-1, +-2}")
+        quarter = half @ half.T
+        diag = np.diag(quarter)
+        if np.any(quarter != np.diag(diag)) or np.any(diag == 0):
+            raise FeasibilityError("transform rows are not nonzero and orthogonal")
+        if not np.all(np.abs(scale - _row_scale(half)) <= 1e-12):
+            raise FeasibilityError("transform scale does not normalize its rows")
+        return cls(n=n, half_units=half, scale=scale)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as f:

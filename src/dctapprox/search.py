@@ -6,9 +6,11 @@ The default pipeline keeps only orthogonal candidates (six integer
 polynomial checks prune 5.76M vectors to a few thousand); without the
 filter every candidate is scored.  The selected rows are scored in fixed
 chunks of the enumeration order, each chunk as one stack of row-normalized
-matrices through the metrics functions, and the front is updated chunk by
-chunk.  Chunks can be spread over worker processes; results are merged in
-chunk order and are byte-identical for any worker count.
+matrices through the metrics functions.  One non-dominated filter decides
+all dominance: it cuts each chunk, stacked under the running front, back to
+a front, and pareto_front applies it before grouping ties.  Chunks can be
+spread over worker processes; results are merged in chunk order and are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -100,19 +102,24 @@ class ParetoEntry:
     canonical: bool
 
 
-def _nondominated_mask(objs: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows not dominated by any other row (minimization).
-    Rows with identical values never dominate each other."""
-    n = objs.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        weakly = np.all(objs <= objs[i], axis=1)
-        strictly = np.any(objs < objs[i], axis=1)
-        if np.any(weakly & strictly):
-            keep[i] = False
-    return keep
+def _front(objs: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows no other row dominates (minimization).
+
+    Rows are visited by row sum, then lexicographically.  A dominator is no
+    larger in any column, so its rounded sum is never larger, and on equal
+    sums it comes first lexicographically: a row is visited after all its
+    dominators, so each row still there when visited is on the front and
+    drops the later rows it dominates.  Identical rows never dominate each
+    other, so whole tie groups survive.
+    """
+    rest = np.lexsort((*objs.T[::-1], objs.sum(axis=1)))
+    front = []
+    while rest.size:
+        top, rest = rest[0], rest[1:]
+        front.append(top)
+        p, later = objs[top], objs[rest]
+        rest = rest[~(np.all(p <= later, axis=1) & np.any(p < later, axis=1))]
+    return np.sort(np.array(front, dtype=np.int64))
 
 
 def _canonical_rep(group: list[ParamVector]) -> ParamVector:
@@ -123,7 +130,8 @@ def _canonical_rep(group: list[ParamVector]) -> ParamVector:
 def pareto_front(
     evaluated: Sequence[tuple[ParamVector, MetricsReport]],
 ) -> list[ParetoEntry]:
-    """Non-dominated entries of an evaluated collection.
+    """Non-dominated entries of an evaluated collection, by the filter the
+    search fold uses, on the objectives vectors.
 
     Entries whose objective vectors are identical are grouped; exactly one
     member per group is flagged canonical.  Output order is deterministic:
@@ -133,9 +141,8 @@ def pareto_front(
     if not evaluated:
         return []
     objs = np.array([objectives(rep) for _, rep in evaluated], dtype=np.float64)
-    keep = _nondominated_mask(objs)
     groups: dict[tuple, list[int]] = {}
-    for i in np.flatnonzero(keep):
+    for i in _front(objs):
         groups.setdefault(tuple(objs[i]), []).append(int(i))
     entries = []
     for key, idxs in groups.items():
@@ -197,64 +204,20 @@ def _score_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([*metrics, adds, shifts]), rows
 
 
-def _filter_against(front_objs: np.ndarray, objs: np.ndarray) -> np.ndarray:
-    """Mask of objs rows not dominated by any front row, block-wise."""
-    if front_objs.shape[0] == 0:
-        return np.ones(objs.shape[0], dtype=bool)
-    keep = np.ones(objs.shape[0], dtype=bool)
-    block = max(1, 2_000_000 // max(1, front_objs.shape[0]))
-    for s in range(0, objs.shape[0], block):
-        chunk = objs[s : s + block]
-        weakly = np.all(front_objs[None, :, :] <= chunk[:, None, :], axis=2)
-        strictly = np.any(front_objs[None, :, :] < chunk[:, None, :], axis=2)
-        keep[s : s + block] = ~np.any(weakly & strictly, axis=1)
-    return keep
-
-
-def _local_front(objs: np.ndarray) -> np.ndarray:
-    """Indices of non-dominated rows, visiting points in objective-sum order
-    (a dominator always has a strictly smaller sum)."""
-    order = np.argsort(objs.sum(axis=1), kind="stable")
-    front: list[int] = []
-    for idx in order:
-        p = objs[idx]
-        if front:
-            f = objs[front]
-            weakly = np.all(f <= p, axis=1)
-            strictly = np.any(f < p, axis=1)
-            if np.any(weakly & strictly):
-                continue
-        front.append(int(idx))
-    return np.array(sorted(front), dtype=np.int64)
-
-
 def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
     """Fold a stream of (metric rows, candidate rows) chunks into the
     non-dominated metric rows, their candidates, and the number scored.
-
-    Candidates that some current front member already dominates are dropped
-    before the quadratic local-front pass; identical objective vectors never
-    dominate each other, so whole tie groups survive.
-    """
+    Each chunk is stacked under the front and the stack cut back to its
+    front, which keeps rows in chunk order."""
     values = np.empty((0, 6))
     rows = np.empty((0, 8), dtype=np.int8)
     n_scored = 0
     for new_values, new_rows in scored:
         n_scored += len(new_values)
-        objs = np.column_stack(_minimized(*new_values.T))
-        front_objs = np.column_stack(_minimized(*values.T))
-        survivors = _filter_against(front_objs, objs)
-        objs, new_values, new_rows = (
-            objs[survivors], new_values[survivors], new_rows[survivors]
-        )
-        if len(objs) == 0:
-            continue
-        local = _local_front(objs)
-        objs, new_values, new_rows = objs[local], new_values[local], new_rows[local]
-        # prune current front members the new points dominate
-        keep_old = _filter_against(objs, front_objs)
-        values = np.vstack([values[keep_old], new_values])
-        rows = np.vstack([rows[keep_old], new_rows])
+        values = np.vstack([values, new_values])
+        rows = np.vstack([rows, new_rows])
+        keep = _front(np.column_stack(_minimized(*values.T)))
+        values, rows = values[keep], rows[keep]
     return values, rows, n_scored
 
 
@@ -266,9 +229,10 @@ def run_search(
     """Full pipeline: enumerate, select, evaluate, extract the front.
 
     The selected candidates (the feasible ones, or all of them without the
-    filter) are scored in fixed chunks of the enumeration order; with
-    ``workers > 1`` a process pool scores the chunks, and they are merged in
-    chunk order, so the result does not depend on the worker count.
+    filter) are scored in fixed chunks of the enumeration order, folded into
+    the running front in chunk order, and pareto_front groups the survivors'
+    ties.  With ``workers > 1`` a process pool scores the chunks; the fold
+    order keeps the result independent of the worker count.
     Without the filter every nonsingular candidate is scored with row-norm
     diagonal scaling (orthogonality not required), which takes about 2,000
     times as many evaluations.

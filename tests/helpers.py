@@ -111,6 +111,22 @@ feasible_param_vectors = st.builds(
 )
 
 
+def _nondominated_mask(objs: np.ndarray) -> np.ndarray:
+    """Brute-force reference front: boolean mask of rows not dominated by any
+    other row (minimization).  Rows with identical values never dominate
+    each other."""
+    n = objs.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not keep[i]:
+            continue
+        weakly = np.all(objs <= objs[i], axis=1)
+        strictly = np.any(objs < objs[i], axis=1)
+        if np.any(weakly & strictly):
+            keep[i] = False
+    return keep
+
+
 def catalog_values(j: int) -> tuple[float, ...]:
     return CATALOG[j].values
 

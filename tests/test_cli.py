@@ -113,6 +113,81 @@ class TestExitCodes:
         assert main(["eval", "--bogus-flag"]) == 2
 
 
+class TestTransformFile:
+    @pytest.fixture()
+    def image(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        write_pgm(path, ar1_test_image(16, 16, seed=31))
+        return path
+
+    @pytest.fixture()
+    def good(self, tmp_path):
+        out = tmp_path / "good.json"
+        assert main(["gen", "--params", "0,0,0,1,1,0,0,1", "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def _compress(self, tmp_path, image, doc) -> int:
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        return main(["compress", "--in", str(image), "--transform", str(path), "--r", "1.0"])
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_gen_and_scale_files_load(self, tmp_path, image, good, size):
+        assert self._compress(tmp_path, image, good) == 0
+        out = tmp_path / "scaled.json"
+        assert main(["scale", "--seed", "0,0.5,0,1,1,1,1,2", "--size", str(size),
+                     "--out", str(out)]) == 0
+        assert main(["compress", "--in", str(image), "--transform", str(out),
+                     "--r", "1.0"]) == 0
+
+    def test_wrong_scale(self, tmp_path, image, good, capsys):
+        good["scale"] = [1.0] * 8
+        assert self._compress(tmp_path, image, good) == 3
+        assert "scale" in capsys.readouterr().err
+
+    def test_corrupted_entry(self, tmp_path, image, good, capsys):
+        good["entries"][1][2] = 2
+        assert self._compress(tmp_path, image, good) == 3
+        assert "orthogonal" in capsys.readouterr().err
+
+    def test_zero_row(self, tmp_path, image, good, capsys):
+        good["entries"][3] = [0] * 8
+        assert self._compress(tmp_path, image, good) == 3
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_entry_outside_alphabet(self, tmp_path, image, good):
+        good["entries"][1][2] = 3
+        assert self._compress(tmp_path, image, good) == 3
+
+    def test_unsupported_size(self, tmp_path, image):
+        doc = {"n": 4, "den": 2, "entries": [[2, 2, 2, 2], [2, 2, -2, -2],
+                                             [2, -2, -2, 2], [2, -2, 2, -2]],
+               "scale": [0.5] * 4}
+        assert self._compress(tmp_path, image, doc) == 3
+
+    def test_missing_key(self, tmp_path, image, good, capsys):
+        del good["scale"]
+        assert self._compress(tmp_path, image, good) == 2
+        assert "'scale'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "8"), ("n", True), ("entries", [[2] * 8] * 7), ("entries", "x"),
+        ("entries", [[2.0] * 8] * 8), ("scale", ["0.35"] * 8), ("scale", [[0.35]] * 8),
+    ])
+    def test_ill_typed_key(self, tmp_path, image, good, key, value):
+        good[key] = value
+        assert self._compress(tmp_path, image, good) == 2
+
+    def test_not_an_object(self, tmp_path, image, good):
+        assert self._compress(tmp_path, image, [good]) == 2
+
+    def test_sweep_list_entry_not_an_object(self, tmp_path, image):
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}, "dct8"]')
+        assert main(["sweep", "--corpus", str(tmp_path), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+
+
 class TestCompressAndSweep:
     @pytest.fixture()
     def corpus(self, tmp_path):

@@ -105,9 +105,19 @@ class TestBlockTransforms:
         block[0, 0] = 1.0
         assert np.max(np.abs(inverse_2d(t, forward_2d(t, block)) - block)) < 1e-10
 
+    def test_stack_matches_per_block(self):
+        t = orthonormal_approx(CATALOG[15])
+        policy = RetentionPolicy(n=8, r_fraction=0.45)
+        stack = rng(5).standard_normal((3, 2, 8, 8))
+        out = inverse_2d(t, retain(forward_2d(t, stack), policy))
+        for idx in np.ndindex(3, 2):
+            block = inverse_2d(t, retain(forward_2d(t, stack[idx]), policy))
+            assert np.array_equal(out[idx], block)
+
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            forward_2d(orthonormal_approx(CATALOG[1]), np.zeros((4, 4)))
+        for shape in [(4, 4), (2, 8, 4), (8,)]:
+            with pytest.raises(ValueError):
+                forward_2d(orthonormal_approx(CATALOG[1]), np.zeros(shape))
 
 
 class TestQualityMetrics:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import dctapprox.search as search_mod
 from dctapprox import (
@@ -27,12 +29,12 @@ from dctapprox.metrics import (
     unified_coding_gain,
 )
 from dctapprox.search import (
+    _front,
     _minimized,
-    _nondominated_mask,
     _score_chunk,
     enumerate_candidates,
 )
-from helpers import FEASIBLE_DOUBLED, rng
+from helpers import FEASIBLE_DOUBLED, _nondominated_mask, rng
 
 
 class TestEnumeration:
@@ -85,6 +87,22 @@ def _report(eps, m, cg, eta, adds, shifts):
         epsilon=eps, mse=m, coding_gain_db=cg, efficiency_pct=eta,
         additions=adds, shifts=shifts,
     )
+
+
+# Rows drawn from a small pool, so duplicates are common; 1e16 makes float
+# row sums tie between rows that differ by 1 in another column.
+_objective_rows = st.lists(
+    st.tuples(*[st.sampled_from([0.0, 1.0, 2.0, 1e16])] * 6), min_size=1, max_size=6
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=25))
+
+
+class TestFront:
+    @given(_objective_rows)
+    @example([(1e16, 0, 0, 0, 0, 0), (1e16, 1, 0, 0, 0, 0)])
+    @example([(1e16, 1, 0, 0, 0, 0), (1e16, 0, 0, 0, 0, 0)])
+    def test_matches_brute_force(self, rows):
+        objs = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        assert np.array_equal(_front(objs), np.flatnonzero(_nondominated_mask(objs)))
 
 
 class TestParetoFront:
