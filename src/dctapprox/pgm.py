@@ -1,4 +1,4 @@
-"""Minimal binary PGM (P5, 8-bit) reader and writer."""
+"""Minimal binary PGM (P5, 8-bit, maxval 255) reader and writer."""
 
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM into a (height, width) uint8 array."""
+    """Read an 8-bit binary PGM (maxval 255) into a (height, width) uint8
+    array.  A malformed header raises ValueError."""
     with open(path, "rb") as f:
         data = f.read()
     magic, pos = _next_token(data, 0)
@@ -36,12 +37,14 @@ def read_pgm(path) -> np.ndarray:
     fields = []
     for _ in range(3):
         tok, pos = _next_token(data, pos)
+        if not tok.isdigit():  # bytes: ASCII 0-9 only, unlike int()
+            raise ValueError(f"PGM header value {tok!r} is not a decimal number")
         fields.append(int(tok))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise ValueError(f"bad PGM dimensions {width}x{height}")
-    if not 0 < maxval <= 255:
-        raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
+    if maxval != 255:  # PSNR and SSIM score against a peak of 255
+        raise ValueError(f"only 8-bit PGM with maxval 255 supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:

@@ -2,15 +2,18 @@
 for the six-objective problem (error energy, mse, -gain, -efficiency,
 additions, shifts).
 
-The default pipeline keeps only orthogonal candidates (six integer
-polynomial checks prune 5.76M vectors to a few thousand); without the
-filter every candidate is scored.  The selected rows are scored in fixed
-chunks of the enumeration order, each chunk as one stack of row-normalized
-matrices through the metrics functions.  One non-dominated filter decides
-all dominance: it cuts each chunk, stacked under the running front, back to
-a front, and pareto_front applies it before grouping ties.  Chunks can be
-spread over worker processes; results are merged in chunk order and are
-byte-identical for any worker count.
+The default pipeline keeps only orthogonal candidates.  None of the six
+integer polynomial checks reads a2 (the even rows depend on a2 alone), so
+they run on the 7^7 rows of the other seven parameters with a2 pinned, and
+the 403 survivors are expanded over the 7 values of a2: the 2,821 feasible
+rows in enumeration order, without building the 5.76M-row grid.  Without
+the filter every candidate is scored.  The selected rows are scored in
+fixed chunks of the enumeration order, each chunk as one stack of
+row-normalized matrices through the metrics functions.  One non-dominated
+filter decides all dominance: it cuts each chunk, stacked under the
+running front, back to a front, and pareto_front applies it before
+grouping ties.  Chunks can be spread over worker processes; results are
+merged in chunk order and are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,18 +55,37 @@ def enumerate_candidates() -> Iterator[ParamVector]:
         yield ParamVector(doubled)
 
 
+def _grid(columns) -> np.ndarray:
+    """Cartesian product of per-column value lists as an int8 array, first
+    column most significant."""
+    grids = np.meshgrid(*(np.array(c, dtype=np.int8) for c in columns), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def all_candidates_doubled() -> np.ndarray:
     """The full candidate grid as a (7^8, 8) int8 array of doubled values,
     in the same order as enumerate_candidates."""
-    vals = np.array(ALLOWED_DOUBLED, dtype=np.int8)
-    grids = np.meshgrid(*([vals] * 8), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return _grid([ALLOWED_DOUBLED] * 8)
+
+
+def _feasible_doubled() -> np.ndarray:
+    """The feasible rows of all_candidates_doubled, in its order.
+
+    Feasibility does not depend on a2 (column 1), so the mask runs on the
+    7^7 grid with a2 pinned to 0 and each surviving row is repeated with
+    every a2 value.  The alphabet is ascending, so enumeration order is
+    lexicographic order of the values.
+    """
+    odd = _grid([ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6)
+    odd = odd[feasible_mask(odd)]
+    rows = np.tile(odd, (len(ALLOWED_DOUBLED), 1))
+    rows[:, 1] = np.repeat(ALLOWED_DOUBLED, len(odd))
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def feasible_candidates() -> Iterator[ParamVector]:
     """Feasible vectors in enumeration order (count is deterministic)."""
-    doubled = all_candidates_doubled()
-    for row in doubled[feasible_mask(doubled)]:
+    for row in _feasible_doubled():
         yield ParamVector(tuple(int(v) for v in row))
 
 
@@ -231,8 +253,12 @@ def run_search(
     The selected candidates (the feasible ones, or all of them without the
     filter) are scored in fixed chunks of the enumeration order, folded into
     the running front in chunk order, and pareto_front groups the survivors'
-    ties.  With ``workers > 1`` a process pool scores the chunks; the fold
-    order keeps the result independent of the worker count.
+    ties.  The filter checks feasibility once per row of the 7^7 grid
+    without a2 and expands the survivors over a2 (see _feasible_doubled),
+    so the full grid is built only without the filter.  With more than one
+    chunk and ``workers > 1``, a pool of at most one process per chunk
+    scores them; the fold order keeps the result independent of the worker
+    count.  The filtered rows fit in one chunk, so no pool is started.
     Without the filter every nonsingular candidate is scored with row-norm
     diagonal scaling (orthogonality not required), which takes about 2,000
     times as many evaluations.
@@ -241,12 +267,11 @@ def run_search(
         raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    doubled = all_candidates_doubled()
-    if feasibility_filter:
-        doubled = doubled[feasible_mask(doubled)]
+    doubled = _feasible_doubled() if feasibility_filter else all_candidates_doubled()
     chunks = [
         (doubled[s : s + _CHUNK], model.rho) for s in range(0, len(doubled), _CHUNK)
     ]
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values, rows, n_scored = _running_front(pool.map(_score_chunk, chunks))

@@ -109,6 +109,17 @@ class TestExitCodes:
         assert main(["compress", "--in", str(tmp_path / "missing.pgm"),
                      "--dct", "--r", "0.5"]) == 4
 
+    @pytest.mark.parametrize("header, named", [
+        (b"P5\n4 4\n200\n", "maxval=200"),
+        (b"P5\n1_6 4\n255\n", "b'1_6'"),
+        (b"P5\n4 +4\n255\n", "b'+4'"),
+    ])
+    def test_bad_pgm_header(self, tmp_path, capsys, header, named):
+        img = tmp_path / "bad.pgm"
+        img.write_bytes(header + bytes(16))
+        assert main(["compress", "--in", str(img), "--dct", "--r", "0.5"]) == 2
+        assert named in capsys.readouterr().err
+
     def test_argparse_error(self, capsys):
         assert main(["eval", "--bogus-flag"]) == 2
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctapprox import (
@@ -198,6 +198,42 @@ class TestDefaultGrid:
         assert len(grid) == 38
 
 
+_HEADER_TOKENS = [
+    b"0", b"1", b"2", b"3", b"0255", b"255", b"254", b"256", b"65535",
+    b"+5", b"-1", b"1_0", b"0x10", b"1e2", b"\xd9\xa3", b"\xef\xbc\x93",
+]
+_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"\x0b", b" # note\n", b"\n#\n"]
+
+
+@st.composite
+def _pgm_bytes(draw):
+    """(file bytes, declared (height, width) or None): arbitrary bytes, or a
+    P5 header of plausible and malformed tokens before a raster of random
+    length.  Tokens hold no whitespace or '#', so the declared shape is the
+    one the header states."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40)), None
+    token = st.one_of(
+        st.sampled_from(_HEADER_TOKENS),
+        st.binary(min_size=1, max_size=4)
+        .map(lambda b: b.translate(None, b" \t\n\r\x0b\x0c#"))
+        .filter(bool),
+    )
+    magic = draw(st.one_of(st.just(b"P5"), st.sampled_from([b"P2", b"P6", b"P55"])))
+    dim = st.one_of(st.sampled_from([b"1", b"2", b"3"]), token)
+    width, height = draw(dim), draw(dim)
+    maxval = draw(st.one_of(st.just(b"255"), token))
+    sep = st.sampled_from(_SEPARATORS)
+    data = b"".join([
+        magic, draw(sep), width, draw(sep), height, draw(sep), maxval,
+        draw(st.sampled_from([b"\n", b" "])), draw(st.binary(max_size=12)),
+    ])
+    declared = None
+    if width.isdigit() and height.isdigit():
+        declared = (int(height), int(width))
+    return data, declared
+
+
 class TestPgm:
     def test_round_trip(self, tmp_path):
         img = ar1_test_image(40, 56, seed=14)
@@ -224,6 +260,30 @@ class TestPgm:
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
         with pytest.raises(ValueError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 2\n200\n", b"P5\n2 2\n256\n", b"P5\n+2 2\n255\n",
+        b"P5\n1_0 1\n255\n", b"P5\n2 2\n0xff\n", b"P5\n2 -2\n255\n",
+    ])
+    def test_rejects_non_netpbm_header(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(20))
+        with pytest.raises(ValueError):
+            read_pgm(path)
+
+    @settings(max_examples=300)
+    @given(_pgm_bytes())
+    def test_header_fuzz(self, tmp_path_factory, case):
+        data, declared = case
+        path = tmp_path_factory.mktemp("fuzz") / "f.pgm"
+        path.write_bytes(data)
+        try:
+            img = read_pgm(path)
+        except ValueError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 2
+        if declared is not None:
+            assert img.shape == declared
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "t.pgm"

@@ -16,12 +16,14 @@ from dctapprox import (
     dominates,
     complexity,
     evaluate,
+    feasible_candidates,
     feasible_mask,
     gram_diagnostics,
     objectives,
     pareto_front,
     run_search,
 )
+from dctapprox.core import ALLOWED_DOUBLED
 from dctapprox.metrics import (
     mse,
     total_error_energy,
@@ -29,6 +31,7 @@ from dctapprox.metrics import (
     unified_coding_gain,
 )
 from dctapprox.search import (
+    _feasible_doubled,
     _front,
     _minimized,
     _score_chunk,
@@ -80,6 +83,28 @@ class TestFeasibleSet:
     def test_count_is_stable(self):
         grid = all_candidates_doubled()
         assert int(feasible_mask(grid).sum()) == len(FEASIBLE_DOUBLED)
+
+    def test_odd_grid_selection_equals_full_grid_mask(self):
+        # FEASIBLE_DOUBLED masks the full 7^8 grid; the search masks the 7^7
+        # grid without a2 and expands over a2.
+        selected = _feasible_doubled()
+        assert selected.dtype == np.int8
+        assert [tuple(int(v) for v in row) for row in selected] == FEASIBLE_DOUBLED
+        assert [pv.doubled for pv in feasible_candidates()] == FEASIBLE_DOUBLED
+        assert len(FEASIBLE_DOUBLED) == 2821
+
+    @given(
+        st.one_of(
+            st.sampled_from(FEASIBLE_DOUBLED),
+            st.tuples(*[st.sampled_from(ALLOWED_DOUBLED)] * 8),
+        ),
+        st.sampled_from(ALLOWED_DOUBLED),
+    )
+    def test_feasibility_does_not_read_a2(self, row, a2):
+        # The odd-grid selection is exact only while this holds.
+        rows = np.array([row, row[:1] + (a2,) + row[2:]], dtype=np.int8)
+        ok = feasible_mask(rows)
+        assert ok[0] == ok[1]
 
 
 def _report(eps, m, cg, eta, adds, shifts):
@@ -175,6 +200,13 @@ class TestRunSearch:
             (e.params.doubled, e.canonical, objectives(e.report)) for e in res.entries
         ]
         assert key(a) == key(b)
+
+    def test_one_chunk_starts_no_pool(self, model8, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one chunk")
+
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
+        assert run_search(model8, workers=2).n_evaluated == len(FEASIBLE_DOUBLED)
 
     def test_nonpositive_workers_rejected(self, model8):
         with pytest.raises(ValueError, match="workers"):
