@@ -69,8 +69,6 @@ from .search import (
     SearchResult,
     all_candidates_doubled,
     dominates,
-    enumerate_candidates,
-    feasible_candidates,
     objectives,
     pareto_front,
     run_search,

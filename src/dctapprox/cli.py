@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: gen, eval, search, scale, compress, sweep, report.  Every
-subcommand is deterministic given its flags; ``--workers`` never changes
-output bytes.  Exit codes: 0 success, 2 usage error, 3 infeasible
-transform, 4 I/O error.  The environment variable DCTAPPROX_RHO overrides
-the default correlation coefficient of 0.95.
+subcommand is deterministic given its flags; search accepts ``--workers``
+but runs in one process whatever its value.  Exit codes: 0 success, 2
+usage error, 3 infeasible transform, 4 I/O error.  The environment
+variable DCTAPPROX_RHO overrides the default correlation coefficient of
+0.95.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     FeasibilityError,
     ParamVector,
     Transform,
+    _read_json,
     exact_dct_matrix,
     orthonormal_approx,
 )
@@ -198,12 +200,21 @@ def _transform_for(args) -> tuple[str, object, int]:
     return Path(args.transform).stem, t, t.n
 
 
-def _load_transform_list(path) -> list[tuple[str, object, int]]:
-    import json
+def _entry_field(item: dict, key: str, default=None):
+    """A field of a transform list entry: 'dct' and 'size' must be 8, 16 or
+    32, 'params' and 'file' strings; ValueError naming the field otherwise."""
+    value = item.get(key, default)
+    if key in ("dct", "size"):
+        ok, wanted = type(value) is int and value in (8, 16, 32), "8, 16 or 32"
+    else:
+        ok, wanted = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"transform {item['id']!r}: {key!r} must be {wanted}, got {value!r}")
+    return value
 
-    base = Path(path).parent
-    with open(path, "r", encoding="ascii") as f:
-        spec_list = json.load(f)
+
+def _load_transform_list(path) -> list[tuple[str, object, int]]:
+    spec_list = _read_json(path)
     if not isinstance(spec_list, list):
         raise ValueError("transform list must be a JSON array")
     out = []
@@ -212,21 +223,23 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
         if not isinstance(item, dict):
             raise ValueError(f"transform list entries must be objects, got {item!r}")
         ident = item.get("id")
-        if not ident or ident in seen:
-            raise ValueError(f"transform list entries need unique 'id' (got {ident!r})")
+        if not isinstance(ident, str) or not ident or ident in seen:
+            raise ValueError(
+                f"transform list entries need a unique nonempty string 'id' (got {ident!r})"
+            )
         seen.add(ident)
         if "dct" in item:
-            size = int(item["dct"])
+            size = _entry_field(item, "dct")
             out.append((ident, exact_dct_matrix(size), size))
         elif "params" in item:
-            pv = parse_params(item["params"])
-            size = int(item.get("size", 8))
+            pv = parse_params(_entry_field(item, "params"))
+            size = _entry_field(item, "size", 8)
             if size == 8:
                 out.append((ident, orthonormal_approx(pv), 8))
             else:
                 out.append((ident, build_scaled(pv, size), size))
         elif "file" in item:
-            t = Transform.load(base / item["file"])
+            t = Transform.load(Path(path).parent / _entry_field(item, "file"))
             out.append((ident, t, t.n))
         else:
             raise ValueError(f"transform entry {ident!r} needs 'dct', 'params' or 'file'")
@@ -449,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive sweep and Pareto front")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted (at least 1) but has no effect")
     p.add_argument("--no-feasibility-filter", action="store_true",
                    help="evaluate every nonsingular candidate (much slower)")
     p.set_defaults(func=_cmd_search)

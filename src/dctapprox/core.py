@@ -347,8 +347,17 @@ class Transform:
 
     @classmethod
     def load(cls, path) -> "Transform":
-        with open(path, "r", encoding="ascii") as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(_read_json(path))
+
+
+def _read_json(path):
+    """The JSON document in a file.  A malformed one raises ValueError, one
+    nested too deeply for the parser included."""
+    with open(path, "r", encoding="ascii") as f:
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def orthonormal_approx(params: ParamVector) -> Transform:

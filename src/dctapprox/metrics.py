@@ -79,22 +79,46 @@ def _float_or_array(x: np.ndarray) -> float | np.ndarray:
 
 
 # Every metric takes one (n, n) matrix or an (..., n, n) stack and returns a
-# float or an array of the stack's leading shape.
+# float or an array of the stack's leading shape.  Each formula is written
+# once, in a private kernel of explicit reference, covariance and transform
+# size n.  Kernel values are sums over rows (the efficiency's in two parts),
+# so the search adds them over a candidate's even and odd 4x4 blocks.
+
+def _error_energy(c_hat, ref):
+    d = ref - c_hat
+    return np.pi * np.sum(d * d, axis=(-2, -1))
+
+
+def _mse(c_hat, ref, r, n):
+    d = ref - c_hat
+    return np.einsum("...ij,jk,...ik->...", d, r, d) / n
+
+
+def _coding_gain(c_hat, r, n):
+    g = np.swapaxes(np.linalg.inv(c_hat), -1, -2)
+    band_var = np.einsum("...ki,...kj,ij->...k", c_hat, c_hat, r)
+    synth = np.sum(g * g, axis=-1)
+    return 10.0 * (np.sum(np.log10(1.0 / (band_var * synth)), axis=-1) / n)
+
+
+def _efficiency_parts(c_hat, r):
+    r_y = c_hat @ r @ np.swapaxes(c_hat, -1, -2)
+    diag = np.sum(np.abs(np.diagonal(r_y, axis1=-2, axis2=-1)), axis=-1)
+    return 100.0 * diag, np.sum(np.abs(r_y), axis=(-2, -1))
+
 
 def total_error_energy(c_hat: np.ndarray) -> float | np.ndarray:
     """pi-scaled squared Frobenius distance to the exact DCT of equal size."""
     c_hat = _check_square(c_hat)
-    d = exact_dct_matrix(c_hat.shape[-1]) - c_hat
-    return _float_or_array(np.pi * np.sum(d * d, axis=(-2, -1)))
+    return _float_or_array(_error_energy(c_hat, exact_dct_matrix(c_hat.shape[-1])))
 
 
 def mse(c_hat: np.ndarray, model: SignalModel) -> float | np.ndarray:
     """Mean square error against the exact DCT under the signal model:
     trace((C - C_hat) R (C - C_hat)^t) / n."""
     c_hat = _check_square(c_hat, model)
-    d = exact_dct_matrix(model.n) - c_hat
-    r = ar1_covariance(model)
-    return _float_or_array(np.einsum("...ij,jk,...ik->...", d, r, d) / model.n)
+    ref, r = exact_dct_matrix(model.n), ar1_covariance(model)
+    return _float_or_array(_mse(c_hat, ref, r, model.n))
 
 
 def unified_coding_gain(c_hat: np.ndarray, model: SignalModel) -> float | np.ndarray:
@@ -106,22 +130,17 @@ def unified_coding_gain(c_hat: np.ndarray, model: SignalModel) -> float | np.nda
     of 1/(A_k B_k) in dB.  For orthonormal rows B_k = 1.
     """
     c_hat = _check_square(c_hat, model)
-    r = ar1_covariance(model)
     try:
-        g = np.swapaxes(np.linalg.inv(c_hat), -1, -2)
+        return _float_or_array(_coding_gain(c_hat, ar1_covariance(model), model.n))
     except np.linalg.LinAlgError:
         raise ValueError("transform is singular; coding gain undefined") from None
-    band_var = np.einsum("...ki,...kj,ij->...k", c_hat, c_hat, r)
-    synth = np.sum(g * g, axis=-1)
-    return _float_or_array(10.0 * np.mean(np.log10(1.0 / (band_var * synth)), axis=-1))
 
 
 def transform_efficiency(c_hat: np.ndarray, model: SignalModel) -> float | np.ndarray:
     """Percentage of transformed-covariance energy on the diagonal."""
     c_hat = _check_square(c_hat, model)
-    r_y = c_hat @ ar1_covariance(model) @ np.swapaxes(c_hat, -1, -2)
-    diag = np.sum(np.abs(np.diagonal(r_y, axis1=-2, axis2=-1)), axis=-1)
-    return _float_or_array(100.0 * diag / np.sum(np.abs(r_y), axis=(-2, -1)))
+    numerator, total = _efficiency_parts(c_hat, ar1_covariance(model))
+    return _float_or_array(numerator / total)
 
 
 @dataclass(frozen=True)

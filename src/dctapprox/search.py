@@ -2,41 +2,34 @@
 for the six-objective problem (error energy, mse, -gain, -efficiency,
 additions, shifts).
 
-The default pipeline keeps only orthogonal candidates.  None of the six
-integer polynomial checks reads a2 (the even rows depend on a2 alone), so
-they run on the 7^7 rows of the other seven parameters with a2 pinned, and
-the 403 survivors are expanded over the 7 values of a2: the 2,821 feasible
-rows in enumeration order, without building the 5.76M-row grid.  Without
-the filter every candidate is scored.  The selected rows are scored in
-fixed chunks of the enumeration order, each chunk as one stack of
-row-normalized matrices through the metrics functions.  One non-dominated
-filter decides all dominance: it cuts each chunk, stacked under the
-running front, back to a front, and pareto_front applies it before
-grouping ties.  Chunks can be spread over worker processes; results are
-merged in chunk order and are byte-identical for any worker count.
+Both modes run one scoring pass over the odd rows of the 7^7 grid with a2
+pinned: all of them, or with the feasibility filter the 403 that pass the
+six integer checks (none reads a2).  After the input butterfly a candidate
+is block-diagonal, with an even block of a2 alone and an odd block of the
+other parameters, so its metrics are sums of the two blocks' kernel values.
+One non-dominated filter decides all dominance: it cuts each scored chunk,
+stacked under the running front, back to a front, and pareto_front applies
+it before grouping ties.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import astuple, dataclass
+from typing import Sequence
 
 import numpy as np
 
+from . import core, metrics
 from .core import ALLOWED_DOUBLED, ParamVector, _row_scale, build_matrix, feasible_mask
 from .kernel import _cheapest_rule
-from .metrics import MetricsReport, SignalModel, evaluate_matrix
+from .metrics import MetricsReport, SignalModel
 
 __all__ = [
     "N_CANDIDATES",
     "ParetoEntry",
     "SearchResult",
-    "enumerate_candidates",
     "all_candidates_doubled",
     "feasible_mask",
-    "feasible_candidates",
     "objectives",
     "dominates",
     "pareto_front",
@@ -45,14 +38,7 @@ __all__ = [
 
 N_CANDIDATES = 7**8  # 5,764,801
 
-_CHUNK = 16807  # 7^5 rows; fixed so worker count cannot affect merge order
-
-
-def enumerate_candidates() -> Iterator[ParamVector]:
-    """All 7^8 parameter vectors in lexicographic order (component order
-    -2 < -1 < -1/2 < 0 < 1/2 < 1 < 2, first index most significant)."""
-    for doubled in itertools.product(*(ALLOWED_DOUBLED,) * 8):
-        yield ParamVector(doubled)
+_SLICE = 7**5  # odd rows scored together; the 403 feasible ones form one slice
 
 
 def _grid(columns) -> np.ndarray:
@@ -63,30 +49,18 @@ def _grid(columns) -> np.ndarray:
 
 
 def all_candidates_doubled() -> np.ndarray:
-    """The full candidate grid as a (7^8, 8) int8 array of doubled values,
-    in the same order as enumerate_candidates."""
+    """The full candidate grid as a (7^8, 8) int8 array of doubled values, in
+    lexicographic order (component order -2 < -1 < -1/2 < 0 < 1/2 < 1 < 2,
+    first index most significant)."""
     return _grid([ALLOWED_DOUBLED] * 8)
 
 
-def _feasible_doubled() -> np.ndarray:
-    """The feasible rows of all_candidates_doubled, in its order.
-
-    Feasibility does not depend on a2 (column 1), so the mask runs on the
-    7^7 grid with a2 pinned to 0 and each surviving row is repeated with
-    every a2 value.  The alphabet is ascending, so enumeration order is
-    lexicographic order of the values.
-    """
+def _odd_rows(feasibility_filter: bool) -> np.ndarray:
+    """The 7^7 grid of the parameters other than a2, as rows with a2 pinned
+    to 0; with the filter only its feasible rows.  Feasibility does not
+    depend on a2, so each feasible row gives 7 feasible candidates."""
     odd = _grid([ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6)
-    odd = odd[feasible_mask(odd)]
-    rows = np.tile(odd, (len(ALLOWED_DOUBLED), 1))
-    rows[:, 1] = np.repeat(ALLOWED_DOUBLED, len(odd))
-    return rows[np.lexsort(rows.T[::-1])]
-
-
-def feasible_candidates() -> Iterator[ParamVector]:
-    """Feasible vectors in enumeration order (count is deterministic)."""
-    for row in _feasible_doubled():
-        yield ParamVector(tuple(int(v) for v in row))
+    return odd[feasible_mask(odd)] if feasibility_filter else odd
 
 
 def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
@@ -105,11 +79,8 @@ def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
 
 def objectives(report: MetricsReport) -> tuple:
     """Minimization vector of one report."""
-    eps, m, gain, eff, adds, shifts = _minimized(
-        report.epsilon, report.mse, report.coding_gain_db,
-        report.efficiency_pct, report.additions, report.shifts,
-    )
-    return (float(eps), float(m), float(gain), float(eff), adds, shifts)
+    *floats, adds, shifts = _minimized(*astuple(report))
+    return (*map(float, floats), adds, shifts)
 
 
 def dominates(x: Sequence, y: Sequence) -> bool:
@@ -194,36 +165,71 @@ class SearchResult:
         return tuple(e for e in self.entries if e.canonical)
 
 
-def _affine_basis() -> tuple[np.ndarray, np.ndarray]:
-    """build_matrix is affine in the doubled parameters: half units
-    H0 + sum_k u_k B_k.  Returns (H0, B) with B of shape (8, 8, 8)."""
+def _half_units(rows: np.ndarray) -> np.ndarray:
+    """build_matrix over an (m, 8) array of doubled values; it is affine in
+    them: half units H0 + sum_k u_k B_k."""
     h0 = build_matrix(ParamVector((0,) * 8)).half_units
     basis = np.stack([
         build_matrix(ParamVector(tuple(int(i == k) for i in range(8)))).half_units - h0
         for k in range(8)
     ])
-    return h0, basis
+    return h0 + np.einsum("mk,kij->mij", rows.astype(np.int64), basis)
 
 
-def _score_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+# The orthonormal input butterfly Q in two halves: rows (e_i + e_7-i)/sqrt2
+# and (e_i - e_7-i)/sqrt2, i < 4.  A candidate's even rows are symmetric and
+# its odd rows antisymmetric, so Q maps each onto one half.
+_EYE, _MIRROR = np.eye(8)[:4], np.eye(8)[7:3:-1]
+_Q_HALVES = ((_EYE + _MIRROR) / np.sqrt(2.0), (_EYE - _MIRROR) / np.sqrt(2.0))
+
+
+def _blocks(half: np.ndarray, parity: int) -> np.ndarray:
+    """The even (parity 0) or odd (1) rows of half-unit 8x8 matrices,
+    row-normalized as orthonormal_approx scales them, in the butterfly
+    basis: 4x4 blocks."""
+    rows = half[..., parity::2, :]
+    return (_row_scale(rows)[..., None] * (rows / 2.0)) @ _Q_HALVES[parity].T
+
+
+def _block_sums(blocks: np.ndarray, parity: int, model: SignalModel) -> np.ndarray:
+    """Columns error energy, mse, coding gain, efficiency numerator and
+    denominator of even or odd blocks, against the same block of the exact
+    DCT and of Q R Q^t (block-diagonal: R is centrosymmetric)."""
+    q = _Q_HALVES[parity]
+    ref = core.exact_dct_matrix(8)[parity::2] @ q.T
+    r = q @ metrics.ar1_covariance(model) @ q.T
+    return np.column_stack([
+        metrics._error_energy(blocks, ref),
+        metrics._mse(blocks, ref, r, 8),
+        metrics._coding_gain(blocks, r, 8),
+        *metrics._efficiency_parts(blocks, r),
+    ])
+
+
+def _scored(odd: np.ndarray, model: SignalModel):
     """Metric rows (epsilon, mse, gain, efficiency, additions, shifts) of the
-    nonsingular candidates among some doubled rows, and those rows.
-
-    Each candidate is row-normalized exactly as orthonormal_approx scales a
-    feasible one; the coding gain uses the true matrix inverse, so it is
-    meaningful for non-orthogonal matrices too.
-    """
-    rows, rho = args
-    h0, basis = _affine_basis()
-    half = h0 + np.einsum("mk,kij->mij", rows.astype(np.int64), basis)
-    nonzero_rows = np.all(np.any(half != 0, axis=2), axis=1)
-    rows, half = rows[nonzero_rows], half[nonzero_rows]
-    c_hat = _row_scale(half)[..., None] * (half / 2.0)
-    nonsingular = np.abs(np.linalg.det(c_hat)) > 1e-12
-    rows, c_hat = rows[nonsingular], c_hat[nonsingular]
-    adds, shifts, _rule = _cheapest_rule(rows)
-    metrics = evaluate_matrix(c_hat, SignalModel(rho=rho, n=8))
-    return np.column_stack([*metrics, adds, shifts]), rows
+    nonsingular candidates among the odd rows with every a2, and those
+    candidates: a chunk per slice of _SLICE odd rows and value of a2.  A
+    candidate's metric sums are its even block's plus its odd block's, its
+    determinant their product.  Odd blocks with a zero row, or singular with
+    every a2, are dropped before they are scaled or inverted."""
+    even = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED])
+    even_blocks = _blocks(_half_units(even), 0)
+    even_sums, even_det = _block_sums(even_blocks, 0, model), np.linalg.det(even_blocks)
+    for start in range(0, len(odd), _SLICE):
+        rows = odd[start : start + _SLICE]
+        half = _half_units(rows)
+        nonzero = np.all(np.any(half != 0, axis=2), axis=1)
+        rows, blocks = rows[nonzero], _blocks(half[nonzero], 1)
+        keep = np.abs(np.outer(np.linalg.det(blocks), even_det)) > 1e-12
+        live = np.any(keep, axis=1)
+        rows, keep, odd_sums = rows[live], keep[live], _block_sums(blocks[live], 1, model)
+        for j, a2 in enumerate(ALLOWED_DOUBLED):
+            candidates = rows[keep[:, j]]
+            candidates[:, 1] = a2
+            eps, m, gain, eff_num, eff_den = (even_sums[j] + odd_sums[keep[:, j]]).T
+            adds, shifts, _rule = _cheapest_rule(candidates)
+            yield np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), candidates
 
 
 def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
@@ -248,54 +254,31 @@ def run_search(
     feasibility_filter: bool = True,
     workers: int = 1,
 ) -> SearchResult:
-    """Full pipeline: enumerate, select, evaluate, extract the front.
-
-    The selected candidates (the feasible ones, or all of them without the
-    filter) are scored in fixed chunks of the enumeration order, folded into
-    the running front in chunk order, and pareto_front groups the survivors'
-    ties.  The filter checks feasibility once per row of the 7^7 grid
-    without a2 and expands the survivors over a2 (see _feasible_doubled),
-    so the full grid is built only without the filter.  With more than one
-    chunk and ``workers > 1``, a pool of at most one process per chunk
-    scores them; the fold order keeps the result independent of the worker
-    count.  The filtered rows fit in one chunk, so no pool is started.
-    Without the filter every nonsingular candidate is scored with row-norm
-    diagonal scaling (orthogonality not required), which takes about 2,000
-    times as many evaluations.
+    """Full pipeline: select the odd rows (see _odd_rows), score them with
+    every a2 (see _scored), fold each chunk into the running front, and let
+    pareto_front group the survivors' ties.  Without the filter every
+    nonsingular candidate is scored with row-norm diagonal scaling
+    (orthogonality not required), about 1,900 times as many.  ``workers``
+    must be at least 1 and has no effect: the search runs in one process.
     """
     if model.n != 8:
         raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    doubled = _feasible_doubled() if feasibility_filter else all_candidates_doubled()
-    chunks = [
-        (doubled[s : s + _CHUNK], model.rho) for s in range(0, len(doubled), _CHUNK)
-    ]
-    workers = min(workers, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values, rows, n_scored = _running_front(pool.map(_score_chunk, chunks))
-    else:
-        values, rows, n_scored = _running_front(map(_score_chunk, chunks))
+    odd = _odd_rows(feasibility_filter)
+    values, rows, n_scored = _running_front(_scored(odd, model))
 
     evaluated = [
         (
             ParamVector(tuple(int(v) for v in row)),
-            MetricsReport(
-                epsilon=float(eps),
-                mse=float(m),
-                coding_gain_db=float(cg),
-                efficiency_pct=float(eta),
-                additions=int(adds),
-                shifts=int(shifts),
-            ),
+            MetricsReport(*(float(v) for v in vals[:4]), *(int(v) for v in vals[4:])),
         )
-        for row, (eps, m, cg, eta, adds, shifts) in zip(rows, values)
+        for row, vals in zip(rows, values)
     ]
     return SearchResult(
         entries=tuple(pareto_front(evaluated)),
         n_candidates=N_CANDIDATES,
-        n_feasible=len(doubled) if feasibility_filter else None,
+        n_feasible=len(odd) * len(ALLOWED_DOUBLED) if feasibility_filter else None,
         n_evaluated=n_scored,
         model=model,
         feasibility_filter=feasibility_filter,

@@ -111,6 +111,24 @@ feasible_param_vectors = st.builds(
 )
 
 
+# Arbitrary JSON documents, for fuzzing the loaders.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+def assert_orthonormal_transform(t) -> None:
+    """A loaded transform passes the Gram and scale checks: nonzero,
+    exactly orthogonal integer rows, scaled to unit norm."""
+    quarter = t.half_units @ t.half_units.T
+    diag = np.diag(quarter)
+    assert np.array_equal(quarter, np.diag(diag)) and np.all(diag > 0)
+    assert np.all(np.abs(t.scale - 2.0 / np.sqrt(diag)) <= 1e-12)
+    assert np.allclose(t.matrix @ t.matrix.T, np.eye(t.n), rtol=0, atol=1e-12)
+
+
 def _nondominated_mask(objs: np.ndarray) -> np.ndarray:
     """Brute-force reference front: boolean mask of rows not dominated by any
     other row (minimization).  Rows with identical values never dominate

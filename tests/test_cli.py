@@ -3,9 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dctapprox import CATALOG, Transform, ar1_test_image, write_pgm
-from dctapprox.cli import main, parse_params, report_tables
+from dctapprox import (
+    CATALOG,
+    Transform,
+    ar1_test_image,
+    exact_dct_matrix,
+    orthonormal_approx,
+    write_pgm,
+)
+from dctapprox.cli import _load_transform_list, main, parse_params, report_tables
+from helpers import assert_orthonormal_transform, json_values
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,6 +207,76 @@ class TestTransformFile:
         tlist.write_text('[{"id": "dct8", "dct": 8}, "dct8"]')
         assert main(["sweep", "--corpus", str(tmp_path), "--transforms", str(tlist),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"id": "a", "dct": [8]}, "'dct'"),
+        ({"id": "a", "dct": 4}, "'dct'"),
+        ({"id": "a", "params": 5}, "'params'"),
+        ({"id": "a", "file": 5}, "'file'"),
+        ({"id": "a", "params": "0,0,0,1,1,0,0,1", "size": None}, "'size'"),
+        ({"id": ["x"], "dct": 8}, "'id'"),
+    ])
+    def test_sweep_list_field_ill_typed(self, tmp_path, image, capsys, entry, field):
+        tlist = tmp_path / "t.json"
+        tlist.write_text(json.dumps([entry]))
+        assert main(["sweep", "--corpus", str(tmp_path), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_deeply_nested_json(self, tmp_path, image, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        assert main(["compress", "--in", str(image), "--transform", str(deep),
+                     "--r", "1.0"]) == 2
+        assert main(["sweep", "--corpus", str(tmp_path), "--transforms", str(deep),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.count("nested too deeply") == 2
+
+
+@pytest.fixture(scope="module")
+def list_dir(tmp_path_factory):
+    """A directory holding a valid transform file, one with a wrong scale and
+    one nested too deeply, for transform lists to name."""
+    d = tmp_path_factory.mktemp("lists")
+    orthonormal_approx(CATALOG[1]).save(d / "good.json")
+    bad = orthonormal_approx(CATALOG[9]).to_json_dict()
+    bad["scale"] = [1.0] * 8
+    (d / "bad.json").write_text(json.dumps(bad))
+    (d / "deep.json").write_text("[" * 200_000)
+    return d
+
+
+# Transform list entries: every field either a plausible value or arbitrary
+# JSON (file names only from the list directory, so no entry is an I/O error).
+_list_entries = st.fixed_dictionaries({
+    "id": st.sampled_from(["a", "b", "c"]) | json_values,
+}, optional={
+    "dct": st.sampled_from([8, 16, 32]) | json_values,
+    "params": st.sampled_from(["0,0,0,1,1,0,0,1", "1,1,1,1,1,1,1,1"]) | json_values,
+    "size": st.sampled_from([8, 16, 32]) | json_values,
+    "file": st.sampled_from(["good.json", "bad.json", "deep.json"])
+    | json_values.filter(lambda v: not isinstance(v, str)),
+})
+
+
+@settings(deadline=None)
+@given(st.lists(_list_entries, max_size=3) | json_values)
+def test_transform_list_fuzz(list_dir, doc):
+    # Only ValueError (FeasibilityError is one) may escape, and every
+    # transform that loads is orthonormal.
+    path = list_dir / "list.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded = _load_transform_list(path)
+    except ValueError:
+        return
+    for _ident, t, size in loaded:
+        if isinstance(t, np.ndarray):
+            assert np.array_equal(t, exact_dct_matrix(size))
+        else:
+            t = getattr(t, "transform", t)
+            assert t.n == size
+            assert_orthonormal_transform(t)
 
 
 class TestCompressAndSweep:

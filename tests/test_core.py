@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctapprox import (
     CATALOG,
@@ -20,7 +21,14 @@ from dctapprox import (
     orthonormal_approx,
     scale_factors,
 )
-from helpers import feasible_param_vectors, param_vectors, rng
+from dctapprox.scaling import build_scaled
+from helpers import (
+    assert_orthonormal_transform,
+    feasible_param_vectors,
+    json_values,
+    param_vectors,
+    rng,
+)
 
 
 class TestParamVector:
@@ -215,3 +223,31 @@ class TestTransformJson:
     def test_bad_denominator_rejected(self):
         with pytest.raises(ValueError):
             Transform.from_json_dict({"n": 8, "den": 4, "entries": [], "scale": []})
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_fuzz(self, data):
+        # Arbitrary documents, and valid ones with one field replaced or one
+        # entry changed: either a transform that passes the Gram and scale
+        # checks loads, or ValueError (FeasibilityError is one) is raised.
+        doc = data.draw(st.sampled_from(_VALID_DOCS)).copy()
+        mutation = data.draw(st.sampled_from(["none", "field", "entry", "document"]))
+        if mutation == "field":
+            doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(json_values)
+        elif mutation == "entry":
+            doc["entries"] = [list(row) for row in doc["entries"]]
+            i, j = data.draw(st.tuples(*[st.integers(0, doc["n"] - 1)] * 2))
+            doc["entries"][i][j] = data.draw(st.integers(-5, 5))
+        elif mutation == "document":
+            doc = data.draw(json_values)
+        try:
+            t = Transform.from_json_dict(doc)
+        except ValueError:
+            return
+        assert_orthonormal_transform(t)
+
+
+_VALID_DOCS = [
+    orthonormal_approx(CATALOG[9]).to_json_dict(),
+    build_scaled(CATALOG[15], 16).transform.to_json_dict(),
+]

@@ -12,11 +12,11 @@ from dctapprox import (
     MetricsReport,
     N_CANDIDATES,
     ParamVector,
+    SignalModel,
     all_candidates_doubled,
     dominates,
     complexity,
     evaluate,
-    feasible_candidates,
     feasible_mask,
     gram_diagnostics,
     objectives,
@@ -30,13 +30,7 @@ from dctapprox.metrics import (
     transform_efficiency,
     unified_coding_gain,
 )
-from dctapprox.search import (
-    _feasible_doubled,
-    _front,
-    _minimized,
-    _score_chunk,
-    enumerate_candidates,
-)
+from dctapprox.search import _front, _minimized, _odd_rows, _scored
 from helpers import FEASIBLE_DOUBLED, _nondominated_mask, rng
 
 
@@ -45,16 +39,11 @@ class TestEnumeration:
         assert all_candidates_doubled().shape == (N_CANDIDATES, 8)
         assert N_CANDIDATES == 5_764_801
 
-    def test_stream_yields_every_candidate(self):
-        assert sum(1 for _ in enumerate_candidates()) == N_CANDIDATES
-
     def test_first_vector_and_order_prefix(self):
-        gen = enumerate_candidates()
-        first = next(gen)
-        assert first.values == (-2.0,) * 8
         grid = all_candidates_doubled()
-        for i, pv in enumerate(itertools.islice(enumerate_candidates(), 2500)):
-            assert pv.doubled == tuple(int(v) for v in grid[i])
+        assert ParamVector(tuple(int(v) for v in grid[0])).values == (-2.0,) * 8
+        prefix = itertools.islice(itertools.product(ALLOWED_DOUBLED, repeat=8), 2500)
+        assert [tuple(int(v) for v in row) for row in grid[:2500]] == list(prefix)
 
     def test_binary_subset_count(self):
         grid = all_candidates_doubled()
@@ -86,11 +75,15 @@ class TestFeasibleSet:
 
     def test_odd_grid_selection_equals_full_grid_mask(self):
         # FEASIBLE_DOUBLED masks the full 7^8 grid; the search masks the 7^7
-        # grid without a2 and expands over a2.
-        selected = _feasible_doubled()
-        assert selected.dtype == np.int8
-        assert [tuple(int(v) for v in row) for row in selected] == FEASIBLE_DOUBLED
-        assert [pv.doubled for pv in feasible_candidates()] == FEASIBLE_DOUBLED
+        # grid without a2 and scores each survivor with every a2.
+        odd = _odd_rows(True)
+        assert odd.dtype == np.int8 and np.all(odd[:, 1] == 0)
+        expanded = sorted(
+            row[:1] + (a2,) + row[2:]
+            for row in (tuple(int(v) for v in r) for r in odd)
+            for a2 in ALLOWED_DOUBLED
+        )
+        assert expanded == FEASIBLE_DOUBLED
         assert len(FEASIBLE_DOUBLED) == 2821
 
     @given(
@@ -201,26 +194,38 @@ class TestRunSearch:
         ]
         assert key(a) == key(b)
 
-    def test_one_chunk_starts_no_pool(self, model8, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started for one chunk")
-
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
-        assert run_search(model8, workers=2).n_evaluated == len(FEASIBLE_DOUBLED)
-
     def test_nonpositive_workers_rejected(self, model8):
         with pytest.raises(ValueError, match="workers"):
             run_search(model8, workers=0)
 
-    def test_stacked_objectives_equal_per_candidate_exactly(self, model8):
-        # Dominance is decided on rounded floats, so the stacked evaluation
-        # the search runs must agree with evaluate() bit for bit.
-        rows = np.array(FEASIBLE_DOUBLED, dtype=np.int8)
-        values, kept = _score_chunk((rows, model8.rho))
-        assert np.array_equal(kept, rows)
-        stacked = np.column_stack(_minimized(*values.T))
-        for d, obj in zip(FEASIBLE_DOUBLED, stacked):
-            assert objectives(evaluate(ParamVector(d), model8)) == tuple(obj)
+    @pytest.mark.parametrize("rho", [0.90, 0.95, 0.97])
+    def test_stacked_objectives_equal_per_candidate_exactly(self, rho):
+        # Dominance is decided on rounded floats, so the even/odd scoring the
+        # search runs must agree with evaluate() after rounding, bit for bit.
+        model = SignalModel(rho=rho, n=8)
+        values, rows = _scored_rows(_odd_rows(True), model)
+        assert sorted(rows) == FEASIBLE_DOUBLED
+        stacked = dict(zip(rows, map(tuple, np.column_stack(_minimized(*values.T)))))
+        for d in FEASIBLE_DOUBLED:
+            assert objectives(evaluate(ParamVector(d), model)) == stacked[d]
+
+
+def _scored_rows(odd, model):
+    """All chunks of the even/odd scoring pass, stacked: metric rows and the
+    candidates as tuples."""
+    chunks = list(_scored(odd, model))
+    values = np.vstack([v for v, _ in chunks])
+    rows = [tuple(int(x) for x in r) for _, c in chunks for r in c]
+    return values, rows
+
+
+def _expanded(odd):
+    """Every candidate of some odd rows: each row with every value of a2."""
+    return [
+        (int(r[0]), a2) + tuple(int(x) for x in r[2:])
+        for r in odd
+        for a2 in ALLOWED_DOUBLED
+    ]
 
 
 class TestUnfilteredSweep:
@@ -245,31 +250,34 @@ class TestUnfilteredSweep:
 
     def test_batch_matches_reference(self, model8):
         gen = rng(77)
-        rows = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(300, 8)).astype(np.int8)
-        rows[:20] = np.array([list(d) for d in FEASIBLE_DOUBLED[:20]], dtype=np.int8)
-        rows[20] = 0  # singular candidate must be excluded
-        values, kept = _score_chunk((rows, model8.rho))
-        expected = [self._reference_objectives(r, model8) for r in rows]
-        valid = [e is not None for e in expected]
-        assert np.array_equal(kept, rows[valid])
+        odd = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(60, 8)).astype(np.int8)
+        odd[:20] = np.array(FEASIBLE_DOUBLED[:140:7], dtype=np.int8)
+        odd[20] = 0  # zero rows: must be excluded
+        odd[21] = (0, 0, 2, 0, 2, 2, 2, -2)  # rows 5 and 7 equal: singular
+        odd[:, 1] = 0
+        values, kept = _scored_rows(odd, model8)
+        candidates = _expanded(odd)
+        reference = [self._reference_objectives(d, model8) for d in candidates]
+        expected = dict(zip(candidates, reference))
+        assert expected[(0, 0, 2, 0, 2, 2, 2, -2)] is None
+        assert sorted(kept) == sorted(d for d, e in zip(candidates, reference) if e)
         objs = np.column_stack(_minimized(*values.T))
-        want = np.array([e for e in expected if e is not None], dtype=np.float64)
-        assert objs.shape == want.shape
-        for got, w in zip(objs, want):
-            assert got == pytest.approx(w, abs=1e-8)
+        for d, got in zip(kept, objs):
+            assert got == pytest.approx(expected[d], abs=1e-8)
 
     def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
         gen = rng(13)
-        rows = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(2000, 8)).astype(np.int8)
-        rows[:15] = np.array([list(pv.doubled) for pv in CATALOG.values()], dtype=np.int8)
-        monkeypatch.setattr(search_mod, "_CHUNK", 500)
-        monkeypatch.setattr(search_mod, "all_candidates_doubled", lambda: rows)
+        odd = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(300, 8)).astype(np.int8)
+        odd[:15] = np.array([list(pv.doubled) for pv in CATALOG.values()], dtype=np.int8)
+        odd[:, 1] = 0
+        monkeypatch.setattr(search_mod, "_SLICE", 70)
+        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: odd)
         result = run_search(model8, feasibility_filter=False)
-        values, _kept = _score_chunk((rows, model8.rho))
-        objs = np.column_stack(_minimized(*values.T))
+        reference = [self._reference_objectives(d, model8) for d in _expanded(odd)]
+        objs = np.array([e for e in reference if e is not None], dtype=np.float64)
         brute = objs[_nondominated_mask(objs)]
         produced = np.array(sorted(objectives(e.report) for e in result.entries))
         expected = np.array(sorted(map(tuple, brute)))
-        assert result.n_evaluated == len(values)
+        assert result.n_evaluated == len(objs)
         assert produced.shape == expected.shape
         assert np.allclose(produced, expected, atol=1e-9)
