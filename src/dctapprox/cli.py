@@ -2,10 +2,12 @@
 
 Subcommands: gen, eval, search, scale, compress, sweep, report.  Every
 subcommand is deterministic given its flags; search accepts ``--workers``
-but runs in one process whatever its value.  Exit codes: 0 success, 2
-usage error, 3 infeasible transform, 4 I/O error.  The environment
-variable DCTAPPROX_RHO overrides the default correlation coefficient of
-0.95.
+but runs in one process whatever its value.  A parameter vector becomes a
+transform at 8, 16 or 32 points through `build_scaled` alone: ``gen`` is
+``scale`` at size 8, and ``eval`` takes its metric and complexity rows at
+``--size`` from the same transform.  Exit codes: 0 success, 2 usage error,
+3 infeasible transform, 4 I/O error.  The environment variable
+DCTAPPROX_RHO overrides the default correlation coefficient of 0.95.
 """
 
 from __future__ import annotations
@@ -26,16 +28,8 @@ from .codec import (
     default_r_grid,
     retention_sweep,
 )
-from .core import (
-    FeasibilityError,
-    ParamVector,
-    Transform,
-    _read_json,
-    exact_dct_matrix,
-    orthonormal_approx,
-)
-from .kernel import complexity
-from .metrics import DEFAULT_RHO, SignalModel, evaluate, evaluate_matrix
+from .core import FeasibilityError, ParamVector, Transform, _read_json, exact_dct_matrix
+from .metrics import DEFAULT_RHO, MetricsReport, SignalModel, evaluate, evaluate_matrix
 from .pgm import read_pgm, write_pgm
 from .scaling import build_scaled
 from .search import SearchResult, run_search
@@ -69,6 +63,11 @@ def _param_cols(pv: ParamVector) -> list[str]:
     return [format(v, "g") for v in pv.values]
 
 
+def _report_cols(rep: MetricsReport, fmt) -> list[str]:
+    return [fmt(rep.epsilon), fmt(rep.mse), fmt(rep.coding_gain_db),
+            fmt(rep.efficiency_pct), str(rep.additions), str(rep.shifts)]
+
+
 def _default_rho() -> float:
     env = os.environ.get("DCTAPPROX_RHO")
     return float(env) if env else DEFAULT_RHO
@@ -89,14 +88,8 @@ def write_front_csv(result: SearchResult, path) -> None:
         FRONT_HEADER,
     ]
     for rank, entry in enumerate(result.canonical, start=1):
-        rep = entry.report
         lines.append(
-            ",".join(
-                [str(rank)]
-                + _param_cols(entry.params)
-                + [_fmt(rep.epsilon), _fmt(rep.mse), _fmt(rep.coding_gain_db),
-                   _fmt(rep.efficiency_pct), str(rep.additions), str(rep.shifts)]
-            )
+            ",".join([str(rank)] + _param_cols(entry.params) + _report_cols(entry.report, _fmt))
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -165,6 +158,7 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     params_headers = ["j"] + [f"a{i}" for i in range(1, 9)]
     params_rows = [[r["rank"]] + [r[f"a{i}"] for i in range(1, 9)] for r in rows]
     written += _write_pair(out_dir, "table1", params_headers, params_rows)
+    seeds = [parse_params(",".join(row[1:])) for row in params_rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
     table2_rows = [
@@ -176,15 +170,9 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
 
     for stem, size in (("table4", 16), ("table6", 32)):
         model = SignalModel(rho=rho, n=size)
-        scaled_rows = []
-        for r in rows:
-            pv = parse_params(",".join(r[f"a{i}"] for i in range(1, 9)))
-            st = build_scaled(pv, size)
-            eps, m, cg, eta = evaluate_matrix(st.transform.matrix, model)
-            scaled_rows.append(
-                [r["rank"], _fmt2(eps), _fmt2(m), _fmt2(cg), _fmt2(eta),
-                 str(st.complexity.additions), str(st.complexity.shifts)]
-            )
+        scaled_rows = [
+            [r["rank"]] + _report_cols(evaluate(pv, model), _fmt2) for r, pv in zip(rows, seeds)
+        ]
         written += _write_pair(out_dir, stem, metric_headers, scaled_rows)
     return written
 
@@ -196,6 +184,8 @@ def _transform_for(args) -> tuple[str, object, int]:
     if args.dct:
         size = args.size or 8
         return f"dct{size}", exact_dct_matrix(size), size
+    if args.size is not None:
+        raise ValueError("--size applies only to --dct; a --transform file sets its own size")
     t = Transform.load(args.transform)
     return Path(args.transform).stem, t, t.n
 
@@ -234,10 +224,7 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
         elif "params" in item:
             pv = parse_params(_entry_field(item, "params"))
             size = _entry_field(item, "size", 8)
-            if size == 8:
-                out.append((ident, orthonormal_approx(pv), 8))
-            else:
-                out.append((ident, build_scaled(pv, size), size))
+            out.append((ident, build_scaled(pv, size).transform, size))
         elif "file" in item:
             t = Transform.load(Path(path).parent / _entry_field(item, "file"))
             out.append((ident, t, t.n))
@@ -248,39 +235,31 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
 
 # --- subcommands --------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
-    pv = parse_params(args.params)
-    t = orthonormal_approx(pv)
-    t.save(args.out)
-    c = complexity(pv)
-    print(f"wrote {args.out}: n=8 additions={c.additions} shifts={c.shifts}")
+def _cmd_build(args) -> int:
+    """gen (size 8) and scale: save the transform and print its cost."""
+    st = build_scaled(parse_params(args.params), args.size)
+    st.transform.save(args.out)
+    c = st.complexity
+    print(f"wrote {args.out}: n={args.size} additions={c.additions} shifts={c.shifts}")
     return 0
 
 
 def _eval_lines(args) -> list[str]:
     rho = _resolve_rho(args)
-    if args.complexity:
-        pv = parse_params(args.params)
-        c = complexity(pv)
-        row = _param_cols(pv) + [str(c.additions), str(c.shifts), c.rule]
-        return [COMPLEXITY_HEADER, ",".join(row)]
-    size = args.size
-    model = SignalModel(rho=rho, n=size)
     if args.dct:
-        eps, m, cg, eta = evaluate_matrix(exact_dct_matrix(size), model)
+        if args.complexity:
+            raise ValueError("--complexity needs --params; --dct has no addition/shift count")
+        model = SignalModel(rho=rho, n=args.size)
+        eps, m, cg, eta = evaluate_matrix(exact_dct_matrix(args.size), model)
         row = [""] * 8 + [_fmt(eps), _fmt(m), _fmt(cg), _fmt(eta), "", ""]
         return [EVAL_HEADER, ",".join(row)]
     pv = parse_params(args.params)
-    if size == 8:
-        rep = evaluate(pv, model)
-        eps, m, cg, eta = rep.epsilon, rep.mse, rep.coding_gain_db, rep.efficiency_pct
-        adds, shifts = rep.additions, rep.shifts
-    else:
-        st = build_scaled(pv, size)
-        eps, m, cg, eta = evaluate_matrix(st.transform.matrix, model)
-        adds, shifts = st.complexity.additions, st.complexity.shifts
-    row = _param_cols(pv) + [_fmt(eps), _fmt(m), _fmt(cg), _fmt(eta), str(adds), str(shifts)]
-    return [EVAL_HEADER, ",".join(row)]
+    if args.complexity:
+        c = build_scaled(pv, args.size).complexity
+        row = _param_cols(pv) + [str(c.additions), str(c.shifts), c.rule]
+        return [COMPLEXITY_HEADER, ",".join(row)]
+    rep = evaluate(pv, SignalModel(rho=rho, n=args.size))
+    return [EVAL_HEADER, ",".join(_param_cols(pv) + _report_cols(rep, _fmt))]
 
 
 def _cmd_eval(args) -> int:
@@ -312,17 +291,6 @@ def _cmd_search(args) -> int:
     )
     for e in ties:
         print(f"tie (objectives equal to a canonical member): {e.params}")
-    return 0
-
-
-def _cmd_scale(args) -> int:
-    pv = parse_params(args.seed)
-    st = build_scaled(pv, args.size)
-    st.transform.save(args.out)
-    print(
-        f"wrote {args.out}: n={args.size} "
-        f"additions={st.complexity.additions} shifts={st.complexity.shifts}"
-    )
     return 0
 
 
@@ -369,8 +337,8 @@ def _cmd_sweep(args) -> int:
     grid = _parse_r_grid(args.r_grid) if args.r_grid else default_r_grid()
     images = [(p.name, read_pgm(p)) for p in corpus]
 
-    # per_transform[ident] = (size, psnr matrix, ssim matrix), image-major
-    per_transform: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+    # per_transform[ident] = (psnr matrix, ssim matrix), image-major
+    per_transform: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     sizes_needed = sorted({size for _, _, size in transforms})
     baselines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -387,9 +355,7 @@ def _cmd_sweep(args) -> int:
         baselines[size] = sweep_matrix(exact_dct_matrix(size))
     for ident, transform, size in transforms:
         is_dct = isinstance(transform, np.ndarray)
-        per_transform[ident] = (
-            (size,) + (baselines[size] if is_dct else sweep_matrix(transform))
-        )
+        per_transform[ident] = baselines[size] if is_dct else sweep_matrix(transform)
 
     def aggregate_psnr(ps: np.ndarray, k: int) -> float:
         if args.agg == "db-of-mean-mse":
@@ -400,7 +366,7 @@ def _cmd_sweep(args) -> int:
 
     lines = [f"# psnr aggregate: {args.agg}", CURVES_HEADER]
     for ident, transform, size in transforms:
-        _, ps, ss = per_transform[ident]
+        ps, ss = per_transform[ident]
         base_ps, base_ss = baselines[size]
         for k, r in enumerate(grid):
             p = aggregate_psnr(ps, k)
@@ -418,7 +384,7 @@ def _cmd_sweep(args) -> int:
     if args.per_image:
         rows = [PER_IMAGE_HEADER]
         for ident, _t, _size in transforms:
-            _, ps, ss = per_transform[ident]
+            ps, ss = per_transform[ident]
             for i, (name, _img) in enumerate(images):
                 for k, r in enumerate(grid):
                     rows.append(
@@ -446,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="build an 8-point transform and save it as JSON")
     p.add_argument("--params", required=True, help="8 comma-separated values")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_build, size=8)
 
     p = sub.add_parser("eval", help="metric report for one transform")
     sel = p.add_mutually_exclusive_group(required=True)
@@ -455,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, choices=(8, 16, 32), default=8)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--complexity", action="store_true",
-                   help="emit the addition/shift/rule row instead of metrics")
+                   help="emit the addition/shift/rule row at --size instead of metrics")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
 
@@ -469,10 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scale", help="grow an 8-point seed to 16 or 32 points")
-    p.add_argument("--seed", required=True, help="8 comma-separated values")
+    p.add_argument("--seed", dest="params", metavar="SEED", required=True,
+                   help="8 comma-separated values")
     p.add_argument("--size", type=int, choices=(16, 32), required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_scale)
+    p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("compress", help="blockwise compress one PGM image")
     p.add_argument("--in", dest="infile", required=True)

@@ -97,8 +97,6 @@ class RetentionPolicy:
 class QualityScores:
     psnr_db: float
     ssim: float
-    ape_psnr_pct: float | None = None
-    ape_ssim_pct: float | None = None
 
 
 def _as_matrix(transform) -> np.ndarray:

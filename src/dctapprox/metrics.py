@@ -1,7 +1,9 @@
 """Assessment figures for an orthonormal approximation at any size:
 distance to the exact DCT (total error energy, MSE) and energy-compaction
 quality (unified coding gain, transform efficiency) under an AR(1) signal
-model.
+model.  `evaluate_matrix` scores any matrix or stack of matrices;
+`evaluate` scores a parameter vector at 8, 16 or 32 points through
+`build_scaled` and adds its addition and shift counts.
 
 The default correlation coefficient everywhere is 0.95; the unified coding
 gain of the exact 8-point DCT at that setting is 8.8259 dB, which serves as
@@ -15,14 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    FeasibilityError,
-    ParamVector,
-    exact_dct_matrix,
-    is_feasible,
-    orthonormal_approx,
-)
-from .kernel import complexity
+from .core import ParamVector, exact_dct_matrix
+from .scaling import build_scaled
 
 __all__ = [
     "DEFAULT_RHO",
@@ -167,13 +163,12 @@ def evaluate_matrix(c_hat: np.ndarray, model: SignalModel) -> tuple:
 
 
 def evaluate(params: ParamVector, model: SignalModel) -> MetricsReport:
-    """Full report for a feasible parameter vector at the model's size 8."""
-    if model.n != 8:
-        raise ValueError(f"parameter evaluation is 8-point; model size is {model.n}")
-    if not is_feasible(params):
-        raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
-    eps, m, cg, eta = evaluate_matrix(orthonormal_approx(params).matrix, model)
-    c = complexity(params)
+    """Full report for a feasible parameter vector, grown by `build_scaled`
+    to the model's size (8, 16 or 32; 8 is the seed itself).  Raises
+    FeasibilityError for an infeasible vector, ValueError for another size."""
+    st = build_scaled(params, model.n)
+    eps, m, cg, eta = evaluate_matrix(st.transform.matrix, model)
+    c = st.complexity
     return MetricsReport(
         epsilon=eps,
         mse=m,

@@ -1,11 +1,14 @@
 """Size doubling for low-complexity transforms.
 
-A transform of size N is lifted to size 2N by feeding an input butterfly of
-identity and counter-identity blocks into two copies of the N-point kernel.
-Output rows are emitted frequency-interleaved: row 2k comes from the
-half-sum path (even frequencies), row 2k+1 from the half-difference path, so
-the doubled transform stays frequency-ordered like its seed.  Orthogonality
-is preserved exactly, and cost grows as twice the seed's plus 2N additions.
+`build_scaled` is the one path from a parameter vector to a transform and
+its cost at 8, 16 or 32 points; the 8-point transform is the seed with no
+doubling.  A transform of size N is lifted to size 2N by feeding an input
+butterfly of identity and counter-identity blocks into two copies of the
+N-point kernel.  Output rows are emitted frequency-interleaved: row 2k
+comes from the half-sum path (even frequencies), row 2k+1 from the
+half-difference path, so the doubled transform stays frequency-ordered like
+its seed.  Orthogonality is preserved exactly, and cost grows as twice the
+seed's plus 2N additions.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ __all__ = ["ScaledTransform", "scale_once", "scaled_complexity", "build_scaled"]
 
 @dataclass(frozen=True)
 class ScaledTransform:
-    """A 16- or 32-point transform grown from a feasible 8-point seed."""
+    """An 8-, 16- or 32-point transform grown from a feasible 8-point seed
+    (at 8 points, the orthonormalized seed itself) and its cost."""
 
     seed: ParamVector
     transform: Transform
@@ -61,9 +65,14 @@ def scaled_complexity(c: ComplexityCount, n: int) -> ComplexityCount:
 
 
 def build_scaled(params: ParamVector, target: int) -> ScaledTransform:
-    """Grow a feasible 8-point seed to a 16- or 32-point transform."""
-    if target not in (16, 32):
-        raise ValueError(f"target size must be 16 or 32, got {target}")
+    """Grow a feasible 8-point seed to an 8-, 16- or 32-point transform.
+
+    At 8 no doubling runs: the transform equals ``orthonormal_approx(params)``
+    and the cost ``complexity(params)``.  Raises FeasibilityError for an
+    infeasible seed and ValueError for any other target size.
+    """
+    if target not in (8, 16, 32):
+        raise ValueError(f"target size must be 8, 16 or 32, got {target}")
     if not is_feasible(params):
         raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
     m = build_matrix(params)

@@ -76,6 +76,15 @@ class TestGenEvalScale:
         assert out[0].endswith("adds,shifts,rule")
         assert out[1].endswith("20,3,r6")
 
+    @pytest.mark.parametrize("size, cost", [("16", "56,6,r6"), ("32", "144,12,r6")])
+    def test_eval_complexity_follows_size(self, capsys, size, cost):
+        p = "0,0.5,0,1,1,1,1,2"
+        assert main(["eval", "--params", p, "--size", size, "--complexity"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[1].endswith(cost)
+        assert main(["eval", "--params", p, "--size", size]) == 0
+        metrics = capsys.readouterr().out.strip().splitlines()[1]
+        assert metrics.endswith(cost.rsplit(",", 1)[0])
+
     def test_scale_roundtrip(self, tmp_path):
         out = tmp_path / "t16.json"
         assert main(["scale", "--seed", "0,0,0,1,1,0,0,1", "--size", "16",
@@ -103,6 +112,25 @@ class TestExitCodes:
 
     def test_infeasible(self, capsys):
         assert main(["eval", "--params", "0,0,0,0,0,0,0,0"]) == 3
+
+    def test_infeasible_complexity(self, capsys):
+        assert main(["eval", "--params", "0,0,0,0,0,0,0,0", "--complexity"]) == 3
+        assert main(["eval", "--params", "2,2,2,2,2,2,2,2", "--complexity",
+                     "--size", "16"]) == 3
+
+    def test_dct_complexity_rejected(self, capsys):
+        assert main(["eval", "--dct", "--complexity"]) == 2
+        err = capsys.readouterr().err
+        assert "--dct" in err and "--complexity" in err
+
+    def test_compress_size_needs_dct(self, tmp_path, capsys):
+        img, t8 = tmp_path / "img.pgm", tmp_path / "t8.json"
+        write_pgm(img, ar1_test_image(16, 16, seed=30))
+        assert main(["gen", "--params", "0,0,0,1,1,0,0,1", "--out", str(t8)]) == 0
+        capsys.readouterr()
+        assert main(["compress", "--in", str(img), "--transform", str(t8),
+                     "--size", "16", "--r", "0.5"]) == 2
+        assert "--size" in capsys.readouterr().err
 
     def test_infeasible_gen_and_scale(self, tmp_path, capsys):
         out = str(tmp_path / "x.json")

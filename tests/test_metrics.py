@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from dctapprox import (
     CATALOG,
     FeasibilityError,
+    MetricsReport,
     ParamVector,
     SignalModel,
     ar1_covariance,
+    build_scaled,
+    complexity,
     evaluate,
     evaluate_matrix,
     exact_dct_matrix,
@@ -140,7 +143,22 @@ class TestEvaluate:
 
     def test_wrong_model_size(self):
         with pytest.raises(ValueError):
-            evaluate(CATALOG[1], SignalModel(rho=0.95, n=16))
+            evaluate(CATALOG[1], SignalModel(rho=0.95, n=64))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("entry", sorted(CATALOG))
+    def test_every_size_is_one_path(self, entry, n):
+        # evaluate grows the seed with build_scaled; at 8 points no doubling
+        # runs and the result is the orthonormalized seed with its own cost.
+        pv, model = CATALOG[entry], SignalModel(rho=0.95, n=n)
+        assert build_scaled(pv, 8).transform == orthonormal_approx(pv)
+        if n == 8:
+            c_hat, cost = orthonormal_approx(pv).matrix, complexity(pv)
+        else:
+            st = build_scaled(pv, n)
+            c_hat, cost = st.transform.matrix, st.complexity
+        expected = MetricsReport(*evaluate_matrix(c_hat, model), cost.additions, cost.shifts)
+        assert evaluate(pv, model) == expected
 
 
 class TestInvariances:
