@@ -144,9 +144,10 @@ def _write_pair(out_dir: Path, stem: str, headers: list[str], rows: list[list[st
 def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     """Render catalog-style summaries from a search front CSV.
 
-    Produces params (table1), 8-point metrics (table2), and recomputed
-    16/32-point metrics (table4/table6), each as CSV and markdown with
-    2-decimal presentation rounding.
+    Produces params (table1) and 8-, 16- and 32-point metrics (table2,
+    table4, table6), all computed at one rho (the flag, else the CSV's,
+    else the default), each as CSV and markdown with 2-decimal presentation
+    rounding.  The CSV supplies the ranks and parameters only.
     """
     meta, rows = _parse_front_csv(front_csv)
     if rho is None:
@@ -161,19 +162,12 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     seeds = [parse_params(",".join(row[1:])) for row in params_rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
-    table2_rows = [
-        [r["rank"], _fmt2(float(r["epsilon"])), _fmt2(float(r["mse"])),
-         _fmt2(float(r["cg"])), _fmt2(float(r["eta"])), r["adds"], r["shifts"]]
-        for r in rows
-    ]
-    written += _write_pair(out_dir, "table2", metric_headers, table2_rows)
-
-    for stem, size in (("table4", 16), ("table6", 32)):
+    for stem, size in (("table2", 8), ("table4", 16), ("table6", 32)):
         model = SignalModel(rho=rho, n=size)
-        scaled_rows = [
+        metric_rows = [
             [r["rank"]] + _report_cols(evaluate(pv, model), _fmt2) for r, pv in zip(rows, seeds)
         ]
-        written += _write_pair(out_dir, stem, metric_headers, scaled_rows)
+        written += _write_pair(out_dir, stem, metric_headers, metric_rows)
     return written
 
 
@@ -245,11 +239,10 @@ def _cmd_build(args) -> int:
 
 
 def _eval_lines(args) -> list[str]:
-    rho = _resolve_rho(args)
+    model = SignalModel(rho=_resolve_rho(args), n=args.size)
     if args.dct:
         if args.complexity:
             raise ValueError("--complexity needs --params; --dct has no addition/shift count")
-        model = SignalModel(rho=rho, n=args.size)
         eps, m, cg, eta = evaluate_matrix(exact_dct_matrix(args.size), model)
         row = [""] * 8 + [_fmt(eps), _fmt(m), _fmt(cg), _fmt(eta), "", ""]
         return [EVAL_HEADER, ",".join(row)]
@@ -258,7 +251,7 @@ def _eval_lines(args) -> list[str]:
         c = build_scaled(pv, args.size).complexity
         row = _param_cols(pv) + [str(c.additions), str(c.shifts), c.rule]
         return [COMPLEXITY_HEADER, ",".join(row)]
-    rep = evaluate(pv, SignalModel(rho=rho, n=args.size))
+    rep = evaluate(pv, model)
     return [EVAL_HEADER, ",".join(_param_cols(pv) + _report_cols(rep, _fmt))]
 
 

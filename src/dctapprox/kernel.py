@@ -14,13 +14,7 @@ from operator import floordiv, truediv
 
 import numpy as np
 
-from .core import (
-    DyadicMatrix,
-    FeasibilityError,
-    ParamVector,
-    is_feasible,
-    scale_factors,
-)
+from .core import DyadicMatrix, ParamVector, scale_factors
 
 __all__ = [
     "FactorSet",
@@ -188,11 +182,10 @@ def apply_fast_doubled(params: ParamVector, x) -> np.ndarray:
 def apply_inverse(params: ParamVector, coeffs) -> np.ndarray:
     """Inverse transform of an orthonormalized forward pass: T^t @ S @ X,
     realized as diagonal scaling followed by the transposed stage sequence."""
-    if not is_feasible(params):
-        raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
+    scale = scale_factors(params)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_vector(coeffs)
-    y = list(coeffs * scale_factors(params))
+    y = list(coeffs * scale)
     return np.array(_walk(_TRANSPOSED, params.doubled, y, truediv), dtype=np.float64)
 
 

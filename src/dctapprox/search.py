@@ -6,10 +6,12 @@ Both modes run one scoring pass over the odd rows of the 7^7 grid with a2
 pinned: all of them, or with the feasibility filter the 403 that pass the
 six integer checks (none reads a2).  After the input butterfly a candidate
 is block-diagonal, with an even block of a2 alone and an odd block of the
-other parameters, so its metrics are sums of the two blocks' kernel values.
-One non-dominated filter decides all dominance: it cuts each scored chunk,
-stacked under the running front, back to a front, and pareto_front applies
-it before grouping ties.
+other parameters, and every objective is an odd part plus an even part:
+the metrics are sums of the two blocks' kernel values, and the cost is the
+odd row's plus what a2 adds.  So each slice of odd rows is scored against
+all 7 values of a2 in one broadcast.  One non-dominated filter decides all
+dominance: it cuts each scored chunk, stacked under the running front, back
+to a front, and pareto_front applies it before grouping ties.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
 
 N_CANDIDATES = 7**8  # 5,764,801
 
-_SLICE = 7**5  # odd rows scored together; the 403 feasible ones form one slice
+_SLICE = 3 * 7**4  # odd rows scored together; the 403 feasible ones form one slice
 
 
 def _grid(columns) -> np.ndarray:
@@ -209,13 +211,18 @@ def _block_sums(blocks: np.ndarray, parity: int, model: SignalModel) -> np.ndarr
 def _scored(odd: np.ndarray, model: SignalModel):
     """Metric rows (epsilon, mse, gain, efficiency, additions, shifts) of the
     nonsingular candidates among the odd rows with every a2, and those
-    candidates: a chunk per slice of _SLICE odd rows and value of a2.  A
-    candidate's metric sums are its even block's plus its odd block's, its
-    determinant their product.  Odd blocks with a zero row, or singular with
-    every a2, are dropped before they are scaled or inverted."""
-    even = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED])
+    candidates: a chunk per slice of _SLICE odd rows.  Every objective is an
+    odd part plus an even part: the metric sums are the odd block's plus the
+    even block's, and the cost is the odd row's (a2 = 0) plus what a2 adds,
+    because every rule weighs a2 alike (2) and no chain holds it, so a2
+    neither changes which rules apply nor which is cheapest.  A determinant
+    is the product of the two blocks'.  Odd blocks with a zero row, or
+    singular with every a2, are dropped before they are scaled or inverted."""
+    even = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED], dtype=np.int8)
     even_blocks = _blocks(_half_units(even), 0)
-    even_sums, even_det = _block_sums(even_blocks, 0, model), np.linalg.det(even_blocks)
+    even_parts = np.column_stack([_block_sums(even_blocks, 0, model), *_cheapest_rule(even)[:2]])
+    even_parts[:, 5:] -= _cheapest_rule(np.zeros(8))[:2]  # the cost a2 adds
+    even_det = np.linalg.det(even_blocks)
     for start in range(0, len(odd), _SLICE):
         rows = odd[start : start + _SLICE]
         half = _half_units(rows)
@@ -223,13 +230,11 @@ def _scored(odd: np.ndarray, model: SignalModel):
         rows, blocks = rows[nonzero], _blocks(half[nonzero], 1)
         keep = np.abs(np.outer(np.linalg.det(blocks), even_det)) > 1e-12
         live = np.any(keep, axis=1)
-        rows, keep, odd_sums = rows[live], keep[live], _block_sums(blocks[live], 1, model)
-        for j, a2 in enumerate(ALLOWED_DOUBLED):
-            candidates = rows[keep[:, j]]
-            candidates[:, 1] = a2
-            eps, m, gain, eff_num, eff_den = (even_sums[j] + odd_sums[keep[:, j]]).T
-            adds, shifts, _rule = _cheapest_rule(candidates)
-            yield np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), candidates
+        rows, keep, blocks = rows[live], keep[live], blocks[live]
+        odd_parts = np.column_stack([_block_sums(blocks, 1, model), *_cheapest_rule(rows)[:2]])
+        eps, m, gain, eff_num, eff_den, adds, shifts = (odd_parts[:, None] + even_parts)[keep].T
+        candidates = (rows[:, None] + even)[keep]
+        yield np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), candidates
 
 
 def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:

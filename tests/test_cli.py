@@ -118,6 +118,14 @@ class TestExitCodes:
         assert main(["eval", "--params", "2,2,2,2,2,2,2,2", "--complexity",
                      "--size", "16"]) == 3
 
+    def test_complexity_rejects_bad_rho(self, capsys):
+        # The signal model is checked before any branch, so the cost row
+        # does not hide an out-of-range --rho.
+        p = "0,0.5,0,1,1,1,1,2"
+        assert main(["eval", "--params", p, "--rho", "5"]) == 2
+        assert main(["eval", "--params", p, "--complexity", "--rho", "5"]) == 2
+        assert "correlation coefficient" in capsys.readouterr().err
+
     def test_dct_complexity_rejected(self, capsys):
         assert main(["eval", "--dct", "--complexity"]) == 2
         err = capsys.readouterr().err
@@ -417,6 +425,22 @@ class TestReport:
         for path in written:
             golden = DATA / "golden_tables" / path.name
             assert path.read_bytes() == golden.read_bytes(), path.name
+
+    def test_every_size_at_the_requested_rho(self, tmp_path, capsys):
+        # The front CSV was computed at rho 0.95; table 2 must follow --rho
+        # like tables 4 and 6 instead of copying the CSV's metrics.
+        assert main(["report", "--in", str(DATA / "golden_front.csv"),
+                     "--out-dir", str(tmp_path), "--rho", "0.9"]) == 0
+        capsys.readouterr()
+        params = (tmp_path / "table1.csv").read_text().splitlines()[1:]
+        table2 = (tmp_path / "table2.csv").read_text().splitlines()[1:]
+        assert len(params) == len(table2) == 16
+        for p_row, t_row in zip(params, table2):
+            j, *values = p_row.split(",")
+            assert main(["eval", "--params", ",".join(values), "--rho", "0.9"]) == 0
+            cells = capsys.readouterr().out.splitlines()[1].split(",")[8:]
+            expected = [f"{float(c):.2f}" for c in cells[:4]] + cells[4:]
+            assert t_row.split(",") == [j] + expected
 
     def test_empty_front_gives_headers_only(self, tmp_path):
         src = tmp_path / "empty_front.csv"

@@ -149,6 +149,13 @@ class TestComplexity:
             rules.add(c.rule)
         assert rules == {name for name, *_ in _RULES} - {"r8"}
 
+    def test_a2_weighs_alike_in_every_rule(self):
+        # The search adds a2's cost to the cost of the rest of the vector;
+        # that is exact only while no chain holds a2 and every rule gives it
+        # the same weight, so a2 cannot change which rule is cheapest.
+        assert len({weights[1] for _, _, weights, _ in _RULES}) == 1
+        assert not any(1 in chain for *_, chains in _RULES for chain in chains)
+
     @given(param_vectors)
     def test_ranges(self, pv):
         c = complexity(pv)

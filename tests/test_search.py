@@ -24,6 +24,7 @@ from dctapprox import (
     run_search,
 )
 from dctapprox.core import ALLOWED_DOUBLED
+from dctapprox.kernel import _cheapest_rule
 from dctapprox.metrics import (
     mse,
     total_error_energy,
@@ -264,6 +265,16 @@ class TestUnfilteredSweep:
         objs = np.column_stack(_minimized(*values.T))
         for d, got in zip(kept, objs):
             assert got == pytest.approx(expected[d], abs=1e-8)
+
+    def test_cost_split_on_a_full_slice(self, model8):
+        # The scoring adds a2's cost to the odd row's; on one whole slice of
+        # the unfiltered grid it must equal the rule engine on every
+        # expanded candidate.
+        odd = _odd_rows(False)[: search_mod._SLICE]
+        (values, candidates), = _scored(odd, model8)
+        adds, shifts, _rule = _cheapest_rule(candidates)
+        assert len(candidates) > 6 * len(odd)
+        assert np.array_equal(values[:, 4], adds) and np.array_equal(values[:, 5], shifts)
 
     def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
         gen = rng(13)
