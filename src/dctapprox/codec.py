@@ -5,6 +5,12 @@ Quality scores are computed on the clamped floating-point reconstruction;
 quantization to 8-bit samples happens only when an image is written out.
 Images whose dimensions are not multiples of the block size are
 edge-replicated up and cropped back after reconstruction.
+
+A retention sweep scores every level against one SSIM reference: the
+reference image's window means and variances are computed once per sweep,
+and the SSIM and reconstruction buffers (each about the size of the image)
+are allocated once per sweep and overwritten level by level.  Nothing is
+kept across calls.
 """
 
 from __future__ import annotations
@@ -150,35 +156,96 @@ def psnr(reference: np.ndarray, test: np.ndarray) -> float:
     return float(10.0 * np.log10(255.0**2 / err))
 
 
-def _box_means(x: np.ndarray, w: int) -> np.ndarray:
-    # Integral image; one sliding-window mean per fully interior position.
-    s = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
-    s[1:, 1:] = np.cumsum(np.cumsum(x, axis=0), axis=1)
-    total = s[w:, w:] - s[:-w, w:] - s[w:, :-w] + s[:-w, :-w]
-    return total / (w * w)
+class _SsimReference:
+    """SSIM scorer for one reference image: ``_SsimReference(a)(b)`` is the
+    mean structural similarity of ``b`` against ``a``.
+
+    The reference's window means and variances are computed once.  Every
+    call reuses the integral image ``s`` and three window-shaped buffers
+    (six image-sized arrays in all, none allocated per call) and evaluates
+    the same float expression, in the same operation order, as SSIM with
+    every term freshly allocated, so the scores are equal.  Row 0 and
+    column 0 of ``s`` are the integral image's zero border and are never
+    written.
+    """
+
+    def __init__(self, a: np.ndarray) -> None:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise ValueError(f"image must be 2-d, got shape {a.shape}")
+        if min(a.shape) < _SSIM_WINDOW:
+            raise ValueError(f"image smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
+        w = _SSIM_WINDOW
+        window = (a.shape[0] - w + 1, a.shape[1] - w + 1)
+        self._a = a
+        self._s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+        self._mu_a, self._var_a, self._mu_b, self._var_b, self._cov = (
+            np.empty(window) for _ in range(5)
+        )
+        mu_a = self._box_means(a, self._mu_a)
+        self._moment(np.multiply(a, a, out=self._s[1:, 1:]), mu_a, mu_a, self._var_a)
+
+    def _box_means(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # Integral image of x (which may already be s[1:, 1:]) in place, then
+        # one sliding-window mean per fully interior position.
+        s, w = self._s, _SSIM_WINDOW
+        np.cumsum(x, axis=0, out=s[1:, 1:])
+        np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
+        np.subtract(s[w:, w:], s[:-w, w:], out=out)
+        np.subtract(out, s[w:, :-w], out=out)
+        np.add(out, s[:-w, :-w], out=out)
+        return np.divide(out, w * w, out=out)
+
+    def _moment(
+        self, product: np.ndarray, mu_x: np.ndarray, mu_y: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        # Window mean of a product minus mu_x * mu_y; the integral image is
+        # dead once the mean is taken, so its interior holds mu_x * mu_y.
+        self._box_means(product, out)
+        scratch = self._s[1 : out.shape[0] + 1, 1 : out.shape[1] + 1]
+        return np.subtract(out, np.multiply(mu_x, mu_y, out=scratch), out=out)
+
+    def __call__(self, b: np.ndarray) -> float:
+        a, s = self._a, self._s
+        b = np.asarray(b, dtype=np.float64)
+        if a.shape != b.shape:
+            raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+        c1 = (_SSIM_K1 * _SSIM_L) ** 2
+        c2 = (_SSIM_K2 * _SSIM_L) ** 2
+        mu_a, var_a, mu_b, var_b, cov = (
+            self._mu_a, self._var_a, self._mu_b, self._var_b, self._cov
+        )
+        self._box_means(b, mu_b)
+        self._moment(np.multiply(b, b, out=s[1:, 1:]), mu_b, mu_b, var_b)
+        self._moment(np.multiply(a, b, out=s[1:, 1:]), mu_a, mu_b, cov)
+        # s_map = ((2 mu_a mu_b + c1) (2 cov + c2))
+        #         / ((mu_a mu_a + mu_b mu_b + c1) (var_a + var_b + c2)),
+        # built in s's interior and the buffers that are dead by then.
+        num = s[1 : cov.shape[0] + 1, 1 : cov.shape[1] + 1]
+        np.multiply(2, mu_a, out=num)
+        np.multiply(num, mu_b, out=num)
+        np.add(num, c1, out=num)
+        np.multiply(2, cov, out=cov)
+        np.add(cov, c2, out=cov)
+        np.multiply(num, cov, out=num)
+        den = cov
+        np.multiply(mu_b, mu_b, out=mu_b)
+        np.multiply(mu_a, mu_a, out=den)
+        np.add(den, mu_b, out=den)
+        np.add(den, c1, out=den)
+        np.add(var_a, var_b, out=var_b)
+        np.add(var_b, c2, out=var_b)
+        np.multiply(den, var_b, out=den)
+        # The map ends in den, a contiguous window-shaped array, so np.mean
+        # sums it in the same order as it sums a freshly allocated map.
+        return float(np.mean(np.divide(num, den, out=den)))
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity with a uniform 8x8 window (K1=0.01,
-    K2=0.03, dynamic range 255)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if min(a.shape) < _SSIM_WINDOW:
-        raise ValueError(f"image smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
-    c1 = (_SSIM_K1 * _SSIM_L) ** 2
-    c2 = (_SSIM_K2 * _SSIM_L) ** 2
-    w = _SSIM_WINDOW
-    mu_a = _box_means(a, w)
-    mu_b = _box_means(b, w)
-    var_a = _box_means(a * a, w) - mu_a * mu_a
-    var_b = _box_means(b * b, w) - mu_b * mu_b
-    cov = _box_means(a * b, w) - mu_a * mu_b
-    s_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    )
-    return float(np.mean(s_map))
+    K2=0.03, dynamic range 255).  A retention sweep scores all its levels
+    against one reference; this is the one-image case."""
+    return _SsimReference(a)(b)
 
 
 def ape(metric_approx: float, metric_baseline: float) -> float:
@@ -202,13 +269,15 @@ def _blockify(image: np.ndarray, n: int) -> np.ndarray:
     return image.reshape(h // n, n, w // n, n).swapaxes(1, 2).reshape(-1, n, n)
 
 
-def _unblockify(blocks: np.ndarray, h: int, w: int, n: int) -> np.ndarray:
-    return blocks.reshape(h // n, w // n, n, n).swapaxes(1, 2).reshape(h, w)
-
-
 def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionPolicy]):
     """Yield the reconstruction of a float image under each policy: forward
-    transform once, then per policy retain, inverse, crop, clamp to [0, 255]."""
+    transform once, then per policy retain, inverse, crop, clamp to [0, 255].
+
+    The masked coefficients, the half-inverted blocks, the padded inverse
+    and the yielded array are allocated once per call; the inverse is
+    written straight into the padded image's block view.  The yielded array
+    is overwritten by the next level, so copy it to keep it.
+    """
     m = _as_matrix(transform)
     n = m.shape[0]
     if image.ndim != 2:
@@ -216,12 +285,20 @@ def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionP
     rows, cols = image.shape
     padded = _pad_to_multiple(image, n)
     h, w = padded.shape
-    coeffs = forward_2d(m, _blockify(padded, n))
+    coeffs = forward_2d(m, _blockify(padded, n)).reshape(h // n, w // n, n, n)
+    masked = np.empty_like(coeffs)
+    half = np.empty_like(coeffs)
+    inverse = np.empty((h, w))
+    inverse_blocks = inverse.reshape(h // n, n, w // n, n).swapaxes(1, 2)
+    recon = np.empty((rows, cols))
     for policy in policies:
         if policy.n != n:
             raise ValueError(f"policy block size {policy.n} != transform size {n}")
-        blocks = inverse_2d(m, retain(coeffs, policy))
-        yield np.clip(_unblockify(blocks, h, w, n)[:rows, :cols], 0.0, 255.0)
+        # retain and inverse_2d, with out= buffers: M^t @ (C * mask) @ M.
+        np.multiply(coeffs, policy.mask, out=masked)
+        np.matmul(m.T, masked, out=half)
+        np.matmul(half, m, out=inverse_blocks)
+        yield np.clip(inverse[:rows, :cols], 0.0, 255.0, out=recon)
 
 
 def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
@@ -238,12 +315,22 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
 def retention_sweep(
     image: np.ndarray, transform, r_values: Sequence[float]
 ) -> list[tuple[float, float, float]]:
-    """(r, psnr, ssim) over a retention grid, forward-transforming once."""
+    """(r, psnr, ssim) over a retention grid, in grid order.
+
+    The image is forward-transformed once, and every level is scored
+    against one SSIM reference built from the image, so its window means
+    and variances are computed once.  The reference is built first: an
+    image smaller than the SSIM window raises ValueError before any
+    transform work.  Scores equal per-level ``compress_image`` exactly.
+    """
     m = _as_matrix(transform)
     image = np.asarray(image, dtype=np.float64)
+    score_ssim = _SsimReference(image)
     policies = [RetentionPolicy(n=m.shape[0], r_fraction=r) for r in r_values]
     recons = _reconstructions(image, m, policies)
-    return [(r, psnr(image, rec), ssim(image, rec)) for r, rec in zip(r_values, recons)]
+    return [
+        (r, psnr(image, rec), score_ssim(rec)) for r, rec in zip(r_values, recons)
+    ]
 
 
 def default_r_grid() -> tuple[float, ...]:

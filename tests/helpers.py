@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from dctapprox import CATALOG
+from dctapprox import CATALOG, forward_2d, inverse_2d, retain
+from dctapprox.codec import _as_matrix, _blockify, _pad_to_multiple
 from dctapprox.core import ALLOWED_DOUBLED, ParamVector
 from dctapprox.search import all_candidates_doubled, feasible_mask
 
@@ -143,6 +144,45 @@ def _nondominated_mask(objs: np.ndarray) -> np.ndarray:
         if np.any(weakly & strictly):
             keep[i] = False
     return keep
+
+
+def _box_means(x: np.ndarray, w: int) -> np.ndarray:
+    # Integral image; one sliding-window mean per fully interior position.
+    s = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
+    s[1:, 1:] = np.cumsum(np.cumsum(x, axis=0), axis=1)
+    total = s[w:, w:] - s[:-w, w:] - s[w:, :-w] + s[:-w, :-w]
+    return total / (w * w)
+
+
+def ssim_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """Reference SSIM (uniform 8x8 window, K1=0.01, K2=0.03, range 255),
+    every term freshly allocated: the oracle for ``codec._SsimReference``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c1 = (0.01 * 255.0) ** 2
+    c2 = (0.03 * 255.0) ** 2
+    w = 8
+    mu_a = _box_means(a, w)
+    mu_b = _box_means(b, w)
+    var_a = _box_means(a * a, w) - mu_a * mu_a
+    var_b = _box_means(b * b, w) - mu_b * mu_b
+    cov = _box_means(a * b, w) - mu_a * mu_b
+    s_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(np.mean(s_map))
+
+
+def reconstruction_reference(image: np.ndarray, transform, policy) -> np.ndarray:
+    """Reference reconstruction of one level, every step freshly allocated:
+    pad, blocks, forward, retain, inverse, reassemble, crop, clamp."""
+    n = _as_matrix(transform).shape[0]
+    rows, cols = image.shape
+    padded = _pad_to_multiple(np.asarray(image, dtype=np.float64), n)
+    h, w = padded.shape
+    blocks = inverse_2d(transform, retain(forward_2d(transform, _blockify(padded, n)), policy))
+    whole = blocks.reshape(h // n, w // n, n, n).swapaxes(1, 2).reshape(h, w)
+    return np.clip(whole[:rows, :cols], 0.0, 255.0)
 
 
 def catalog_values(j: int) -> tuple[float, ...]:

@@ -379,6 +379,21 @@ class TestCompressAndSweep:
         assert per_image_rows[0] == "transform_id,r,image,psnr,ssim"
         assert len(per_image_rows) == 1 + 3 * 3 * 2
 
+    def test_image_smaller_than_ssim_window(self, tmp_path, capsys):
+        small = tmp_path / "small"
+        small.mkdir()
+        write_pgm(small / "s.pgm", ar1_test_image(6, 6, seed=23))
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        commands = [
+            ["compress", "--in", str(small / "s.pgm"), "--dct", "--r", "0.5"],
+            ["sweep", "--corpus", str(small), "--transforms", str(tlist),
+             "--out", str(tmp_path / "o.csv")],
+        ]
+        for argv in commands:
+            assert main(argv) == 2
+            assert "image smaller than the 8x8 window" in capsys.readouterr().err
+
     def test_empty_corpus(self, tmp_path):
         (tmp_path / "empty").mkdir()
         tlist = tmp_path / "t.json"

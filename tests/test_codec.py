@@ -23,7 +23,9 @@ from dctapprox import (
     write_pgm,
     zigzag_order,
 )
-from helpers import JPEG_ZIGZAG_8, rng
+from dctapprox import codec
+from dctapprox.codec import _reconstructions, _SsimReference
+from helpers import JPEG_ZIGZAG_8, reconstruction_reference, rng, ssim_reference
 
 
 class TestZigzag:
@@ -135,6 +137,24 @@ class TestQualityMetrics:
         assert ssim(a, b) == ssim(b, a)
         assert -1.0 <= ssim(a, b) <= 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=8, max_value=40),
+        st.integers(min_value=8, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_one_reference_scores_a_sequence(self, h, w, seed, extra):
+        g = rng(seed)
+        a = g.integers(0, 256, size=(h, w)).astype(np.float64)
+        others = [np.clip(a + g.normal(0.0, 40.0, size=(h, w)), 0.0, 255.0)
+                  for _ in range(extra)]
+        others.append(np.full((h, w), 17.0))
+        score = _SsimReference(a)
+        for b in [a, *others, others[0], a]:
+            assert score(b) == ssim_reference(a, b)
+        assert ssim(others[0], a) == ssim_reference(others[0], a)
+
     def test_ape(self):
         assert ape(30.0, 32.0) == pytest.approx(6.25)
         assert ape(5.0, 5.0) == 0.0
@@ -182,12 +202,50 @@ class TestCompressImage:
     def test_sweep_matches_compress(self):
         img = ar1_test_image(64, 64, seed=13)
         t = orthonormal_approx(CATALOG[5])
-        rs = (0.3, 0.7)
-        swept = retention_sweep(img, t, rs)
-        for r, p, s in swept:
-            _, scores = compress_image(img, t, RetentionPolicy(n=8, r_fraction=r))
-            assert p == scores.psnr_db
-            assert s == scores.ssim
+        for rs in [(0.3, 0.7), (0.9, 0.25, 0.9, 0.5)]:
+            swept = retention_sweep(img, t, rs)
+            assert [r for r, _, _ in swept] == list(rs)
+            for r, p, s in swept:
+                _, scores = compress_image(img, t, RetentionPolicy(n=8, r_fraction=r))
+                assert p == scores.psnr_db
+                assert s == scores.ssim
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_reconstructions_match_per_level_reference(self, n):
+        img = ar1_test_image(2 * n + 3, 3 * n - 5, seed=16).astype(np.float64)
+        rs = (0.9, 0.25, 1.0, 0.5, 0.9)
+        for t in (exact_dct_matrix(n), build_scaled(CATALOG[9], n)):
+            policies = [RetentionPolicy(n=n, r_fraction=r) for r in rs]
+            for policy, rec in zip(policies, _reconstructions(img, t, policies)):
+                assert np.array_equal(rec, reconstruction_reference(img, t, policy))
+
+    def test_compress_returns_independent_arrays(self):
+        img = ar1_test_image(40, 44, seed=17)
+        t = orthonormal_approx(CATALOG[3])
+        first, _ = compress_image(img, t, RetentionPolicy(n=8, r_fraction=0.3))
+        kept = first.copy()
+        second, _ = compress_image(img, t, RetentionPolicy(n=8, r_fraction=0.9))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("shape", [(64,), (2, 16, 16)])
+    def test_rejects_images_that_are_not_2d(self, shape):
+        img = np.zeros(shape)
+        t = exact_dct_matrix(8)
+        with pytest.raises(ValueError, match="2-d"):
+            retention_sweep(img, t, (0.5,))
+        with pytest.raises(ValueError, match="2-d"):
+            compress_image(img, t, RetentionPolicy(n=8, r_fraction=0.5))
+        with pytest.raises(ValueError, match="2-d"):
+            ssim(img, img)
+
+    def test_sweep_checks_ssim_window_before_transforming(self, monkeypatch):
+        def no_transform(*_args):
+            raise AssertionError("transform work before the SSIM window check")
+
+        monkeypatch.setattr(codec, "forward_2d", no_transform)
+        with pytest.raises(ValueError, match="smaller than the 8x8 window"):
+            retention_sweep(ar1_test_image(6, 6, seed=18), exact_dct_matrix(8), (0.5,))
 
 
 class TestDefaultGrid:
