@@ -4,7 +4,9 @@ additions, shifts).
 
 Both modes run one scoring pass over the odd rows of the 7^7 grid with a2
 pinned: all of them, or with the feasibility filter the 403 that pass the
-six integer checks (none reads a2).  After the input butterfly a candidate
+six integer checks (none reads a2).  The filter evaluates the checks on
+open axes, one per parameter, so no 7^7 table is built; only the final
+mask spans the grid.  After the input butterfly a candidate
 is block-diagonal, with an even block of a2 alone and an odd block of the
 other parameters, and every objective is an odd part plus an even part:
 the metrics are sums of the two blocks' kernel values, and the cost is the
@@ -16,13 +18,13 @@ to a front, and pareto_front applies it before grouping ties.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import core, metrics
-from .core import ALLOWED_DOUBLED, ParamVector, _row_scale, build_matrix, feasible_mask
+from .core import ALLOWED_DOUBLED, ParamVector, _feasible, _row_scale, build_matrix, feasible_mask
 from .kernel import _cheapest_rule
 from .metrics import MetricsReport, SignalModel
 
@@ -59,10 +61,17 @@ def all_candidates_doubled() -> np.ndarray:
 
 def _odd_rows(feasibility_filter: bool) -> np.ndarray:
     """The 7^7 grid of the parameters other than a2, as rows with a2 pinned
-    to 0; with the filter only its feasible rows.  Feasibility does not
-    depend on a2, so each feasible row gives 7 feasible candidates."""
-    odd = _grid([ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6)
-    return odd[feasible_mask(odd)] if feasibility_filter else odd
+    to 0, in _grid order; with the filter only its feasible rows.
+    Feasibility does not depend on a2, so each feasible row gives 7 feasible
+    candidates.  The filter runs on open axes, one per parameter: each
+    condition is evaluated over only the axes it reads, and no 7^7 table of
+    rows is built.  C order of the mask is the grid's lexicographic order."""
+    columns = [np.array(c, dtype=np.int8) for c in [ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6]
+    if not feasibility_filter:
+        return _grid(columns)
+    mask = _feasible(*np.ix_(*(c.astype(np.int32) for c in columns)))
+    index = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    return np.column_stack([c[i] for c, i in zip(columns, index)])
 
 
 def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
@@ -81,7 +90,10 @@ def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
 
 def objectives(report: MetricsReport) -> tuple:
     """Minimization vector of one report."""
-    *floats, adds, shifts = _minimized(*astuple(report))
+    *floats, adds, shifts = _minimized(
+        report.epsilon, report.mse, report.coding_gain_db,
+        report.efficiency_pct, report.additions, report.shifts,
+    )
     return (*map(float, floats), adds, shifts)
 
 

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dctapprox.search as search_mod
@@ -23,7 +23,7 @@ from dctapprox import (
     pareto_front,
     run_search,
 )
-from dctapprox.core import ALLOWED_DOUBLED
+from dctapprox.core import ALLOWED_DOUBLED, _feasible
 from dctapprox.kernel import _cheapest_rule
 from dctapprox.metrics import (
     mse,
@@ -86,6 +86,36 @@ class TestFeasibleSet:
         )
         assert expanded == FEASIBLE_DOUBLED
         assert len(FEASIBLE_DOUBLED) == 2821
+
+    def test_odd_grid_selection_keeps_grid_order(self):
+        # Row for row against the materialized 7^7 grid masked by columns:
+        # the open-axis filter must keep its rows in the grid's order.
+        odd = search_mod._grid([ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6)
+        reference = odd[feasible_mask(odd)]
+        selected = _odd_rows(True)
+        assert selected.dtype == reference.dtype
+        assert np.array_equal(selected, reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(FEASIBLE_DOUBLED).flatmap(
+            lambda row: st.tuples(*(
+                st.sets(st.sampled_from(ALLOWED_DOUBLED), max_size=3).map(
+                    lambda extra, v=v: sorted(extra | {v})
+                )
+                for v in row
+            ))
+        )
+    )
+    def test_open_axes_agree_with_columns(self, values):
+        # One alphabet subset per parameter, each holding one feasible row's
+        # value so the product is not all infeasible.  _feasible over their
+        # open axes, broadcast to the product's shape, must equal the column
+        # call on the materialized product.
+        axes = np.ix_(*(np.array(v, dtype=np.int32) for v in values))
+        shape = tuple(len(v) for v in values)
+        broadcast = np.broadcast_to(_feasible(*axes), shape).ravel()
+        assert np.array_equal(broadcast, feasible_mask(search_mod._grid(values)))
 
     @given(
         st.one_of(
