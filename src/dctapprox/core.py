@@ -203,25 +203,51 @@ def gram_diagnostics(params: ParamVector) -> GramDiagnostics:
     )
 
 
-def _feasible(u1, u2, u3, u4, u5, u6, u7, u8):
-    """Feasibility of doubled parameters, element-wise: takes 8 ints or 8
-    integer columns.
+def _conditions_to_a4(u1, u2, u3, u4):
+    """The conditions whose last parameter is a4: cross term (1,3) and row 3
+    nonzero."""
+    return (2 * u1 - u1 * u1 + 2 * u3 - u1 * u4 == 0) & ((u1 != 0) | (u3 != 0) | (u4 != 0))
 
-    The six polynomials are the cross terms of gram_diagnostics scaled by
-    two; all must vanish.  The last three conditions keep rows 3, 5 and 7
-    from being identically zero, which makes the Gram diagonal positive.
-    """
+
+def _conditions_to_a6(u1, u2, u3, u4, u5, u6):
+    """The conditions whose last parameter is a6: cross terms (1,5) and (3,5)
+    and row 5 nonzero."""
     return (
-        (2 * u1 - u1 * u1 + 2 * u3 - u1 * u4 == 0)
-        & (u1 * (u6 - u1) == 0)
-        & (u1 * u1 - 2 * u6 + 2 * u7 - u1 * u8 == 0)
+        (u1 * (u6 - u1) == 0)
         & (u1 * u4 + u1 * u5 - u3 * u5 - u1 * u6 == 0)
+        & ((u1 != 0) | (u5 != 0) | (u6 != 0))
+    )
+
+
+def _conditions_to_a8(u1, u2, u3, u4, u5, u6, u7, u8):
+    """The conditions whose last parameter is a8: cross terms (1,7), (3,7)
+    and (5,7) and row 7 nonzero."""
+    return (
+        (u1 * u1 - 2 * u6 + 2 * u7 - u1 * u8 == 0)
         & (u1 * u8 + u1 * u7 - u3 * u6 - u1 * u4 == 0)
         & (u5 * u7 + u5 * u6 - u1 * u1 - u6 * u8 == 0)
-        & ((u1 != 0) | (u3 != 0) | (u4 != 0))
-        & ((u1 != 0) | (u5 != 0) | (u6 != 0))
         & ((u1 != 0) | (u6 != 0) | (u7 != 0) | (u8 != 0))
     )
+
+
+# The feasibility conditions in three stage groups, keyed by the last
+# parameter each reads: a group takes the parameters up to that one.
+_FEASIBILITY_STAGES = ((4, _conditions_to_a4), (6, _conditions_to_a6), (8, _conditions_to_a8))
+
+
+def _feasible(*u):
+    """Feasibility of doubled parameters, element-wise: takes 8 ints or 8
+    integer columns (or open axes that broadcast together).
+
+    The conjunction of the stage groups in _FEASIBILITY_STAGES.  Their six
+    polynomials are the cross terms of gram_diagnostics scaled by two; all
+    must vanish.  Their three nonzero-row checks keep rows 3, 5 and 7 from
+    being identically zero, which makes the Gram diagonal positive.
+    """
+    ok = True
+    for stop, conditions in _FEASIBILITY_STAGES:
+        ok = ok & conditions(*u[:stop])
+    return ok
 
 
 def is_feasible(params: ParamVector) -> bool:

@@ -4,27 +4,37 @@ additions, shifts).
 
 Both modes run one scoring pass over the odd rows of the 7^7 grid with a2
 pinned: all of them, or with the feasibility filter the 403 that pass the
-six integer checks (none reads a2).  The filter evaluates the checks on
-open axes, one per parameter, so no 7^7 table is built; only the final
-mask spans the grid.  After the input butterfly a candidate
-is block-diagonal, with an even block of a2 alone and an odd block of the
-other parameters, and every objective is an odd part plus an even part:
-the metrics are sums of the two blocks' kernel values, and the cost is the
-odd row's plus what a2 adds.  So each slice of odd rows is scored against
-all 7 values of a2 in one broadcast.  One non-dominated filter decides all
-dominance: it cuts each scored chunk, stacked under the running front, back
-to a front, and pareto_front applies it before grouping ties.
+six integer checks (none reads a2).  The filter binds the parameters in
+grid order, in three stages, and applies each check once every parameter
+it reads is bound, so no table spans the 7^7 grid.  After the input
+butterfly a candidate is block-diagonal, with an even block of a2 alone
+and an odd block of the other parameters, and every objective is an odd
+part plus an even part: the metrics are sums of the two blocks' kernel
+values, and the cost is the odd row's plus what a2 adds.  So each slice
+of odd rows is scored against all 7 values of a2 in one broadcast.  One
+non-dominated filter decides all dominance: it cuts each scored chunk,
+stacked under the running front, back to a front, and pareto_front applies
+it before grouping ties; each entry's objectives are rounded once, in one
+call on columns, and its output order is taken from them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import core, metrics
-from .core import ALLOWED_DOUBLED, ParamVector, _feasible, _row_scale, build_matrix, feasible_mask
+from .core import (
+    _FEASIBILITY_STAGES,
+    ALLOWED_DOUBLED,
+    ParamVector,
+    _row_scale,
+    build_matrix,
+    feasible_mask,
+)
 from .kernel import _cheapest_rule
 from .metrics import MetricsReport, SignalModel
 
@@ -63,15 +73,23 @@ def _odd_rows(feasibility_filter: bool) -> np.ndarray:
     """The 7^7 grid of the parameters other than a2, as rows with a2 pinned
     to 0, in _grid order; with the filter only its feasible rows.
     Feasibility does not depend on a2, so each feasible row gives 7 feasible
-    candidates.  The filter runs on open axes, one per parameter: each
-    condition is evaluated over only the axes it reads, and no 7^7 table of
-    rows is built.  C order of the mask is the grid's lexicographic order."""
+    candidates.  The filter binds the parameters in grid order, one stage
+    group of conditions at a time (core._FEASIBILITY_STAGES): it extends the
+    surviving prefix rows by the group's new parameters on open axes and
+    keeps the extensions that pass the group.  C order over (prefix row, new
+    axes) is the grid's lexicographic order, so the survivors (25 through
+    a4, 308 through a6, 403 through a8) stay in _grid order."""
     columns = [np.array(c, dtype=np.int8) for c in [ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6]
     if not feasibility_filter:
         return _grid(columns)
-    mask = _feasible(*np.ix_(*(c.astype(np.int32) for c in columns)))
-    index = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    return np.column_stack([c[i] for c, i in zip(columns, index)])
+    rows = np.empty((1, 0), dtype=np.int32)
+    for stop, conditions in _FEASIBILITY_STAGES:
+        new = [c.astype(np.int32) for c in columns[rows.shape[1] : stop]]
+        prefix, *axes = np.ix_(np.arange(len(rows)), *new)
+        mask = conditions(*(rows[prefix, k] for k in range(rows.shape[1])), *axes)
+        kept, *index = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        rows = np.column_stack([rows[kept], *(c[i] for c, i in zip(new, index))])
+    return rows.astype(np.int8)
 
 
 def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
@@ -88,13 +106,21 @@ def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
     )
 
 
+def _objective_rows(reports: Sequence[MetricsReport]) -> np.ndarray:
+    """Minimization vectors of reports, one row each: one _minimized call
+    on their columns."""
+    columns = np.array([
+        (r.epsilon, r.mse, r.coding_gain_db, r.efficiency_pct, r.additions, r.shifts)
+        for r in reports
+    ], dtype=np.float64).reshape(-1, 6)
+    return np.column_stack(_minimized(*columns.T))
+
+
 def objectives(report: MetricsReport) -> tuple:
-    """Minimization vector of one report."""
-    *floats, adds, shifts = _minimized(
-        report.epsilon, report.mse, report.coding_gain_db,
-        report.efficiency_pct, report.additions, report.shifts,
-    )
-    return (*map(float, floats), adds, shifts)
+    """Minimization vector of one report: the one-row case of
+    _objective_rows, with its costs kept as the report's integers."""
+    *floats, _adds, _shifts = _objective_rows([report])[0].tolist()
+    return (*floats, report.additions, report.shifts)
 
 
 def dominates(x: Sequence, y: Sequence) -> bool:
@@ -130,8 +156,9 @@ def _front(objs: np.ndarray) -> np.ndarray:
 
 
 def _canonical_rep(group: list[ParamVector]) -> ParamVector:
-    # Most nonnegative components first, then lexicographically smallest.
-    return min(group, key=lambda pv: (-sum(1 for v in pv.values if v >= 0), pv.values))
+    # Most nonnegative components first, then lexicographically smallest
+    # (doubled values order and sign alike).
+    return min(group, key=lambda pv: (-sum(1 for v in pv.doubled if v >= 0), pv.doubled))
 
 
 def pareto_front(
@@ -147,22 +174,20 @@ def pareto_front(
     """
     if not evaluated:
         return []
-    objs = np.array([objectives(rep) for _, rep in evaluated], dtype=np.float64)
+    objs = _objective_rows([rep for _, rep in evaluated])
+    listed = objs.tolist()
     groups: dict[tuple, list[int]] = {}
     for i in _front(objs):
-        groups.setdefault(tuple(objs[i]), []).append(int(i))
-    entries = []
-    for key, idxs in groups.items():
+        groups.setdefault(tuple(listed[i]), []).append(int(i))
+    keyed = []
+    for (eps, m, _gain, _eff, adds, shifts), idxs in groups.items():
         rep_pv = _canonical_rep([evaluated[i][0] for i in idxs])
         for i in idxs:
             pv, report = evaluated[i]
-            entries.append(ParetoEntry(pv, report, canonical=(pv == rep_pv)))
-
-    def order(e: ParetoEntry) -> tuple:
-        eps, m, _gain, _eff, adds, shifts = objectives(e.report)
-        return (adds, eps, shifts, m, not e.canonical, e.params.values)
-
-    return sorted(entries, key=order)
+            canonical = pv == rep_pv
+            key = (adds, eps, shifts, m, not canonical, pv.doubled)
+            keyed.append((key, ParetoEntry(pv, report, canonical)))
+    return [entry for _, entry in sorted(keyed, key=lambda pair: pair[0])]
 
 
 @dataclass(frozen=True)
@@ -179,14 +204,23 @@ class SearchResult:
         return tuple(e for e in self.entries if e.canonical)
 
 
-def _half_units(rows: np.ndarray) -> np.ndarray:
-    """build_matrix over an (m, 8) array of doubled values; it is affine in
-    them: half units H0 + sum_k u_k B_k."""
+@functools.cache
+def _affine_basis() -> tuple[np.ndarray, np.ndarray]:
+    """H0 and the stacked B_k of build_matrix as an affine map of the doubled
+    values (see _half_units), built once, on first use."""
     h0 = build_matrix(ParamVector((0,) * 8)).half_units
     basis = np.stack([
         build_matrix(ParamVector(tuple(int(i == k) for i in range(8)))).half_units - h0
         for k in range(8)
     ])
+    basis.setflags(write=False)
+    return h0, basis
+
+
+def _half_units(rows: np.ndarray) -> np.ndarray:
+    """build_matrix over an (m, 8) array of doubled values; it is affine in
+    them: half units H0 + sum_k u_k B_k."""
+    h0, basis = _affine_basis()
     return h0 + np.einsum("mk,kij->mij", rows.astype(np.int64), basis)
 
 

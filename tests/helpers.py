@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dctapprox import CATALOG, forward_2d, inverse_2d, retain
 from dctapprox.codec import _as_matrix, _blockify, _pad_to_multiple
 from dctapprox.core import ALLOWED_DOUBLED, ParamVector
-from dctapprox.search import all_candidates_doubled, feasible_mask
+from dctapprox.search import ParetoEntry, all_candidates_doubled, feasible_mask
 
 # Expected metric rows (epsilon, mse, coding gain dB, efficiency %,
 # additions, shifts) for the catalog transforms at rho = 0.95.
@@ -144,6 +144,48 @@ def _nondominated_mask(objs: np.ndarray) -> np.ndarray:
         if np.any(weakly & strictly):
             keep[i] = False
     return keep
+
+
+def objectives_reference(report) -> tuple:
+    """Minimization vector of one report, each float rounded on its own with
+    np.round (Python's round can differ): the oracle for the column call
+    behind ``search.objectives``."""
+    return (
+        float(np.round(report.epsilon, 9)),
+        float(np.round(report.mse, 9)),
+        float(np.round(-report.coding_gain_db, 9)),
+        float(np.round(-report.efficiency_pct, 9)),
+        report.additions,
+        report.shifts,
+    )
+
+
+def pareto_front_reference(evaluated) -> list:
+    """Reference ``search.pareto_front``: the brute-force front of the
+    objectives_reference vectors, identical vectors grouped with one
+    canonical member (most nonnegative components, then lexicographically
+    smallest), sorted by a key computed from each entry's report."""
+    if not evaluated:
+        return []
+    objs = np.array([objectives_reference(rep) for _, rep in evaluated], dtype=np.float64)
+    groups: dict[tuple, list[int]] = {}
+    for i in np.flatnonzero(_nondominated_mask(objs)):
+        groups.setdefault(tuple(objs[i]), []).append(int(i))
+    entries = []
+    for idxs in groups.values():
+        rep_pv = min(
+            (evaluated[i][0] for i in idxs),
+            key=lambda pv: (-sum(1 for v in pv.values if v >= 0), pv.values),
+        )
+        for i in idxs:
+            pv, report = evaluated[i]
+            entries.append(ParetoEntry(pv, report, canonical=(pv == rep_pv)))
+
+    def order(e) -> tuple:
+        eps, m, _gain, _eff, adds, shifts = objectives_reference(e.report)
+        return (adds, eps, shifts, m, not e.canonical, e.params.values)
+
+    return sorted(entries, key=order)
 
 
 def _box_means(x: np.ndarray, w: int) -> np.ndarray:

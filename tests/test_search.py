@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dctapprox import (
     pareto_front,
     run_search,
 )
-from dctapprox.core import ALLOWED_DOUBLED, _feasible
+from dctapprox.core import _FEASIBILITY_STAGES, ALLOWED_DOUBLED, _feasible
 from dctapprox.kernel import _cheapest_rule
 from dctapprox.metrics import (
     mse,
@@ -32,7 +33,14 @@ from dctapprox.metrics import (
     unified_coding_gain,
 )
 from dctapprox.search import _front, _minimized, _odd_rows, _scored
-from helpers import FEASIBLE_DOUBLED, _nondominated_mask, rng
+from helpers import (
+    FEASIBLE_DOUBLED,
+    _nondominated_mask,
+    objectives_reference,
+    param_vectors,
+    pareto_front_reference,
+    rng,
+)
 
 
 class TestEnumeration:
@@ -50,6 +58,18 @@ class TestEnumeration:
         grid = all_candidates_doubled()
         binary = np.all((grid == 0) | (grid == 2), axis=1)
         assert int(binary.sum()) == 256
+
+
+# One alphabet subset per parameter, each holding one feasible row's value
+# so the product is not all infeasible.
+_axis_values = st.sampled_from(FEASIBLE_DOUBLED).flatmap(
+    lambda row: st.tuples(*(
+        st.sets(st.sampled_from(ALLOWED_DOUBLED), max_size=3).map(
+            lambda extra, v=v: sorted(extra | {v})
+        )
+        for v in row
+    ))
+)
 
 
 class TestFeasibleSet:
@@ -96,22 +116,43 @@ class TestFeasibleSet:
         assert selected.dtype == reference.dtype
         assert np.array_equal(selected, reference)
 
+    def test_staged_filter_builds_no_grid_mask(self):
+        # A mask over the whole 7^7 grid takes 823 KB as booleans alone; the
+        # staged filter's largest table is 308 x 7 x 7.
+        _odd_rows(True)
+        tracemalloc.start()
+        try:
+            _odd_rows(True)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(FEASIBLE_DOUBLED).flatmap(
-            lambda row: st.tuples(*(
-                st.sets(st.sampled_from(ALLOWED_DOUBLED), max_size=3).map(
-                    lambda extra, v=v: sorted(extra | {v})
-                )
-                for v in row
-            ))
-        )
-    )
+    @given(_axis_values)
+    def test_stage_groups_agree_with_columns(self, values):
+        # Each stage group called on open axes of only the parameters it
+        # takes, broadcast over the later ones, must equal the group on the
+        # materialized product's columns; all groups together, _feasible.
+        grid = search_mod._grid(values)
+        columns = [grid[:, k].astype(np.int32) for k in range(8)]
+        shape = tuple(len(v) for v in values)
+        conjunction = np.ones(len(grid), dtype=bool)
+        for stop, conditions in _FEASIBILITY_STAGES:
+            axes = np.ix_(*(np.array(v, dtype=np.int32) for v in values[:stop]))
+            on_axes = np.broadcast_to(conditions(*axes), shape[:stop])
+            expanded = np.broadcast_to(
+                on_axes.reshape(shape[:stop] + (1,) * (8 - stop)), shape
+            ).ravel()
+            assert np.array_equal(expanded, conditions(*columns[:stop]))
+            conjunction &= expanded
+        assert np.array_equal(conjunction, _feasible(*columns))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_axis_values)
     def test_open_axes_agree_with_columns(self, values):
-        # One alphabet subset per parameter, each holding one feasible row's
-        # value so the product is not all infeasible.  _feasible over their
-        # open axes, broadcast to the product's shape, must equal the column
-        # call on the materialized product.
+        # _feasible over the subsets' open axes, broadcast to the product's
+        # shape, must equal the column call on the materialized product.
         axes = np.ix_(*(np.array(v, dtype=np.int32) for v in values))
         shape = tuple(len(v) for v in values)
         broadcast = np.broadcast_to(_feasible(*axes), shape).ravel()
@@ -154,7 +195,39 @@ class TestFront:
         assert np.array_equal(_front(objs), np.flatnonzero(_nondominated_mask(objs)))
 
 
+# Floats a little off a few bases, so that rows tie, differ by less than
+# 1e-9, and straddle the 1e-9 rounding step.
+_near_floats = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([0.0, 0.5, 4.123456789, -8.0]),
+    st.sampled_from([0.0, 1e-10, 4.9e-10, 5e-10, 5.1e-10, 1e-9, 2.5e-9]),
+)
+_reports = st.builds(
+    MetricsReport,
+    _near_floats, _near_floats, _near_floats, _near_floats,
+    st.integers(16, 18), st.integers(0, 1),
+)
+# Entries drawn from a small pool of reports, so tie groups are common.
+_evaluated = st.lists(_reports, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.tuples(param_vectors, st.sampled_from(pool)), max_size=12)
+)
+
+
 class TestParetoFront:
+    @given(_reports)
+    def test_objectives_round_like_scalar_calls(self, report):
+        got = objectives(report)
+        assert got == objectives_reference(report)
+        assert [type(v) for v in got] == [float] * 4 + [int] * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(_evaluated)
+    def test_matches_reference_sort(self, evaluated):
+        # Same entries, order and canonical flags as sorting on a key taken
+        # from each entry's report.
+        key = lambda front: [(e.params, e.report, e.canonical) for e in front]
+        assert key(pareto_front(evaluated)) == key(pareto_front_reference(evaluated))
+
     def test_single_candidate_survives(self):
         pv = CATALOG[1]
         front = pareto_front([(pv, _report(1, 1, 8, 90, 16, 0))])
