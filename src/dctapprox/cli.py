@@ -147,18 +147,17 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     Produces params (table1) and 8-, 16- and 32-point metrics (table2,
     table4, table6), all computed at one rho (the flag, else the CSV's,
     else the default), each as CSV and markdown with 2-decimal presentation
-    rounding.  The CSV supplies the ranks and parameters only.
+    rounding.  The CSV supplies the ranks and parameters only.  Every table
+    is computed before the directory is created, so a bad rho or seed
+    writes nothing.
     """
     meta, rows = _parse_front_csv(front_csv)
     if rho is None:
         rho = float(meta["rho"]) if "rho" in meta else _default_rho()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
 
     params_headers = ["j"] + [f"a{i}" for i in range(1, 9)]
     params_rows = [[r["rank"]] + [r[f"a{i}"] for i in range(1, 9)] for r in rows]
-    written += _write_pair(out_dir, "table1", params_headers, params_rows)
+    tables = [("table1", params_headers, params_rows)]
     seeds = [parse_params(",".join(row[1:])) for row in params_rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
@@ -167,8 +166,11 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
         metric_rows = [
             [r["rank"]] + _report_cols(evaluate(pv, model), _fmt2) for r, pv in zip(rows, seeds)
         ]
-        written += _write_pair(out_dir, stem, metric_headers, metric_rows)
-    return written
+        tables.append((stem, metric_headers, metric_rows))
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [path for table in tables for path in _write_pair(out_dir, *table)]
 
 
 # --- transform selection -----------------------------------------------------

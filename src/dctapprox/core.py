@@ -113,13 +113,10 @@ class DyadicMatrix:
 
 @dataclass(frozen=True)
 class GramDiagnostics:
-    """The distinct entries of T*T^t for a parametrized matrix T.
-
-    ``diagonal_terms`` holds the five parameter-dependent diagonal values
-    (rows 1, 2/6, 3, 5, 7; rows 0 and 4 are always 8).  ``cross_terms`` holds
-    the six potentially nonzero off-diagonal inner products, at positions
-    (1,3), (1,5), (1,7), (3,5), (3,7) and (5,7).  All values are exact.
-    """
+    """The distinct entries of T*T^t for a parametrized matrix T, exactly:
+    ``diagonal_terms`` at the rows in _GRAM_DIAGONAL (row 6 equals row 2,
+    rows 0 and 4 are always 8) and ``cross_terms``, the six potentially
+    nonzero off-diagonal inner products, at the positions in _GRAM_CROSS."""
 
     diagonal_terms: tuple[Fraction, ...]
     cross_terms: tuple[Fraction, ...]
@@ -138,27 +135,35 @@ def exact_dct_matrix(n: int) -> np.ndarray:
     return m
 
 
-def build_matrix(params: ParamVector) -> DyadicMatrix:
-    """Assemble the 8x8 low-complexity matrix for a parameter vector.
-
-    Rows 0 and 4 are fixed +-1 patterns; the remaining rows interleave the
-    eight parameters with fixed signs.
+def _half_units(u1, u2, u3, u4, u5, u6, u7, u8) -> np.ndarray:
+    """The 8x8 low-complexity matrix in half units, element-wise: 8 doubled
+    ints give an (8, 8) int64 array, 8 integer columns of length m a
+    C-contiguous (m, 8, 8) one.  Rows 0 and 4 are fixed +-1 patterns; the
+    others interleave the eight parameters with fixed signs.  Entries lie in
+    {0, +-1, +-2, +-4}, so the matrix is assembled in int8 and widened once.
     """
-    u1, u2, u3, u4, u5, u6, u7, u8 = params.doubled
+    two = np.full_like(u1, 2) if isinstance(u1, np.ndarray) else 2
     half = np.array(
         [
-            [2, 2, 2, 2, 2, 2, 2, 2],
-            [2, 2, u1, u1, -u1, -u1, -2, -2],
-            [2, u2, -u2, -2, -2, -u2, u2, 2],
+            [two, two, two, two, two, two, two, two],
+            [two, two, u1, u1, -u1, -u1, -two, -two],
+            [two, u2, -u2, -two, -two, -u2, u2, two],
             [u1, u3, -u4, -u1, u1, u4, -u3, -u1],
-            [2, -2, -2, 2, 2, -2, -2, 2],
+            [two, -two, -two, two, two, -two, -two, two],
             [u5, -u5, -u1, u6, -u6, u1, u5, -u5],
-            [u2, -2, 2, -u2, -u2, 2, -2, u2],
+            [u2, -two, two, -u2, -u2, two, -two, u2],
             [u7, -u6, u1, -u8, u8, -u1, u6, -u7],
         ],
-        dtype=np.int64,
+        dtype=np.int8,
     )
-    return DyadicMatrix(half)
+    # (8, 8, m) -> (m, 8, 8); an (8, 8) matrix is left as it is.
+    return half.T.swapaxes(-1, -2).astype(np.int64, order="C")
+
+
+def build_matrix(params: ParamVector) -> DyadicMatrix:
+    """The 8x8 low-complexity matrix of a parameter vector: the one-row
+    case of _half_units."""
+    return DyadicMatrix(_half_units(*params.doubled))
 
 
 def gram_quarter_units(m: DyadicMatrix) -> np.ndarray:
@@ -178,26 +183,18 @@ def gram(m: DyadicMatrix) -> np.ndarray:
     return out
 
 
+# Where GramDiagnostics reads T*T^t: its diagonal rows and cross positions.
+_GRAM_DIAGONAL = (1, 2, 3, 5, 7)
+_GRAM_CROSS = ((1, 3), (1, 5), (1, 7), (3, 5), (3, 7), (5, 7))
+
+
 def gram_diagnostics(params: ParamVector) -> GramDiagnostics:
-    """Closed-form Gram entries of build_matrix(params), exactly."""
-    a1, a2, a3, a4, a5, a6, a7, a8 = (Fraction(d, 2) for d in params.doubled)
-    diagonal = (
-        4 * a1**2 + 4,
-        4 * a2**2 + 4,
-        4 * a1**2 + 2 * a3**2 + 2 * a4**2,
-        2 * a6**2 + 4 * a5**2 + 2 * a1**2,
-        2 * a8**2 + 2 * a7**2 + 2 * a6**2 + 2 * a1**2,
-    )
-    cross = (
-        2 * a1 - 2 * a1**2 + 2 * a3 - 2 * a1 * a4,
-        2 * a1 * a6 - 2 * a1**2,
-        2 * a1**2 - 2 * a6 + 2 * a7 - 2 * a1 * a8,
-        2 * a1 * a4 + 2 * a1 * a5 - 2 * a3 * a5 - 2 * a1 * a6,
-        2 * a1 * a8 + 2 * a1 * a7 - 2 * a3 * a6 - 2 * a1 * a4,
-        2 * a5 * a7 + 2 * a5 * a6 - 2 * a1**2 - 2 * a6 * a8,
-    )
+    """The Gram entries of build_matrix(params), read off the exact matrix
+    product; their closed forms live only in the feasibility stage groups."""
+    q = gram_quarter_units(build_matrix(params))
+    cross = tuple(Fraction(int(q[i, j]), 4) for i, j in _GRAM_CROSS)
     return GramDiagnostics(
-        diagonal_terms=diagonal,
+        diagonal_terms=tuple(Fraction(int(q[i, i]), 4) for i in _GRAM_DIAGONAL),
         cross_terms=cross,
         off_diagonal_zero=all(c == 0 for c in cross),
     )
@@ -239,10 +236,11 @@ def _feasible(*u):
     """Feasibility of doubled parameters, element-wise: takes 8 ints or 8
     integer columns (or open axes that broadcast together).
 
-    The conjunction of the stage groups in _FEASIBILITY_STAGES.  Their six
-    polynomials are the cross terms of gram_diagnostics scaled by two; all
-    must vanish.  Their three nonzero-row checks keep rows 3, 5 and 7 from
-    being identically zero, which makes the Gram diagonal positive.
+    The conjunction of the stage groups in _FEASIBILITY_STAGES, the one
+    home of the Gram closed forms: their six polynomials are twice the cross
+    terms at _GRAM_CROSS and must vanish.  Their three nonzero-row checks
+    keep rows 3, 5 and 7 from being identically zero, which makes the Gram
+    diagonal positive.
     """
     ok = True
     for stop, conditions in _FEASIBILITY_STAGES:
@@ -269,15 +267,21 @@ def _row_scale(half_units: np.ndarray) -> np.ndarray:
     return 2.0 / np.sqrt(quarter_norms.astype(np.float64))
 
 
+def _seed_half_units(params: ParamVector) -> np.ndarray:
+    """build_matrix(params) in half units, behind the one feasibility gate
+    of every path from a seed to a transform (FeasibilityError)."""
+    if not is_feasible(params):
+        raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
+    return _half_units(*params.doubled)
+
+
 def scale_factors(params: ParamVector) -> np.ndarray:
     """Diagonal scaling that orthonormalizes the rows: 1/sqrt(row norm^2).
 
     Positions 0 and 4 are always 1/(2*sqrt(2)) because those rows are fixed
     +-1 patterns of squared norm 8.
     """
-    if not is_feasible(params):
-        raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
-    return _row_scale(build_matrix(params).half_units)
+    return _row_scale(_seed_half_units(params))
 
 
 def _json_array(d: dict, key: str, shape: tuple, kinds: str) -> np.ndarray:
@@ -388,6 +392,5 @@ def _read_json(path):
 
 def orthonormal_approx(params: ParamVector) -> Transform:
     """Orthonormalized transform for a feasible parameter vector."""
-    m = build_matrix(params)
-    s = scale_factors(params)
-    return Transform(n=8, half_units=m.half_units, scale=s)
+    half = _seed_half_units(params)
+    return Transform(n=8, half_units=half, scale=_row_scale(half))

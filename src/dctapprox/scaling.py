@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DyadicMatrix,
-    FeasibilityError,
-    ParamVector,
-    Transform,
-    _row_scale,
-    build_matrix,
-    is_feasible,
-)
+from .core import DyadicMatrix, ParamVector, Transform, _row_scale, _seed_half_units
 from .kernel import ComplexityCount, complexity
 
 __all__ = ["ScaledTransform", "scale_once", "scaled_complexity", "build_scaled"]
@@ -73,9 +65,7 @@ def build_scaled(params: ParamVector, target: int) -> ScaledTransform:
     """
     if target not in (8, 16, 32):
         raise ValueError(f"target size must be 8, 16 or 32, got {target}")
-    if not is_feasible(params):
-        raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
-    m = build_matrix(params)
+    m = DyadicMatrix(_seed_half_units(params))
     cost = complexity(params)
     n = 8
     while n < target:

@@ -14,13 +14,13 @@ values, and the cost is the odd row's plus what a2 adds.  So each slice
 of odd rows is scored against all 7 values of a2 in one broadcast.  One
 non-dominated filter decides all dominance: it cuts each scored chunk,
 stacked under the running front, back to a front, and pareto_front applies
-it before grouping ties; each entry's objectives are rounded once, in one
-call on columns, and its output order is taken from them.
+it before grouping ties; the search groups the fold's survivors directly.
+Each entry's objectives are rounded once, in one call on columns, and its
+output order is taken from them.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,8 +31,8 @@ from .core import (
     _FEASIBILITY_STAGES,
     ALLOWED_DOUBLED,
     ParamVector,
+    _half_units,
     _row_scale,
-    build_matrix,
     feasible_mask,
 )
 from .kernel import _cheapest_rule
@@ -161,33 +161,41 @@ def _canonical_rep(group: list[ParamVector]) -> ParamVector:
     return min(group, key=lambda pv: (-sum(1 for v in pv.doubled if v >= 0), pv.doubled))
 
 
-def pareto_front(
-    evaluated: Sequence[tuple[ParamVector, MetricsReport]],
+def _tie_grouped(
+    members: Sequence[tuple[ParamVector, MetricsReport]], objs: np.ndarray
 ) -> list[ParetoEntry]:
-    """Non-dominated entries of an evaluated collection, by the filter the
-    search fold uses, on the objectives vectors.
+    """Front entries of non-dominated members, given their objectives rows.
 
-    Entries whose objective vectors are identical are grouped; exactly one
+    Members whose objective vectors are identical are grouped; exactly one
     member per group is flagged canonical.  Output order is deterministic:
     additions, then error energy, then shifts, then mse (the floats rounded
     as in objectives), canonical members first within a tie group.
     """
-    if not evaluated:
-        return []
-    objs = _objective_rows([rep for _, rep in evaluated])
-    listed = objs.tolist()
     groups: dict[tuple, list[int]] = {}
-    for i in _front(objs):
-        groups.setdefault(tuple(listed[i]), []).append(int(i))
+    for i, obj in enumerate(objs.tolist()):
+        groups.setdefault(tuple(obj), []).append(i)
     keyed = []
     for (eps, m, _gain, _eff, adds, shifts), idxs in groups.items():
-        rep_pv = _canonical_rep([evaluated[i][0] for i in idxs])
+        rep_pv = _canonical_rep([members[i][0] for i in idxs])
         for i in idxs:
-            pv, report = evaluated[i]
+            pv, report = members[i]
             canonical = pv == rep_pv
             key = (adds, eps, shifts, m, not canonical, pv.doubled)
             keyed.append((key, ParetoEntry(pv, report, canonical)))
     return [entry for _, entry in sorted(keyed, key=lambda pair: pair[0])]
+
+
+def pareto_front(
+    evaluated: Sequence[tuple[ParamVector, MetricsReport]],
+) -> list[ParetoEntry]:
+    """Non-dominated entries of an evaluated collection, by the filter the
+    search fold uses, on the objectives vectors, with ties grouped and
+    ordered as in _tie_grouped."""
+    if not evaluated:
+        return []
+    objs = _objective_rows([rep for _, rep in evaluated])
+    keep = _front(objs)
+    return _tie_grouped([evaluated[i] for i in keep], objs[keep])
 
 
 @dataclass(frozen=True)
@@ -202,26 +210,6 @@ class SearchResult:
     @property
     def canonical(self) -> tuple[ParetoEntry, ...]:
         return tuple(e for e in self.entries if e.canonical)
-
-
-@functools.cache
-def _affine_basis() -> tuple[np.ndarray, np.ndarray]:
-    """H0 and the stacked B_k of build_matrix as an affine map of the doubled
-    values (see _half_units), built once, on first use."""
-    h0 = build_matrix(ParamVector((0,) * 8)).half_units
-    basis = np.stack([
-        build_matrix(ParamVector(tuple(int(i == k) for i in range(8)))).half_units - h0
-        for k in range(8)
-    ])
-    basis.setflags(write=False)
-    return h0, basis
-
-
-def _half_units(rows: np.ndarray) -> np.ndarray:
-    """build_matrix over an (m, 8) array of doubled values; it is affine in
-    them: half units H0 + sum_k u_k B_k."""
-    h0, basis = _affine_basis()
-    return h0 + np.einsum("mk,kij->mij", rows.astype(np.int64), basis)
 
 
 # The orthonormal input butterfly Q in two halves: rows (e_i + e_7-i)/sqrt2
@@ -265,13 +253,13 @@ def _scored(odd: np.ndarray, model: SignalModel):
     is the product of the two blocks'.  Odd blocks with a zero row, or
     singular with every a2, are dropped before they are scaled or inverted."""
     even = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED], dtype=np.int8)
-    even_blocks = _blocks(_half_units(even), 0)
+    even_blocks = _blocks(_half_units(*even.T), 0)
     even_parts = np.column_stack([_block_sums(even_blocks, 0, model), *_cheapest_rule(even)[:2]])
     even_parts[:, 5:] -= _cheapest_rule(np.zeros(8))[:2]  # the cost a2 adds
     even_det = np.linalg.det(even_blocks)
     for start in range(0, len(odd), _SLICE):
         rows = odd[start : start + _SLICE]
-        half = _half_units(rows)
+        half = _half_units(*rows.T)
         nonzero = np.all(np.any(half != 0, axis=2), axis=1)
         rows, blocks = rows[nonzero], _blocks(half[nonzero], 1)
         keep = np.abs(np.outer(np.linalg.det(blocks), even_det)) > 1e-12
@@ -306,8 +294,9 @@ def run_search(
     workers: int = 1,
 ) -> SearchResult:
     """Full pipeline: select the odd rows (see _odd_rows), score them with
-    every a2 (see _scored), fold each chunk into the running front, and let
-    pareto_front group the survivors' ties.  Without the filter every
+    every a2 (see _scored), fold each chunk into the running front, and
+    group the survivors' ties (see _tie_grouped): they are already the
+    front, so no second non-dominated filter runs.  Without the filter every
     nonsingular candidate is scored with row-norm diagonal scaling
     (orthogonality not required), about 1,900 times as many.  ``workers``
     must be at least 1 and has no effect: the search runs in one process.
@@ -319,15 +308,12 @@ def run_search(
     odd = _odd_rows(feasibility_filter)
     values, rows, n_scored = _running_front(_scored(odd, model))
 
-    evaluated = [
-        (
-            ParamVector(tuple(int(v) for v in row)),
-            MetricsReport(*(float(v) for v in vals[:4]), *(int(v) for v in vals[4:])),
-        )
-        for row, vals in zip(rows, values)
+    members = [
+        (ParamVector(tuple(row)), MetricsReport(*vals[:4], *map(int, vals[4:])))
+        for row, vals in zip(rows.tolist(), values.tolist())
     ]
     return SearchResult(
-        entries=tuple(pareto_front(evaluated)),
+        entries=tuple(_tie_grouped(members, np.column_stack(_minimized(*values.T)))),
         n_candidates=N_CANDIDATES,
         n_feasible=len(odd) * len(ALLOWED_DOUBLED) if feasibility_filter else None,
         n_evaluated=n_scored,

@@ -471,6 +471,24 @@ class TestReport:
         with pytest.raises(ValueError):
             report_tables(src, tmp_path / "out")
 
+    @pytest.mark.parametrize("case, code", [("flag_rho", 2), ("csv_rho", 2), ("infeasible_seed", 3)])
+    def test_failure_writes_no_file(self, tmp_path, capsys, case, code):
+        lines = (DATA / "golden_front.csv").read_text().splitlines()
+        argv = []
+        if case == "flag_rho":
+            argv = ["--rho", "5"]
+        elif case == "csv_rho":
+            lines[0] = "# rho=5"
+        else:
+            cells = lines[-1].split(",")
+            lines[-1] = ",".join(cells[:1] + "1,0,1,0,1,1,1,0".split(",") + cells[9:])
+        src = tmp_path / "front.csv"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "tables"
+        assert main(["report", "--in", str(src), "--out-dir", str(out), *argv]) == code
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_cli_exit_code(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path)]) == 4

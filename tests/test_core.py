@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dctapprox import (
@@ -11,8 +11,11 @@ from dctapprox import (
     DyadicMatrix,
     FeasibilityError,
     ParamVector,
+    SignalModel,
     Transform,
+    apply_inverse,
     build_matrix,
+    evaluate,
     exact_dct_matrix,
     gram,
     gram_diagnostics,
@@ -21,6 +24,7 @@ from dctapprox import (
     orthonormal_approx,
     scale_factors,
 )
+from dctapprox.core import ALLOWED_DOUBLED, _half_units
 from dctapprox.scaling import build_scaled
 from helpers import (
     assert_orthonormal_transform,
@@ -105,6 +109,19 @@ class TestBuildMatrix:
         m2 = build_matrix(pv2).half_units
         for row in (0, 2, 4, 6):
             assert np.array_equal(m1[row], m2[row])
+
+
+class TestHalfUnitColumns:
+    @given(st.lists(st.tuples(*[st.sampled_from(ALLOWED_DOUBLED)] * 8), max_size=12))
+    @example([])
+    @example([(2, 0, 2, 0, 2, 2, 2, 0)])
+    def test_rows_match_build_matrix(self, rows):
+        doubled = np.array(rows, dtype=np.int8).reshape(-1, 8)
+        half = _half_units(*doubled.T)
+        assert half.shape == (len(rows), 8, 8)
+        assert half.dtype == np.int64 and half.flags.c_contiguous
+        for row, h in zip(rows, half):
+            assert np.array_equal(h, build_matrix(ParamVector(row)).half_units)
 
 
 class TestGram:
@@ -206,6 +223,25 @@ class TestOrthonormal:
     def test_infeasible_raises(self):
         with pytest.raises(FeasibilityError):
             orthonormal_approx(ParamVector((4,) * 8))
+
+
+class TestSeedGate:
+    _SEED = ParamVector((2, 0, 2, 0, 2, 2, 2, 0))  # cross term (1,3) is 2
+
+    @pytest.mark.parametrize("call", [
+        orthonormal_approx,
+        scale_factors,
+        lambda pv: build_scaled(pv, 8),
+        lambda pv: build_scaled(pv, 16),
+        lambda pv: build_scaled(pv, 32),
+        lambda pv: evaluate(pv, SignalModel(n=16)),
+        lambda pv: apply_inverse(pv, np.ones(8)),
+    ], ids=["orthonormal_approx", "scale_factors", "build_scaled8", "build_scaled16",
+            "build_scaled32", "evaluate", "apply_inverse"])
+    def test_every_seed_path_raises_the_same_error(self, call):
+        with pytest.raises(FeasibilityError) as err:
+            call(self._SEED)
+        assert str(err.value) == "parameters 1,0,1,0,1,1,1,0 do not give an orthogonal matrix"
 
 
 class TestTransformJson:

@@ -24,7 +24,7 @@ from dctapprox import (
     pareto_front,
     run_search,
 )
-from dctapprox.core import _FEASIBILITY_STAGES, ALLOWED_DOUBLED, _feasible
+from dctapprox.core import _FEASIBILITY_STAGES, ALLOWED_DOUBLED, _feasible, build_matrix
 from dctapprox.kernel import _cheapest_rule
 from dctapprox.metrics import (
     mse,
@@ -335,7 +335,7 @@ def _expanded(odd):
 class TestUnfilteredSweep:
     def _reference_objectives(self, doubled_row, model):
         pv = ParamVector(tuple(int(v) for v in doubled_row))
-        t = search_mod.build_matrix(pv).to_float()
+        t = build_matrix(pv).to_float()
         norms = np.sqrt(np.sum(t * t, axis=1))
         if np.any(norms == 0):
             return None
