@@ -214,6 +214,10 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
                 f"transform list entries need a unique nonempty string 'id' (got {ident!r})"
             )
         seen.add(ident)
+        kinds = [key for key in ("dct", "params", "file") if key in item]
+        if len(kinds) != 1 or ("size" in item and kinds != ["params"]):
+            raise ValueError(f"transform {ident!r} needs exactly one of 'dct', 'params' and "
+                             f"'file', and 'size' only beside 'params', got {sorted(item)}")
         if "dct" in item:
             size = _entry_field(item, "dct")
             out.append((ident, exact_dct_matrix(size), size))
@@ -221,11 +225,9 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
             pv = parse_params(_entry_field(item, "params"))
             size = _entry_field(item, "size", 8)
             out.append((ident, build_scaled(pv, size).transform, size))
-        elif "file" in item:
+        else:
             t = Transform.load(Path(path).parent / _entry_field(item, "file"))
             out.append((ident, t, t.n))
-        else:
-            raise ValueError(f"transform entry {ident!r} needs 'dct', 'params' or 'file'")
     return out
 
 
@@ -311,7 +313,8 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"r grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or not 0 < start <= stop <= 1:
+    # NaN fails every comparison here; a NaN step would never end the loop.
+    if not (0 < step < math.inf and 0 < start <= stop <= 1):
         raise ValueError(f"bad r grid {text!r}")
     grid = []
     k = 0
@@ -332,59 +335,45 @@ def _cmd_sweep(args) -> int:
     grid = _parse_r_grid(args.r_grid) if args.r_grid else default_r_grid()
     images = [(p.name, read_pgm(p)) for p in corpus]
 
-    # per_transform[ident] = (psnr matrix, ssim matrix), image-major
-    per_transform: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    sizes_needed = sorted({size for _, _, size in transforms})
-    baselines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    def scores(transform) -> np.ndarray:
+        """(images, levels, 2): PSNR and SSIM of every image at every level."""
+        return np.array([[(p, s) for _, p, s in retention_sweep(img, transform, grid)]
+                         for _, img in images])
 
-    def sweep_matrix(transform) -> tuple[np.ndarray, np.ndarray]:
-        ps = np.empty((len(images), len(grid)))
-        ss = np.empty((len(images), len(grid)))
-        for i, (_name, img) in enumerate(images):
-            res = retention_sweep(img, transform, grid)
-            ps[i] = [p for _, p, _ in res]
-            ss[i] = [s for _, _, s in res]
-        return ps, ss
+    def curve(sc: np.ndarray) -> list[tuple[float, float]]:
+        """(PSNR aggregate, SSIM mean) per level.  Each level's 1-D column is
+        reduced on its own: an axis-0 mean sums in another order, which can
+        change the last bits."""
+        out = []
+        for psnrs, ssims in sc.transpose(1, 2, 0):
+            if args.agg == "db-of-mean-mse":
+                mean = float(np.mean(255.0**2 * 10.0 ** (-psnrs / 10.0)))
+                p = 999.0 if mean == 0 else 10.0 * math.log10(255.0**2 / mean)
+            else:
+                p = float(np.mean(psnrs))
+            out.append((p, float(np.mean(ssims))))
+        return out
 
-    for size in sizes_needed:
-        baselines[size] = sweep_matrix(exact_dct_matrix(size))
-    for ident, transform, size in transforms:
-        is_dct = isinstance(transform, np.ndarray)
-        per_transform[ident] = baselines[size] if is_dct else sweep_matrix(transform)
-
-    def aggregate_psnr(ps: np.ndarray, k: int) -> float:
-        if args.agg == "db-of-mean-mse":
-            mse_vals = 255.0**2 * 10.0 ** (-ps[:, k] / 10.0)
-            mean = float(np.mean(mse_vals))
-            return 999.0 if mean == 0 else 10.0 * math.log10(255.0**2 / mean)
-        return float(np.mean(ps[:, k]))
+    # An exact DCT entry reuses its size's baseline instead of a second sweep.
+    baselines = {size: scores(exact_dct_matrix(size))
+                 for size in sorted({size for _, _, size in transforms})}
+    base_curves = {size: curve(b) for size, b in baselines.items()}
+    swept = [(ident, baselines[size] if isinstance(t, np.ndarray) else scores(t), size)
+             for ident, t, size in transforms]
 
     lines = [f"# psnr aggregate: {args.agg}", CURVES_HEADER]
-    for ident, transform, size in transforms:
-        ps, ss = per_transform[ident]
-        base_ps, base_ss = baselines[size]
-        for k, r in enumerate(grid):
-            p = aggregate_psnr(ps, k)
-            s = float(np.mean(ss[:, k]))
-            bp = aggregate_psnr(base_ps, k)
-            bs = float(np.mean(base_ss[:, k]))
-            lines.append(
-                ",".join(
-                    [ident, _fmt(r), _fmt(p), _fmt(s),
-                     _fmt(ape(p, bp)), _fmt(ape(s, bs))]
-                )
-            )
+    for ident, sc, size in swept:
+        for r, (p, s), (bp, bs) in zip(grid, curve(sc), base_curves[size]):
+            lines.append(",".join([ident, _fmt(r), _fmt(p), _fmt(s),
+                                   _fmt(ape(p, bp)), _fmt(ape(s, bs))]))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
 
     if args.per_image:
         rows = [PER_IMAGE_HEADER]
-        for ident, _t, _size in transforms:
-            ps, ss = per_transform[ident]
-            for i, (name, _img) in enumerate(images):
-                for k, r in enumerate(grid):
-                    rows.append(
-                        f"{ident},{_fmt(r)},{name},{_fmt(ps[i, k])},{_fmt(ss[i, k])}"
-                    )
+        for ident, sc, _size in swept:
+            for (name, _img), image_scores in zip(images, sc):
+                for r, (p, s) in zip(grid, image_scores):
+                    rows.append(f"{ident},{_fmt(r)},{name},{_fmt(p)},{_fmt(s)}")
         Path(args.per_image).write_text("\n".join(rows) + "\n", encoding="ascii")
     print(f"wrote {args.out}: {len(transforms)} transforms x {len(grid)} retention levels")
     return 0

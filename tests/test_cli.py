@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,14 @@ from dctapprox import (
     CATALOG,
     Transform,
     ar1_test_image,
+    build_scaled,
     exact_dct_matrix,
     orthonormal_approx,
+    read_pgm,
     write_pgm,
 )
-from dctapprox.cli import _load_transform_list, main, parse_params, report_tables
+from dctapprox.cli import _fmt, _load_transform_list, main, parse_params, report_tables
+from dctapprox.codec import ape, retention_sweep
 from helpers import assert_orthonormal_transform, json_values
 
 DATA = Path(__file__).parent / "data"
@@ -251,6 +255,9 @@ class TestTransformFile:
         ({"id": "a", "file": 5}, "'file'"),
         ({"id": "a", "params": "0,0,0,1,1,0,0,1", "size": None}, "'size'"),
         ({"id": ["x"], "dct": 8}, "'id'"),
+        ({"id": "a"}, "'dct', 'params' and 'file'"),
+        ({"id": "a", "dct": 8, "size": 16}, "'size'"),
+        ({"id": "b", "params": "0,0,0,1,1,0,0,1", "file": "t16.json"}, "'file'"),
     ])
     def test_sweep_list_field_ill_typed(self, tmp_path, image, capsys, entry, field):
         tlist = tmp_path / "t.json"
@@ -362,22 +369,80 @@ class TestCompressAndSweep:
             {"id": "c8_15", "params": "1,0.5,0.5,0.5,1,1,0.5,0.5"},
             {"id": "c16_9", "file": t16.name},
         ]))
-        out = tmp_path / "curves.csv"
-        per_image = tmp_path / "per_image.csv"
-        code = main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
-                     "--out", str(out), "--r-grid", "0.3:0.7:0.2",
-                     "--per-image", str(per_image)])
-        assert code == 0
-        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "transform_id,r,psnr,ssim,ape_psnr,ape_ssim"
-        rows = [l.split(",") for l in lines[1:]]
-        assert len(rows) == 3 * 3
-        for cells in rows:
-            if cells[0] == "dct8":
-                assert float(cells[4]) == 0.0 and float(cells[5]) == 0.0
-        per_image_rows = per_image.read_text().splitlines()
-        assert per_image_rows[0] == "transform_id,r,image,psnr,ssim"
-        assert len(per_image_rows) == 1 + 3 * 3 * 2
+        transforms = [("dct8", exact_dct_matrix(8), 8),
+                      ("c8_15", build_scaled(CATALOG[15], 8).transform, 8),
+                      ("c16_9", Transform.load(t16), 16)]
+        baselines = {8: exact_dct_matrix(8), 16: exact_dct_matrix(16)}
+        images = [(p.name, read_pgm(p)) for p in sorted(corpus.glob("*.pgm"))]
+        grid = (0.3, 0.5, 0.7)
+        # scores[transform][k] = (psnr column, ssim column) at level k
+        scores = {}
+        for key, t in [*baselines.items(), *((ident, t) for ident, t, _ in transforms)]:
+            sweeps = [retention_sweep(img, t, grid) for _, img in images]
+            scores[key] = [(np.array([sw[k][1] for sw in sweeps]),
+                            np.array([sw[k][2] for sw in sweeps])) for k in range(len(grid))]
+
+        def aggregate(psnrs, agg):
+            if agg == "mean-db":
+                return float(np.mean(psnrs))
+            mean = float(np.mean(255.0**2 * 10.0 ** (-psnrs / 10.0)))
+            return 10.0 * math.log10(255.0**2 / mean)
+
+        per_image_expected = ["transform_id,r,image,psnr,ssim"] + [
+            f"{ident},{_fmt(r)},{name},{_fmt(scores[ident][k][0][i])},"
+            f"{_fmt(scores[ident][k][1][i])}"
+            for ident, _, _ in transforms
+            for i, (name, _) in enumerate(images)
+            for k, r in enumerate(grid)
+        ]
+        for agg in ("mean-db", "db-of-mean-mse"):
+            out = tmp_path / f"curves_{agg}.csv"
+            per_image = tmp_path / f"per_image_{agg}.csv"
+            code = main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                         "--out", str(out), "--r-grid", "0.3:0.7:0.2", "--agg", agg,
+                         "--per-image", str(per_image)])
+            assert code == 0
+            expected = [f"# psnr aggregate: {agg}", "transform_id,r,psnr,ssim,ape_psnr,ape_ssim"]
+            for ident, _, size in transforms:
+                for k, r in enumerate(grid):
+                    (ps, ss), (bps, bss) = scores[ident][k], scores[size][k]
+                    p, s = aggregate(ps, agg), float(np.mean(ss))
+                    bp, bs = aggregate(bps, agg), float(np.mean(bss))
+                    expected.append(",".join([ident, _fmt(r), _fmt(p), _fmt(s),
+                                              _fmt(ape(p, bp)), _fmt(ape(s, bs))]))
+            assert out.read_text().splitlines() == expected
+            assert len(expected) == 2 + 3 * 3
+            assert all(row.endswith(",0,0") for row in expected[2:5])
+            assert per_image.read_text().splitlines() == per_image_expected
+
+    def test_each_transform_swept_once(self, tmp_path, corpus, capsys, monkeypatch):
+        # Entries that share an exact DCT reuse its size's baseline sweep.
+        write_pgm(corpus / "c.pgm", ar1_test_image(24, 40, seed=24))
+        calls = []
+
+        def counting_sweep(image, transform, grid):
+            calls.append(transform)
+            return retention_sweep(image, transform, grid)
+
+        monkeypatch.setattr("dctapprox.cli.retention_sweep", counting_sweep)
+        tlist = tmp_path / "t.json"
+        tlist.write_text(json.dumps([
+            {"id": "dct8", "dct": 8},
+            {"id": "dct8_again", "dct": 8},
+            {"id": "c8_1", "params": "0,0,0,1,1,0,0,1"},
+        ]))
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "o.csv"), "--r-grid", "0.5:0.9:0.2"]) == 0
+        assert len(calls) == 6
+        assert sum(isinstance(t, np.ndarray) for t in calls) == 3
+
+    @pytest.mark.parametrize("grid", ["0.1:1:nan", "0.1:1:inf", "nan:1:0.1", "0.1:nan:0.1"])
+    def test_non_finite_r_grid(self, tmp_path, corpus, capsys, grid):
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "o.csv"), "--r-grid", grid]) == 2
+        assert "bad r grid" in capsys.readouterr().err
 
     def test_image_smaller_than_ssim_window(self, tmp_path, capsys):
         small = tmp_path / "small"
@@ -400,6 +465,58 @@ class TestCompressAndSweep:
         tlist.write_text('[{"id": "dct8", "dct": 8}]')
         assert main(["sweep", "--corpus", str(tmp_path / "empty"),
                      "--transforms", str(tlist), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+# The golden sweep: ten small AR(1) images whose sides are not multiples of
+# 8, so every block size pads, and ten values per level, so numpy's 8-way
+# unrolled summation runs in each level's mean.  The list mixes exact DCTs
+# at two sizes (one of them twice), parameters at 8, 16 and 32 points and a
+# 16-point transform file.  The golden files are this function's output;
+# rewrite them only for a deliberate change of the sweep's output.
+_GOLDEN_SHAPES = [(19, 27), (23, 17), (30, 21), (17, 17), (26, 35),
+                  (21, 29), (33, 18), (18, 25), (27, 22), (35, 31)]
+_GOLDEN_LIST = [
+    {"id": "dct8", "dct": 8},
+    {"id": "c8_9", "params": "0,0.5,0,1,1,1,1,2"},
+    {"id": "dct16", "dct": 16},
+    {"id": "c16_15", "params": "1,0.5,0.5,0.5,1,1,0.5,0.5", "size": 16},
+    {"id": "c32_1", "params": "0,0,0,1,1,0,0,1", "size": 32},
+    {"id": "t16", "file": "t16.json"},
+    {"id": "dct8_again", "dct": 8},
+]
+# --agg value -> (--r-grid, whether to write per-image rows): the default
+# grid with curves only, and a short grid with per-image rows too.
+_GOLDEN_RUNS = {"mean-db": (None, False), "db-of-mean-mse": ("0.3:0.9:0.15", True)}
+
+
+def golden_sweep(work: Path, agg: str) -> list[Path]:
+    """Run one golden sweep in ``work``; the CSV files it wrote."""
+    corpus = work / "corpus"
+    corpus.mkdir()
+    for k, (h, w) in enumerate(_GOLDEN_SHAPES):
+        write_pgm(corpus / f"img{k:02d}.pgm", ar1_test_image(h, w, seed=40 + k))
+    build_scaled(CATALOG[1], 16).transform.save(work / "t16.json")
+    tlist = work / "list.json"
+    tlist.write_text(json.dumps(_GOLDEN_LIST))
+    out = work / "out"
+    out.mkdir()
+    grid, per_image = _GOLDEN_RUNS[agg]
+    argv = ["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+            "--out", str(out / f"curves_{agg}.csv"), "--agg", agg]
+    if grid:
+        argv += ["--r-grid", grid]
+    if per_image:
+        argv += ["--per-image", str(out / f"per_image_{agg}.csv")]
+    assert main(argv) == 0
+    return sorted(out.iterdir())
+
+
+@pytest.mark.parametrize("agg", list(_GOLDEN_RUNS))
+def test_sweep_golden_bytes(tmp_path, capsys, agg):
+    written = golden_sweep(tmp_path, agg)
+    assert len(written) == 1 + _GOLDEN_RUNS[agg][1]
+    for path in written:
+        assert path.read_bytes() == (DATA / "golden_sweep" / path.name).read_bytes(), path.name
 
 
 class TestSearchCli:
