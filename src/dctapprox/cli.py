@@ -41,6 +41,7 @@ COMPLEXITY_HEADER = "a1,a2,a3,a4,a5,a6,a7,a8,adds,shifts,rule"
 FRONT_HEADER = "rank," + EVAL_HEADER
 CURVES_HEADER = "transform_id,r,psnr,ssim,ape_psnr,ape_ssim"
 PER_IMAGE_HEADER = "transform_id,r,image,psnr,ssim"
+_MAX_R_LEVELS = 10_000  # largest (stop - start) / step that --r-grid accepts
 
 
 def parse_params(text: str) -> ParamVector:
@@ -314,7 +315,10 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"r grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     # NaN fails every comparison here; a NaN step would never end the loop.
-    if not (0 < step < math.inf and 0 < start <= stop <= 1):
+    # A tiny step would build a huge grid, or repeat levels once it falls
+    # below the rounding of each level.
+    if not (0 < step < math.inf and 0 < start <= stop <= 1
+            and (stop - start) / step <= _MAX_R_LEVELS):
         raise ValueError(f"bad r grid {text!r}")
     grid = []
     k = 0
@@ -322,6 +326,8 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
         r = round(start + k * step, 10)
         if r > stop + 1e-9:
             break
+        if grid and r == grid[-1]:
+            raise ValueError(f"bad r grid {text!r}: level {r} repeats")
         grid.append(r)
         k += 1
     return tuple(grid)

@@ -1,10 +1,13 @@
 """Sparse-factorization evaluation of the 8-point transform and exact
 arithmetic-complexity accounting.
 
-The transform factors into two +-1 butterfly stages, a block-diagonal core
-that carries all eight parameters, and an output permutation.  Multiplying by
-a parameter therefore only ever means skip, negate, halve or double, which is
-what the addition/shift counting below models.
+The transform factors into four half-unit matrices: two +-1 butterfly
+stages, a block-diagonal core that carries all eight parameters, and an
+output permutation.  The fast walks, the inverse and the operation count all
+read these matrices.  Zero entries are skipped, so multiplying by an entry
+only ever means negate, halve or double, and each row costs one addition
+fewer than its nonzero entries, which is what the addition/shift counting
+below models.
 """
 
 from __future__ import annotations
@@ -28,55 +31,41 @@ __all__ = [
     "count_operations",
 ]
 
-_U = None  # the fixed unit coefficient of a term
 
-# Each factor is a table of output rows; a row is a tuple of
-# (sign, coefficient, input wire) terms, where the coefficient indexes
-# params.doubled or is _U.  Everything else (the factor matrices, the forward
-# and transposed walks, the operation count) is derived from these tables.
-_STAGE1 = (
-    ((1, _U, 0), (1, _U, 7)), ((1, _U, 1), (1, _U, 6)),
-    ((1, _U, 2), (1, _U, 5)), ((1, _U, 3), (1, _U, 4)),
-    ((1, _U, 3), (-1, _U, 4)), ((1, _U, 2), (-1, _U, 5)),
-    ((1, _U, 1), (-1, _U, 6)), ((1, _U, 0), (-1, _U, 7)),
-)
-_STAGE2 = (
-    ((1, _U, 0), (1, _U, 3)), ((1, _U, 1), (1, _U, 2)),
-    ((1, _U, 1), (-1, _U, 2)), ((1, _U, 0), (-1, _U, 3)),
-    ((1, _U, 4),), ((1, _U, 5),), ((1, _U, 6),), ((1, _U, 7),),
-)
-_CORE = (
-    ((1, _U, 0), (1, _U, 1)),
-    ((1, _U, 0), (-1, _U, 1)),
-    ((1, 1, 2), (1, _U, 3)),
-    ((-1, _U, 2), (1, 1, 3)),
-    ((1, 0, 4), (1, 0, 5), (1, _U, 6), (1, _U, 7)),
-    ((1, 5, 4), (-1, 0, 5), (-1, 4, 6), (1, 4, 7)),
-    ((-1, 0, 4), (-1, 3, 5), (1, 2, 6), (1, 0, 7)),
-    ((-1, 7, 4), (1, 0, 5), (-1, 5, 6), (1, 6, 7)),
-)
-# Output permutation: X[i] = w[src].
-_PERM = tuple(((1, _U, src),) for src in (0, 4, 2, 6, 1, 5, 3, 7))
-
-_FORWARD = (_STAGE1, _STAGE2, _CORE, _PERM)
+def _butterfly(n: int) -> np.ndarray:
+    """2·[[I, J], [J, -I]] of size n, with I and J the identity and exchange
+    matrices of size n/2: the sums and differences of mirrored wires."""
+    i = np.eye(n // 2, dtype=np.int64)
+    return 2 * np.block([[i, i[::-1]], [i[::-1], -i]])
 
 
-def _transpose(rows):
-    """The table of the transposed factor: column j's terms, in row order."""
-    return tuple(
-        tuple(
-            (sign, coef, i)
-            for i, terms in enumerate(rows)
-            for sign, coef, wire in terms
-            if wire == j
-        )
-        for j in range(len(rows))
-    )
+# The constant factors in half units (2 stands for 1): the input butterfly,
+# the second butterfly on the even half, and the output permutation
+# X = (w0, w4, w2, w6, w1, w5, w3, w7).
+_STAGE1 = _butterfly(8)
+_STAGE2 = 2 * np.eye(8, dtype=np.int64)
+_STAGE2[:4, :4] = _butterfly(4)
+_PERM = 2 * np.eye(8, dtype=np.int64)[[0, 4, 2, 6, 1, 5, 3, 7]]
 
 
-# T^t = stage1^t stage2^t core^t perm^t, so the inverse walks the transposed
-# tables in reverse order (the two +-1 stages are their own transposes).
-_TRANSPOSED = tuple(_transpose(rows) for rows in reversed(_FORWARD))
+def _core(u1, u2, u3, u4, u5, u6, u7, u8) -> np.ndarray:
+    """The block-diagonal core in half units, from the doubled parameters."""
+    return np.array([
+        [2, 2, 0, 0, 0, 0, 0, 0],
+        [2, -2, 0, 0, 0, 0, 0, 0],
+        [0, 0, u2, 2, 0, 0, 0, 0],
+        [0, 0, -2, u2, 0, 0, 0, 0],
+        [0, 0, 0, 0, u1, u1, 2, 2],
+        [0, 0, 0, 0, u6, -u1, -u5, u5],
+        [0, 0, 0, 0, -u1, -u4, u3, u1],
+        [0, 0, 0, 0, -u8, u1, -u6, u7],
+    ], dtype=np.int64)
+
+
+def _factors(params: ParamVector) -> tuple[np.ndarray, ...]:
+    """The half-unit factors in the order they apply: stage 1, stage 2,
+    core, permutation."""
+    return _STAGE1, _STAGE2, _core(*params.doubled), _PERM
 
 
 @dataclass(frozen=True)
@@ -90,20 +79,8 @@ class FactorSet:
     perm: DyadicMatrix
 
 
-def _coef(coef, doubled) -> int:
-    return 2 if coef is None else doubled[coef]
-
-
-def _factor(rows, doubled) -> DyadicMatrix:
-    h = np.zeros((len(rows), len(rows)), dtype=np.int64)
-    for i, terms in enumerate(rows):
-        for sign, coef, wire in terms:
-            h[i, wire] = sign * _coef(coef, doubled)
-    return DyadicMatrix(h)
-
-
 def factor_matrices(params: ParamVector) -> FactorSet:
-    return FactorSet(*(_factor(rows, params.doubled) for rows in _FORWARD))
+    return FactorSet(*map(DyadicMatrix, _factors(params)))
 
 
 def factored_product(factors: FactorSet) -> DyadicMatrix:
@@ -123,36 +100,30 @@ def factored_product(factors: FactorSet) -> DyadicMatrix:
     return DyadicMatrix(prod // 8)
 
 
-def _mul(doubled_coef: int, v, div):
-    """Multiply by a parameter given as value*2: skip, negate, halve or double.
-    Halving is div(v, 2): truediv on floats, floordiv on even integers."""
-    if doubled_coef == 0:
-        return 0 * v
-    if doubled_coef == 2:
-        return v
-    if doubled_coef == -2:
-        return -v
-    if doubled_coef == 1:
-        return div(v, 2)
-    if doubled_coef == -1:
-        return -div(v, 2)
-    if doubled_coef == 4:
-        return v + v
-    return -(v + v)  # -4
+def _mul(entry: int, v, div):
+    """Multiply v by a nonzero half-unit entry (+-1, +-2 or +-4): halve or
+    double, then negate.  Halving is div(v, 2): truediv on floats, floordiv
+    on even integers."""
+    if abs(entry) != 2:
+        v = div(v, 2) if abs(entry) == 1 else v + v
+    return -v if entry < 0 else v
 
 
-def _walk(stages, doubled, x, div) -> list:
-    """Push the wires x through the stage tables, summing terms left to right."""
-    for rows in stages:
+def _walk(factors, x, div) -> list:
+    """Push the wires x through the half-unit factor matrices in order.
+
+    Each output sums its row's nonzero entries times their wires, left to
+    right from the first such term; a row without one gives 0.
+    """
+    for h in factors:
         out = []
-        for terms in rows:
+        for row in h.tolist():
             acc = None
-            for sign, coef, wire in terms:
-                v = _mul(_coef(coef, doubled), x[wire], div)
-                if sign < 0:
-                    v = -v
-                acc = v if acc is None else acc + v
-            out.append(acc)
+            for entry, v in zip(row, x):
+                if entry:
+                    v = _mul(entry, v, div)
+                    acc = v if acc is None else acc + v
+            out.append(0 if acc is None else acc)
         x = out
     return x
 
@@ -163,30 +134,39 @@ def _check_vector(x: np.ndarray) -> None:
 
 
 def apply_fast(params: ParamVector, x) -> np.ndarray:
-    """Evaluate T(params) @ x stage by stage (no matrix multiply)."""
+    """Evaluate T(params) @ x factor by factor (no matrix multiply).
+
+    Zero entries are skipped rather than added as 0 * x, so the walk
+    performs exactly the additions count_operations counts.  On finite
+    input this changes at most the sign of a zero output; on non-finite
+    input a skipped 0 * inf no longer turns its row into NaN.
+    """
     x = np.asarray(x, dtype=np.float64)
     _check_vector(x)
-    return np.array(_walk(_FORWARD, params.doubled, list(x), truediv), dtype=np.float64)
+    return np.array(_walk(_factors(params), x.tolist(), truediv), dtype=np.float64)
 
 
 def apply_fast_doubled(params: ParamVector, x) -> np.ndarray:
     """Exact integer twin of apply_fast: returns 2 * T(params) @ x for
     integer x.  All intermediate values stay even where halving occurs, so
-    the result is exact."""
+    the result is exact.  Input of any non-integer dtype is a ValueError."""
     x = np.asarray(x)
     _check_vector(x)
-    y = _walk(_FORWARD, params.doubled, [2 * int(v) for v in x], floordiv)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"input must have an integer dtype, got {x.dtype}")
+    y = _walk(_factors(params), [2 * v for v in x.tolist()], floordiv)
     return np.array(y, dtype=np.int64)
 
 
 def apply_inverse(params: ParamVector, coeffs) -> np.ndarray:
     """Inverse transform of an orthonormalized forward pass: T^t @ S @ X,
-    realized as diagonal scaling followed by the transposed stage sequence."""
+    realized as diagonal scaling followed by the transposed factors in
+    reverse order.  Zero entries are skipped as in apply_fast."""
     scale = scale_factors(params)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_vector(coeffs)
-    y = list(coeffs * scale)
-    return np.array(_walk(_TRANSPOSED, params.doubled, y, truediv), dtype=np.float64)
+    transposed = [h.T for h in reversed(_factors(params))]
+    return np.array(_walk(transposed, (coeffs * scale).tolist(), truediv), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -270,17 +250,13 @@ def complexity(params: ParamVector) -> ComplexityCount:
 
 
 def count_operations(params: ParamVector) -> tuple[int, int]:
-    """Instrumented walk of the stage graph: count the additions of
-    structurally nonzero terms and the shifts actually applied.
+    """Instrumented count over the factor matrices: each row costs one
+    addition fewer than its nonzero entries, and each entry of half-unit
+    magnitude 1 or 4 one shift.
 
     A zero parameter removes both its multiplication and the downstream
     addition; negation is free.
     """
-    adds = shifts = 0
-    for rows in _FORWARD:
-        for terms in rows:
-            mags = [abs(_coef(coef, params.doubled)) for _, coef, _ in terms]
-            live = [m for m in mags if m != 0]
-            adds += max(0, len(live) - 1)
-            shifts += sum(_needs_shift(m) for m in live)
-    return adds, shifts
+    h = np.stack(_factors(params))
+    adds = np.maximum(np.count_nonzero(h, axis=-1) - 1, 0).sum()
+    return int(adds), int(np.count_nonzero(_needs_shift(np.abs(h))))

@@ -17,7 +17,14 @@ from dctapprox import (
     read_pgm,
     write_pgm,
 )
-from dctapprox.cli import _fmt, _load_transform_list, main, parse_params, report_tables
+from dctapprox.cli import (
+    _fmt,
+    _load_transform_list,
+    _parse_r_grid,
+    main,
+    parse_params,
+    report_tables,
+)
 from dctapprox.codec import ape, retention_sweep
 from helpers import assert_orthonormal_transform, json_values
 
@@ -443,6 +450,24 @@ class TestCompressAndSweep:
         assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
                      "--out", str(tmp_path / "o.csv"), "--r-grid", grid]) == 2
         assert "bad r grid" in capsys.readouterr().err
+
+    # A step too small for 10,000 levels, and a step below the 1e-10
+    # rounding of each level, which would repeat levels.
+    @pytest.mark.parametrize("grid", ["0.1:1:1e-12", "0.5:0.5000000001:0.00000000004"])
+    def test_r_grid_step_too_small(self, tmp_path, corpus, capsys, grid):
+        with pytest.raises(ValueError, match="bad r grid"):
+            _parse_r_grid(grid)
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "o.csv"), "--r-grid", grid]) == 2
+        assert "bad r grid" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_fine_r_grid_within_level_bound(self):
+        grid = _parse_r_grid("0.25:0.99:0.0001")
+        assert len(grid) == 7401 and len(set(grid)) == 7401
+        assert grid[0] == 0.25 and grid[-1] == 0.99
 
     def test_image_smaller_than_ssim_window(self, tmp_path, capsys):
         small = tmp_path / "small"

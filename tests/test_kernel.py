@@ -85,6 +85,37 @@ class TestApplyFast:
                 apply_fast_doubled(pv, x), build_matrix(pv).half_units @ x
             )
 
+    def test_float_walk_is_exact(self):
+        # Integer-valued inputs keep every partial sum exact in both the walk
+        # and the dense product, so the two agree bit for bit.
+        gen = rng(7)
+        for _ in range(1000):
+            pv = ParamVector(tuple(int(v) for v in gen.choice([-4, -2, -1, 0, 1, 2, 4], 8)))
+            x = gen.integers(-100, 100, size=8).astype(np.float64)
+            assert np.array_equal(apply_fast(pv, x), build_matrix(pv).to_float() @ x)
+
+    def test_zero_entry_is_skipped_not_multiplied(self):
+        # Column 3 of this transform has zero entries, so the dense product
+        # turns an infinite x[3] into NaN there; the walk never forms 0 * inf.
+        pv = CATALOG[1]
+        x = np.zeros(8)
+        x[3] = np.inf
+        with np.errstate(invalid="ignore"):
+            dense = build_matrix(pv).to_float() @ x
+        assert np.isnan(dense).sum() == 4
+        expected = [np.inf, 0, -np.inf, 0, np.inf, 0, 0, -np.inf]
+        assert np.array_equal(apply_fast(pv, x), expected)
+
+    @pytest.mark.parametrize("x", [np.full(8, 0.5), ["1"] * 8, [2**70] * 8, [True] * 8])
+    def test_doubled_rejects_non_integer_input(self, x):
+        with pytest.raises(ValueError):
+            apply_fast_doubled(CATALOG[9], x)
+
+    def test_doubled_accepts_integer_dtypes(self):
+        expected = build_matrix(CATALOG[9]).half_units @ np.arange(8)
+        for x in (list(range(8)), np.arange(8, dtype=np.uint8), np.arange(8, dtype=np.int32)):
+            assert np.array_equal(apply_fast_doubled(CATALOG[9], x), expected)
+
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             apply_fast(CATALOG[1], np.zeros(7))
@@ -97,6 +128,14 @@ class TestApplyInverse:
         x = rng(3).standard_normal(8)
         forward = orthonormal_approx(pv).matrix @ x
         assert np.max(np.abs(apply_inverse(pv, forward) - x)) < 1e-10
+
+    def test_matches_transposed_matrix_on_every_feasible_vector(self):
+        gen = rng(11)
+        for doubled in FEASIBLE_DOUBLED:
+            pv = ParamVector(doubled)
+            coeffs = gen.standard_normal(8)
+            expected = orthonormal_approx(pv).matrix.T @ coeffs
+            assert np.max(np.abs(apply_inverse(pv, coeffs) - expected)) < 1e-12
 
     def test_zero_maps_to_zero(self):
         assert np.array_equal(apply_inverse(CATALOG[5], np.zeros(8)), np.zeros(8))
@@ -172,6 +211,18 @@ class TestInstrumentedCounter:
         adds = 28 - sum(w for w, d in zip(weights, pv.doubled) if d == 0)
         shifts = sum(w for w, d in zip(weights, pv.doubled) if abs(d) in (1, 4))
         assert count_operations(pv) == (adds, shifts)
+
+    @pytest.mark.parametrize("doubled, expected", [
+        ((0,) * 8, (15, 0)),
+        ((2, 0, 0, 0, 0, 0, 0, 0), (18, 0)),
+        ((0, 0, 0, 0, 1, 0, 0, 0), (16, 2)),
+        ((4,) * 8, (28, 16)),
+        ((1, -1, 0, 0, 0, 0, 0, 1), (21, 9)),
+    ])
+    def test_vanishing_core_rows(self, doubled, expected):
+        # Infeasible vectors, most with core rows that lose some or all of
+        # their parameter entries; a row with no nonzero entry costs nothing.
+        assert count_operations(ParamVector(doubled)) == expected
 
     @given(param_vectors)
     def test_never_below_general_formula(self, pv):
