@@ -316,7 +316,8 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
     start, stop, step = (float(p) for p in parts)
     # NaN fails every comparison here; a NaN step would never end the loop.
     # A tiny step would build a huge grid, or repeat levels once it falls
-    # below the rounding of each level.
+    # below the rounding of each level.  The stop tolerance is at most half
+    # a step, so a step below 1e-9 adds no level past stop.
     if not (0 < step < math.inf and 0 < start <= stop <= 1
             and (stop - start) / step <= _MAX_R_LEVELS):
         raise ValueError(f"bad r grid {text!r}")
@@ -324,7 +325,7 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
     k = 0
     while True:
         r = round(start + k * step, 10)
-        if r > stop + 1e-9:
+        if r > stop + min(1e-9, step / 2):
             break
         if grid and r == grid[-1]:
             raise ValueError(f"bad r grid {text!r}: level {r} repeats")

@@ -87,12 +87,12 @@ class ParamVector:
 
 @dataclass(frozen=True, eq=False)
 class DyadicMatrix:
-    """Integer matrix interpreted as value*2 (fixed denominator 2)."""
+    """Integer matrix read as value*2 (fixed denominator 2), held as a read-only copy."""
 
     half_units: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.half_units, dtype=np.int64)
+        h = np.array(self.half_units, dtype=np.int64)
         h.setflags(write=False)
         object.__setattr__(self, "half_units", h)
 
@@ -303,6 +303,7 @@ class Transform:
 
     The composed real matrix is ``diag(scale) @ (half_units / 2)`` and has
     orthonormal rows whenever the integer part came from a feasible build.
+    Both arrays are read-only copies of the ones passed in.
     """
 
     n: int
@@ -310,8 +311,8 @@ class Transform:
     scale: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.half_units, dtype=np.int64)
-        s = np.asarray(self.scale, dtype=np.float64)
+        h = np.array(self.half_units, dtype=np.int64)
+        s = np.array(self.scale, dtype=np.float64)
         if h.shape != (self.n, self.n):
             raise ValueError(f"integer part shape {h.shape} != ({self.n}, {self.n})")
         if s.shape != (self.n,):

@@ -46,6 +46,7 @@ _STAGE1 = _butterfly(8)
 _STAGE2 = 2 * np.eye(8, dtype=np.int64)
 _STAGE2[:4, :4] = _butterfly(4)
 _PERM = 2 * np.eye(8, dtype=np.int64)[[0, 4, 2, 6, 1, 5, 3, 7]]
+_STAGE1.flags.writeable = _STAGE2.flags.writeable = _PERM.flags.writeable = False
 
 
 def _core(u1, u2, u3, u4, u5, u6, u7, u8) -> np.ndarray:

@@ -13,15 +13,15 @@ part plus an even part: the metrics are sums of the two blocks' kernel
 values, and the cost is the odd row's plus what a2 adds.  So each slice
 of odd rows is scored against all 7 values of a2 in one broadcast.  One
 non-dominated filter decides all dominance: it cuts each scored chunk,
-stacked under the running front, back to a front, and pareto_front applies
-it before grouping ties; the search groups the fold's survivors directly.
-Each entry's objectives are rounded once, in one call on columns, and its
-output order is taken from them.
+stacked under the running front, back to a front.  Scoring, the fold and
+the tie grouping pass two arrays, the (m, 6) metric rows and the (m, 8)
+int8 candidates, and pareto_front is the fold and grouping over one chunk.
+Each entry's output order is taken from its rounded row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,35 +92,19 @@ def _odd_rows(feasibility_filter: bool) -> np.ndarray:
     return rows.astype(np.int8)
 
 
-def _minimized(epsilon, mse, gain, efficiency, additions, shifts) -> tuple:
-    """Minimization vector, element-wise over scalars or columns: gain and
-    efficiency negated, floats rounded to 1e-9 so dominance is not decided
-    by summation noise."""
-    return (
-        np.round(epsilon, 9),
-        np.round(mse, 9),
-        np.round(-gain, 9),
-        np.round(-efficiency, 9),
-        additions,
-        shifts,
-    )
-
-
-def _objective_rows(reports: Sequence[MetricsReport]) -> np.ndarray:
-    """Minimization vectors of reports, one row each: one _minimized call
-    on their columns."""
-    columns = np.array([
-        (r.epsilon, r.mse, r.coding_gain_db, r.efficiency_pct, r.additions, r.shifts)
-        for r in reports
-    ], dtype=np.float64).reshape(-1, 6)
-    return np.column_stack(_minimized(*columns.T))
+def _minimized(values: np.ndarray) -> np.ndarray:
+    """Minimization rows of (m, 6) metric rows (epsilon, mse, gain,
+    efficiency, additions, shifts): gain and efficiency negated, every column
+    rounded to 1e-9 so dominance is not decided by summation noise (the
+    integer costs round to themselves)."""
+    return np.round(values * [1, 1, -1, -1, 1, 1], 9)
 
 
 def objectives(report: MetricsReport) -> tuple:
-    """Minimization vector of one report: the one-row case of
-    _objective_rows, with its costs kept as the report's integers."""
-    *floats, _adds, _shifts = _objective_rows([report])[0].tolist()
-    return (*floats, report.additions, report.shifts)
+    """Minimization vector of one report: the one-row case of _minimized,
+    with its costs kept as the report's integers."""
+    floats = _minimized(np.array(astuple(report), dtype=np.float64))[:4]
+    return (*floats.tolist(), report.additions, report.shifts)
 
 
 def dominates(x: Sequence, y: Sequence) -> bool:
@@ -161,18 +145,22 @@ def _canonical_rep(group: list[ParamVector]) -> ParamVector:
     return min(group, key=lambda pv: (-sum(1 for v in pv.doubled if v >= 0), pv.doubled))
 
 
-def _tie_grouped(
-    members: Sequence[tuple[ParamVector, MetricsReport]], objs: np.ndarray
-) -> list[ParetoEntry]:
-    """Front entries of non-dominated members, given their objectives rows.
+def _tie_grouped(values: np.ndarray, rows: np.ndarray) -> list[ParetoEntry]:
+    """Front entries of non-dominated (m, 6) metric rows and their (m, 8)
+    candidates, each with its ParamVector (alphabet checked) and its
+    MetricsReport built here.
 
-    Members whose objective vectors are identical are grouped; exactly one
-    member per group is flagged canonical.  Output order is deterministic:
-    additions, then error energy, then shifts, then mse (the floats rounded
-    as in objectives), canonical members first within a tie group.
+    Members with identical _minimized rows are grouped; exactly one member
+    per group is flagged canonical.  Output order is deterministic:
+    additions, then error energy, then shifts, then mse (the floats rounded),
+    canonical members first within a tie group.
     """
+    members = [
+        (ParamVector(tuple(row)), MetricsReport(*vals[:4], *map(int, vals[4:])))
+        for row, vals in zip(rows.tolist(), values.tolist())
+    ]
     groups: dict[tuple, list[int]] = {}
-    for i, obj in enumerate(objs.tolist()):
+    for i, obj in enumerate(_minimized(values).tolist()):
         groups.setdefault(tuple(obj), []).append(i)
     keyed = []
     for (eps, m, _gain, _eff, adds, shifts), idxs in groups.items():
@@ -188,14 +176,14 @@ def _tie_grouped(
 def pareto_front(
     evaluated: Sequence[tuple[ParamVector, MetricsReport]],
 ) -> list[ParetoEntry]:
-    """Non-dominated entries of an evaluated collection, by the filter the
-    search fold uses, on the objectives vectors, with ties grouped and
-    ordered as in _tie_grouped."""
-    if not evaluated:
-        return []
-    objs = _objective_rows([rep for _, rep in evaluated])
-    keep = _front(objs)
-    return _tie_grouped([evaluated[i] for i in keep], objs[keep])
+    """Non-dominated entries of an evaluated collection, ties grouped and
+    ordered as in _tie_grouped: the search's fold and grouping over one
+    chunk.  Params and reports are rebuilt from the float64 and int8 rows,
+    so they equal the ones passed in by value (floats round-trip exactly,
+    costs are small integers) but are not the same objects."""
+    values = np.array([astuple(r) for _, r in evaluated], dtype=np.float64).reshape(-1, 6)
+    rows = np.array([pv.doubled for pv, _ in evaluated], dtype=np.int8).reshape(-1, 8)
+    return _tie_grouped(*_running_front([(values, rows)])[:2])
 
 
 @dataclass(frozen=True)
@@ -283,7 +271,7 @@ def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
         n_scored += len(new_values)
         values = np.vstack([values, new_values])
         rows = np.vstack([rows, new_rows])
-        keep = _front(np.column_stack(_minimized(*values.T)))
+        keep = _front(_minimized(values))
         values, rows = values[keep], rows[keep]
     return values, rows, n_scored
 
@@ -307,13 +295,8 @@ def run_search(
         raise ValueError(f"workers must be at least 1, got {workers}")
     odd = _odd_rows(feasibility_filter)
     values, rows, n_scored = _running_front(_scored(odd, model))
-
-    members = [
-        (ParamVector(tuple(row)), MetricsReport(*vals[:4], *map(int, vals[4:])))
-        for row, vals in zip(rows.tolist(), values.tolist())
-    ]
     return SearchResult(
-        entries=tuple(_tie_grouped(members, np.column_stack(_minimized(*values.T)))),
+        entries=tuple(_tie_grouped(values, rows)),
         n_candidates=N_CANDIDATES,
         n_feasible=len(odd) * len(ALLOWED_DOUBLED) if feasibility_filter else None,
         n_evaluated=n_scored,

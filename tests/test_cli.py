@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from dctapprox import (
     CATALOG,
+    N_CANDIDATES,
+    ParamVector,
+    ParetoEntry,
+    SearchResult,
+    SignalModel,
     Transform,
     ar1_test_image,
     build_scaled,
+    evaluate,
     exact_dct_matrix,
     orthonormal_approx,
     read_pgm,
@@ -95,6 +101,20 @@ class TestGenEvalScale:
         assert main(["eval", "--params", p, "--size", size]) == 0
         metrics = capsys.readouterr().out.strip().splitlines()[1]
         assert metrics.endswith(cost.rsplit(",", 1)[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["--params", "0,0.5,0,1,1,1,1,2"],
+        ["--params", "0,0.5,0,1,1,1,1,2", "--size", "32"],
+        ["--params", "0,0.5,0,1,1,1,1,2", "--complexity"],
+        ["--dct", "--size", "16"],
+    ])
+    def test_eval_out_writes_stdout_text(self, tmp_path, capsys, argv):
+        assert main(["eval", *argv]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "eval.csv"
+        assert main(["eval", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
 
     def test_scale_roundtrip(self, tmp_path):
         out = tmp_path / "t16.json"
@@ -464,6 +484,29 @@ class TestCompressAndSweep:
         assert "bad r grid" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    # A step below the 1e-9 stop tolerance adds no level past stop.
+    @pytest.mark.parametrize("grid", ["0.5:0.5:5e-10", "0.9:0.9:0.0000000004"])
+    def test_r_grid_step_below_stop_tolerance(self, tmp_path, corpus, capsys, grid):
+        start = float(grid.split(":")[0])
+        assert _parse_r_grid(grid) == (start,)
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(out), "--r-grid", grid]) == 0
+        assert "1 transforms x 1 retention levels" in capsys.readouterr().out
+        rows = [l for l in out.read_text().splitlines() if l.startswith("dct8,")]
+        assert [row.split(",")[1] for row in rows] == [str(start)]
+
+    @pytest.mark.parametrize("grid", ["0.1:1", "0.1:1:0.1:0.1"])
+    def test_r_grid_field_count(self, tmp_path, corpus, capsys, grid):
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "o.csv"), "--r-grid", grid]) == 2
+        assert "start:stop:step" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_fine_r_grid_within_level_bound(self):
         grid = _parse_r_grid("0.25:0.99:0.0001")
         assert len(grid) == 7401 and len(set(grid)) == 7401
@@ -557,6 +600,19 @@ class TestSearchCli:
         assert main(["search", "--out", str(out), "--workers", "0"]) == 2
         assert not out.exists()
 
+    def test_one_tie_line_per_non_canonical_entry(self, tmp_path, capsys, monkeypatch):
+        # The real filtered fronts have no tie, so the search returns one.
+        model = SignalModel(n=8)
+        report = evaluate(CATALOG[1], model)
+        twin = ParamVector.from_values([0, 0, 0, 1, 1, 0, 0, -1])
+        entries = (ParetoEntry(CATALOG[1], report, True), ParetoEntry(twin, report, False))
+        result = SearchResult(entries, N_CANDIDATES, 2821 * 7, 2821 * 7, model, True)
+        monkeypatch.setattr("dctapprox.cli.run_search", lambda *args, **kwargs: result)
+        assert main(["search", "--out", str(tmp_path / "front.csv")]) == 0
+        summary, *ties = capsys.readouterr().out.splitlines()
+        assert summary.startswith("candidates=5764801 ") and " front=1 " in summary
+        assert ties == ["tie (objectives equal to a canonical member): 0,0,0,1,1,0,0,-1"]
+
     def test_search_matches_golden_values(self, tmp_path):
         out = tmp_path / "front.csv"
         assert main(["search", "--out", str(out)]) == 0
@@ -629,6 +685,23 @@ class TestReport:
         out = tmp_path / "tables"
         assert main(["report", "--in", str(src), "--out-dir", str(out), *argv]) == code
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("short_row", "malformed front CSV row"),
+        ("no_header", "no header row"),
+    ])
+    def test_malformed_front_writes_no_file(self, tmp_path, capsys, case, message):
+        lines = (DATA / "golden_front.csv").read_text().splitlines()
+        if case == "short_row":
+            lines[-1] = lines[-1].rsplit(",", 1)[0]
+        else:
+            lines = [l for l in lines if l.startswith("#")]
+        src = tmp_path / "front.csv"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "tables"
+        assert main(["report", "--in", str(src), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_cli_exit_code(self, tmp_path):

@@ -244,6 +244,27 @@ class TestSeedGate:
         assert str(err.value) == "parameters 1,0,1,0,1,1,1,0 do not give an orthogonal matrix"
 
 
+class TestValueTypesCopy:
+    # DyadicMatrix and Transform hold read-only copies: the caller's arrays
+    # stay writable, and writing to them leaves the value as it was.
+    def test_dyadic_matrix(self):
+        a = 2 * np.eye(8, dtype=np.int64)
+        m = DyadicMatrix(a)
+        a[0, 0] = 1
+        assert a.flags.writeable and not m.half_units.flags.writeable
+        assert m == DyadicMatrix(2 * np.eye(8, dtype=np.int64))
+
+    def test_transform(self):
+        t = orthonormal_approx(CATALOG[9])
+        h, s = t.half_units.copy(), t.scale.copy()
+        u = Transform(n=8, half_units=h, scale=s)
+        h[0, 0] += 2
+        s[0] *= 2
+        assert h.flags.writeable and s.flags.writeable
+        assert not u.half_units.flags.writeable and not u.scale.flags.writeable
+        assert u == t
+
+
 class TestTransformJson:
     def test_schema_and_roundtrip(self, tmp_path):
         t = orthonormal_approx(CATALOG[9])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +68,18 @@ class TestFactorMatrices:
                 tuple(int(v) for v in gen.choice([-4, -2, -1, 0, 1, 2, 4], 8))
             )
             assert factored_product(factor_matrices(pv)) == build_matrix(pv)
+
+
+    def test_constant_factors_read_only_at_import(self):
+        # In a fresh interpreter, before any factor_matrices call.
+        import dctapprox
+
+        code = ("import dctapprox.kernel as k; "
+                "print([c.flags.writeable for c in (k._STAGE1, k._STAGE2, k._PERM)])")
+        env = dict(os.environ, PYTHONPATH=str(Path(dctapprox.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[False, False, False]\n"
 
 
 class TestApplyFast:

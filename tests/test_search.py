@@ -228,6 +228,19 @@ class TestParetoFront:
         key = lambda front: [(e.params, e.report, e.canonical) for e in front]
         assert key(pareto_front(evaluated)) == key(pareto_front_reference(evaluated))
 
+    def test_empty_input(self):
+        assert pareto_front([]) == []
+
+    def test_matches_run_search_on_feasible_set(self, model8):
+        # Both ways to the front: per-vector evaluate over every feasible
+        # vector, and the search's even/odd scoring.
+        evaluated = [(ParamVector(d), evaluate(ParamVector(d), model8)) for d in FEASIBLE_DOUBLED]
+        assert len(evaluated) == 2821
+        key = lambda entries: [
+            (e.params, e.canonical, objectives(e.report)) for e in entries
+        ]
+        assert key(pareto_front(evaluated)) == key(run_search(model8).entries)
+
     def test_single_candidate_survives(self):
         pv = CATALOG[1]
         front = pareto_front([(pv, _report(1, 1, 8, 90, 16, 0))])
@@ -302,6 +315,10 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="workers"):
             run_search(model8, workers=0)
 
+    def test_other_sizes_rejected(self):
+        with pytest.raises(ValueError, match="8-point seeds; model size is 16"):
+            run_search(SignalModel(n=16))
+
     @pytest.mark.parametrize("rho", [0.90, 0.95, 0.97])
     def test_stacked_objectives_equal_per_candidate_exactly(self, rho):
         # Dominance is decided on rounded floats, so the even/odd scoring the
@@ -309,7 +326,7 @@ class TestRunSearch:
         model = SignalModel(rho=rho, n=8)
         values, rows = _scored_rows(_odd_rows(True), model)
         assert sorted(rows) == FEASIBLE_DOUBLED
-        stacked = dict(zip(rows, map(tuple, np.column_stack(_minimized(*values.T)))))
+        stacked = dict(zip(rows, map(tuple, _minimized(values))))
         for d in FEASIBLE_DOUBLED:
             assert objectives(evaluate(ParamVector(d), model)) == stacked[d]
 
@@ -365,7 +382,7 @@ class TestUnfilteredSweep:
         expected = dict(zip(candidates, reference))
         assert expected[(0, 0, 2, 0, 2, 2, 2, -2)] is None
         assert sorted(kept) == sorted(d for d, e in zip(candidates, reference) if e)
-        objs = np.column_stack(_minimized(*values.T))
+        objs = _minimized(values)
         for d, got in zip(kept, objs):
             assert got == pytest.approx(expected[d], abs=1e-8)
 
