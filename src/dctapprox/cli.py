@@ -13,6 +13,7 @@ DCTAPPROX_RHO overrides the default correlation coefficient of 0.95.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -148,7 +149,9 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     Produces params (table1) and 8-, 16- and 32-point metrics (table2,
     table4, table6), all computed at one rho (the flag, else the CSV's,
     else the default), each as CSV and markdown with 2-decimal presentation
-    rounding.  The CSV supplies the ranks and parameters only.  Every table
+    rounding.  The CSV supplies the ranks and parameters only.  Each metric
+    table is one `evaluate_matrix` call on the stack of its seeds' scaled
+    transforms, equal bit for bit to `evaluate` per seed.  Every table
     is computed before the directory is created, so a bad rho or seed
     writes nothing.
     """
@@ -164,9 +167,14 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
     for stem, size in (("table2", 8), ("table4", 16), ("table6", 32)):
         model = SignalModel(rho=rho, n=size)
-        metric_rows = [
-            [r["rank"]] + _report_cols(evaluate(pv, model), _fmt2) for r, pv in zip(rows, seeds)
-        ]
+        scaled = [build_scaled(pv, size) for pv in seeds]
+        # reshape, unlike np.stack, also takes an empty front
+        stack = np.reshape([st.transform.matrix for st in scaled], (-1, size, size))
+        metric_rows = []
+        for r, st, values in zip(rows, scaled, zip(*evaluate_matrix(stack, model))):
+            c = st.complexity
+            rep = MetricsReport(*map(float, values), c.additions, c.shifts)
+            metric_rows.append([r["rank"]] + _report_cols(rep, _fmt2))
         tables.append((stem, metric_headers, metric_rows))
 
     out_dir = Path(out_dir)
@@ -298,7 +306,7 @@ def _cmd_compress(args) -> int:
     image = read_pgm(args.infile)
     recon, scores = compress_image(image, transform, policy)
     if args.out:
-        write_pgm(args.out, np.clip(np.rint(recon), 0, 255).astype(np.uint8))
+        write_pgm(args.out, np.rint(recon).astype(np.uint8))
     if args.metrics:
         Path(args.metrics).write_text(
             "input,transform,r,psnr,ssim\n"
@@ -463,10 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  Parsing leaves it unchanged and it
+    holds no per-call state: DCTAPPROX_RHO and every default are resolved
+    when a command runs, so `main` may be called many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

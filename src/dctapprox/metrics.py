@@ -97,6 +97,13 @@ def _coding_gain(c_hat, r, n):
     return 10.0 * (np.sum(np.log10(1.0 / (band_var * synth)), axis=-1) / n)
 
 
+def _checked_coding_gain(c_hat, r, n):
+    try:
+        return _coding_gain(c_hat, r, n)
+    except np.linalg.LinAlgError:
+        raise ValueError("transform is singular; coding gain undefined") from None
+
+
 def _efficiency_parts(c_hat, r):
     r_y = c_hat @ r @ np.swapaxes(c_hat, -1, -2)
     diag = np.sum(np.abs(np.diagonal(r_y, axis1=-2, axis2=-1)), axis=-1)
@@ -126,10 +133,7 @@ def unified_coding_gain(c_hat: np.ndarray, model: SignalModel) -> float | np.nda
     of 1/(A_k B_k) in dB.  For orthonormal rows B_k = 1.
     """
     c_hat = _check_square(c_hat, model)
-    try:
-        return _float_or_array(_coding_gain(c_hat, ar1_covariance(model), model.n))
-    except np.linalg.LinAlgError:
-        raise ValueError("transform is singular; coding gain undefined") from None
+    return _float_or_array(_checked_coding_gain(c_hat, ar1_covariance(model), model.n))
 
 
 def transform_efficiency(c_hat: np.ndarray, model: SignalModel) -> float | np.ndarray:
@@ -153,13 +157,15 @@ class MetricsReport:
 
 def evaluate_matrix(c_hat: np.ndarray, model: SignalModel) -> tuple:
     """(total error energy, mse, coding gain dB, efficiency %) of a matrix,
-    or four arrays for a stack of matrices."""
-    return (
-        total_error_energy(c_hat),
-        mse(c_hat, model),
-        unified_coding_gain(c_hat, model),
-        transform_efficiency(c_hat, model),
-    )
+    or four arrays for a stack of matrices.  The same kernels as the four
+    metric functions, with one check and one reference and covariance."""
+    c_hat = _check_square(c_hat, model)
+    n = model.n
+    ref, r = exact_dct_matrix(n), ar1_covariance(model)
+    eps, m = _error_energy(c_hat, ref), _mse(c_hat, ref, r, n)
+    cg = _checked_coding_gain(c_hat, r, n)
+    numerator, total = _efficiency_parts(c_hat, r)
+    return tuple(_float_or_array(v) for v in (eps, m, cg, numerator / total))
 
 
 def evaluate(params: ParamVector, model: SignalModel) -> MetricsReport:

@@ -27,6 +27,7 @@ from dctapprox.cli import (
     _fmt,
     _load_transform_list,
     _parse_r_grid,
+    _parser,
     main,
     parse_params,
     report_tables,
@@ -199,6 +200,60 @@ class TestExitCodes:
 
     def test_argparse_error(self, capsys):
         assert main(["eval", "--bogus-flag"]) == 2
+
+
+class TestReusedParser:
+    """`main` parses every call with one cached parser, and each call starts
+    from the parser's defaults."""
+
+    P = "0,0.5,0,1,1,1,1,2"
+
+    def test_exit_codes_from_one_parser(self, capsys):
+        _parser.cache_clear()
+        parser = _parser()
+        assert main(["eval", "--params", self.P, "--bogus-flag"]) == 2
+        assert "unrecognized arguments: --bogus-flag" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: dctapprox")
+        assert main(["eval", "--params", "0,0,0,0,0,0,0,0"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert main(["eval", "--params", self.P]) == 0
+        assert capsys.readouterr().out.startswith("a1,")
+        assert _parser() is parser
+
+    def test_no_option_leaks_into_the_next_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("DCTAPPROX_RHO", raising=False)
+        pv = parse_params(self.P)
+        for argv, model in [
+            (["--rho", "0.9"], SignalModel(rho=0.9)),
+            ([], SignalModel()),
+            (["--size", "32", "--rho", "0.9"], SignalModel(rho=0.9, n=32)),
+            ([], SignalModel()),
+        ]:
+            assert main(["eval", "--params", self.P, *argv]) == 0
+            rep = evaluate(pv, model)
+            expected = [_fmt(rep.epsilon), _fmt(rep.mse), _fmt(rep.coding_gain_db),
+                        _fmt(rep.efficiency_pct), str(rep.additions), str(rep.shifts)]
+            assert capsys.readouterr().out.splitlines()[1].split(",")[8:] == expected, argv
+        assert main(["eval", "--params", self.P, "--complexity"]) == 0
+        assert capsys.readouterr().out.startswith("a1,a2,a3,a4,a5,a6,a7,a8,adds,")
+        assert main(["eval", "--params", self.P]) == 0
+        assert capsys.readouterr().out.startswith("a1,a2,a3,a4,a5,a6,a7,a8,epsilon,")
+
+    def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):
+        out = tmp_path / "tables"
+        runs = []
+        for _ in range(3):
+            assert main(["eval", "--params", self.P, "--size", "16", "--rho", "0.9"]) == 0
+            assert main(["eval", "--params", self.P]) == 0
+            assert main(["report", "--in", str(DATA / "golden_front.csv"),
+                         "--out-dir", str(out)]) == 0
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            for path in out.iterdir():
+                path.unlink()
+            runs.append((capsys.readouterr().out, files))
+        assert len(runs[0][1]) == 8
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestTransformFile:
@@ -640,20 +695,24 @@ class TestReport:
             assert path.read_bytes() == golden.read_bytes(), path.name
 
     def test_every_size_at_the_requested_rho(self, tmp_path, capsys):
-        # The front CSV was computed at rho 0.95; table 2 must follow --rho
-        # like tables 4 and 6 instead of copying the CSV's metrics.
+        # The front CSV was computed at rho 0.95; every metric table must
+        # follow --rho instead of copying the CSV's metrics, and agree with
+        # eval of each seed at the table's size.
         assert main(["report", "--in", str(DATA / "golden_front.csv"),
                      "--out-dir", str(tmp_path), "--rho", "0.9"]) == 0
         capsys.readouterr()
         params = (tmp_path / "table1.csv").read_text().splitlines()[1:]
-        table2 = (tmp_path / "table2.csv").read_text().splitlines()[1:]
-        assert len(params) == len(table2) == 16
-        for p_row, t_row in zip(params, table2):
-            j, *values = p_row.split(",")
-            assert main(["eval", "--params", ",".join(values), "--rho", "0.9"]) == 0
-            cells = capsys.readouterr().out.splitlines()[1].split(",")[8:]
-            expected = [f"{float(c):.2f}" for c in cells[:4]] + cells[4:]
-            assert t_row.split(",") == [j] + expected
+        assert len(params) == 16
+        for stem, size in (("table2", "8"), ("table4", "16"), ("table6", "32")):
+            table = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
+            assert len(table) == len(params), stem
+            for p_row, t_row in zip(params, table):
+                j, *values = p_row.split(",")
+                assert main(["eval", "--params", ",".join(values), "--size", size,
+                             "--rho", "0.9"]) == 0
+                cells = capsys.readouterr().out.splitlines()[1].split(",")[8:]
+                expected = [f"{float(c):.2f}" for c in cells[:4]] + cells[4:]
+                assert t_row.split(",") == [j] + expected, (stem, j)
 
     def test_empty_front_gives_headers_only(self, tmp_path):
         src = tmp_path / "empty_front.csv"

@@ -128,14 +128,17 @@ class TestEvaluate:
         assert cg == pytest.approx(8.8259, abs=0.005)
 
     def test_stack_matches_single_matrices(self, model8):
-        mats = [orthonormal_approx(pv).matrix for pv in CATALOG.values()]
-        mats.append(exact_dct_matrix(8))
-        stacked = evaluate_matrix(np.stack(mats), model8)
-        assert all(v.shape == (len(mats),) for v in stacked)
-        for i, c in enumerate(mats):
-            single = evaluate_matrix(c, model8)
-            assert all(isinstance(v, float) for v in single)
-            assert tuple(v[i] for v in stacked) == single
+        # Exact equality at every size: report scores each table as a stack.
+        for n in (8, 16, 32):
+            model = SignalModel(rho=model8.rho, n=n)
+            mats = [build_scaled(pv, n).transform.matrix for pv in CATALOG.values()]
+            mats.append(exact_dct_matrix(n))
+            stacked = evaluate_matrix(np.stack(mats), model)
+            assert all(v.shape == (len(mats),) for v in stacked)
+            for i, c in enumerate(mats):
+                single = evaluate_matrix(c, model)
+                assert all(isinstance(v, float) for v in single)
+                assert tuple(v[i] for v in stacked) == single, (n, i)
 
     def test_infeasible_raises(self, model8):
         with pytest.raises(FeasibilityError):
