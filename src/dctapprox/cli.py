@@ -3,10 +3,11 @@
 Subcommands: gen, eval, search, scale, compress, sweep, report.  Every
 subcommand is deterministic given its flags; search accepts ``--workers``
 but runs in one process whatever its value.  A parameter vector becomes a
-transform at 8, 16 or 32 points through `build_scaled` alone: ``gen`` is
-``scale`` at size 8, and ``eval`` takes its metric and complexity rows at
-``--size`` from the same transform.  Exit codes: 0 success, 2 usage error,
-3 infeasible transform, 4 I/O error.  The environment variable
+transform at 8, 16 or 32 points through `build_scaled` alone (``report``,
+which needs all three sizes, through `build_scaled_sizes`, the same path):
+``gen`` is ``scale`` at size 8, and ``eval`` takes its metric and
+complexity rows at ``--size`` from the same transform.  Exit codes:
+0 success, 2 usage error, 3 infeasible transform, 4 I/O error.  The environment variable
 DCTAPPROX_RHO overrides the default correlation coefficient of 0.95.
 """
 
@@ -32,7 +33,7 @@ from .codec import (
 from .core import FeasibilityError, ParamVector, Transform, _read_json, exact_dct_matrix
 from .metrics import DEFAULT_RHO, MetricsReport, SignalModel, evaluate, evaluate_matrix
 from .pgm import read_pgm, write_pgm
-from .scaling import build_scaled
+from .scaling import build_scaled, build_scaled_sizes
 from .search import SearchResult, run_search
 
 __all__ = ["parse_params", "write_front_csv", "report_tables", "main"]
@@ -149,11 +150,11 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     Produces params (table1) and 8-, 16- and 32-point metrics (table2,
     table4, table6), all computed at one rho (the flag, else the CSV's,
     else the default), each as CSV and markdown with 2-decimal presentation
-    rounding.  The CSV supplies the ranks and parameters only.  Each metric
-    table is one `evaluate_matrix` call on the stack of its seeds' scaled
-    transforms, equal bit for bit to `evaluate` per seed.  Every table
-    is computed before the directory is created, so a bad rho or seed
-    writes nothing.
+    rounding.  The CSV supplies the ranks and parameters only.  Each seed
+    is grown 8 -> 16 -> 32 once, and each metric table is one
+    `evaluate_matrix` call on the stack of its seeds' scaled transforms,
+    equal bit for bit to `evaluate` per seed.  Every table is computed
+    before the directory is created, so a bad rho or seed writes nothing.
     """
     meta, rows = _parse_front_csv(front_csv)
     if rho is None:
@@ -165,9 +166,11 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     seeds = [parse_params(",".join(row[1:])) for row in params_rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
-    for stem, size in (("table2", 8), ("table4", 16), ("table6", 32)):
+    sizes = (8, 16, 32)
+    grown = [build_scaled_sizes(pv, sizes) for pv in seeds]
+    for k, (stem, size) in enumerate(zip(("table2", "table4", "table6"), sizes)):
         model = SignalModel(rho=rho, n=size)
-        scaled = [build_scaled(pv, size) for pv in seeds]
+        scaled = [g[k] for g in grown]
         # reshape, unlike np.stack, also takes an empty front
         stack = np.reshape([st.transform.matrix for st in scaled], (-1, size, size))
         metric_rows = []

@@ -8,9 +8,12 @@ edge-replicated up and cropped back after reconstruction.
 
 A retention sweep scores every level against one SSIM reference: the
 reference image's window means and variances are computed once per sweep,
-and the SSIM and reconstruction buffers (each about the size of the image)
-are allocated once per sweep and overwritten level by level.  Nothing is
-kept across calls.
+and the reconstruction and scoring buffers are allocated once per sweep and
+overwritten level by level.  SSIM builds its integral images one band of
+window rows at a time in a small buffer that stays in cache, so the only
+window-sized arrays are the reference's means and variances and the SSIM
+map; the scores are bit-identical to SSIM over whole-image integral images
+(see ``_SsimReference``).  Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +50,8 @@ _SSIM_WINDOW = 8
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_L = 255.0
+# SSIM integral-image band size in elements; its height is this over the width.
+_SSIM_BAND_ELEMENTS = 32_768
 
 
 def zigzag_order(n: int) -> list[tuple[int, int]]:
@@ -150,23 +155,51 @@ def psnr(reference: np.ndarray, test: np.ndarray) -> float:
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
         raise ValueError(f"shape mismatch {reference.shape} vs {test.shape}")
-    err = np.mean((reference - test) ** 2)
-    if err == 0.0:
+    return _psnr(reference, test, np.empty(reference.shape))
+
+
+def _psnr(reference: np.ndarray, test: np.ndarray, err: np.ndarray) -> float:
+    # The squared error is built in err, a contiguous array of the images'
+    # shape, so np.mean sums it in the order it sums a fresh array.
+    np.subtract(reference, test, out=err)
+    mse = np.mean(np.multiply(err, err, out=err))
+    if mse == 0.0:
         return PSNR_IDENTICAL_SENTINEL
-    return float(10.0 * np.log10(255.0**2 / err))
+    return float(10.0 * np.log10(255.0**2 / mse))
 
 
 class _SsimReference:
     """SSIM scorer for one reference image: ``_SsimReference(a)(b)`` is the
     mean structural similarity of ``b`` against ``a``.
 
-    The reference's window means and variances are computed once.  Every
-    call reuses the integral image ``s`` and three window-shaped buffers
-    (six image-sized arrays in all, none allocated per call) and evaluates
-    the same float expression, in the same operation order, as SSIM with
-    every term freshly allocated, so the scores are equal.  Row 0 and
-    column 0 of ``s`` are the integral image's zero border and are never
-    written.
+    The reference's window means ``mu_a`` and variances ``var_a`` are
+    computed once; they and the SSIM map are the only window-sized arrays.
+    The integral images (per call of b, b*b and a*b) are built one band of
+    window rows at a time, stacked in one buffer of shape
+    (3, band + 8, width + 1) that stays in cache; the band height is
+    ``_SSIM_BAND_ELEMENTS`` over the width.  Each band copies the last 8
+    integral rows of the band before it as its halo, continues the
+    down-the-column ``np.cumsum`` of its new rows from the carried column
+    sums, runs the along-row ``np.cumsum`` over them, takes the window sums
+    and writes its rows of the SSIM map.  ``np.mean`` runs once over the
+    whole map.  The column cumsum runs on a complex128 view of the buffer,
+    each element a pair of adjacent columns, so every step adds two
+    columns; complex addition adds the real and imaginary parts on their
+    own, so each column gets the same additions.
+
+    The score equals SSIM with every term freshly allocated (``np.cumsum``
+    over the whole image), bit for bit:
+
+    - each integral entry is made by the same additions in the same order:
+      the carry plus a row equals the column sum so far plus that row, as
+      IEEE addition commutes;
+    - the window and map steps are element by element, in the same
+      operation order;
+    - the one ``np.mean`` over a contiguous map keeps its pairwise order.
+
+    Column 0 of the buffer is the integral image's zero border and, like
+    the padding column that makes the column count even, is never written;
+    row 0 is zeroed afresh for the first band, since halos overwrite it.
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -176,69 +209,94 @@ class _SsimReference:
         if min(a.shape) < _SSIM_WINDOW:
             raise ValueError(f"image smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
         w = _SSIM_WINDOW
-        window = (a.shape[0] - w + 1, a.shape[1] - w + 1)
+        height, width = a.shape
+        window = (height - w + 1, width - w + 1)
+        band = max(1, min(window[0], _SSIM_BAND_ELEMENTS // (width + 1)))
         self._a = a
-        self._s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-        self._mu_a, self._var_a, self._mu_b, self._var_b, self._cov = (
-            np.empty(window) for _ in range(5)
-        )
-        mu_a = self._box_means(a, self._mu_a)
-        self._moment(np.multiply(a, a, out=self._s[1:, 1:]), mu_a, mu_a, self._var_a)
+        self._band = band
+        # width + 1 columns, padded to an even count, in complex pairs.
+        pairs = (width + 2) // 2
+        self._pairs = np.zeros((3, band + w, pairs), dtype=np.complex128)
+        self._s = self._pairs.view(np.float64)[..., : width + 1]
+        self._carry = np.empty((3, pairs), dtype=np.complex128)
+        self._means = np.empty((3, band, window[1]))
+        self._tmp = np.empty((band, window[1]))
+        self._mu_a, self._var_a, self._map = (np.empty(window) for _ in range(3))
+        for rows, (mu, mean_sq) in self._window_means((a,), (a, a)):
+            # var_a = E[a a] - mu_a mu_a, written straight into its rows.
+            var = self._var_a[rows]
+            np.subtract(mean_sq, np.multiply(mu, mu, out=var), out=var)
+            self._mu_a[rows] = mu
 
-    def _box_means(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # Integral image of x (which may already be s[1:, 1:]) in place, then
-        # one sliding-window mean per fully interior position.
-        s, w = self._s, _SSIM_WINDOW
-        np.cumsum(x, axis=0, out=s[1:, 1:])
-        np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
-        np.subtract(s[w:, w:], s[:-w, w:], out=out)
-        np.subtract(out, s[w:, :-w], out=out)
-        np.add(out, s[:-w, :-w], out=out)
-        return np.divide(out, w * w, out=out)
-
-    def _moment(
-        self, product: np.ndarray, mu_x: np.ndarray, mu_y: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        # Window mean of a product minus mu_x * mu_y; the integral image is
-        # dead once the mean is taken, so its interior holds mu_x * mu_y.
-        self._box_means(product, out)
-        scratch = self._s[1 : out.shape[0] + 1, 1 : out.shape[1] + 1]
-        return np.subtract(out, np.multiply(mu_x, mu_y, out=scratch), out=out)
+    def _window_means(self, *channels: tuple[np.ndarray, ...]):
+        """Yield (window-row slice, stacked window means) band by band, one
+        channel per factor tuple: (x,) is x itself, (x, y) the product."""
+        w, band = _SSIM_WINDOW, self._band
+        k = len(channels)
+        s, pairs, carry = self._s[:k], self._pairs[:k], self._carry[:k]
+        means = self._means[:k]
+        total = self._map.shape[0]
+        for top in range(0, total, band):
+            rows = min(band, total - top)
+            if top:
+                # Halo: the last w integral rows of the band before, which
+                # was full; the new rows continue the column sums from the
+                # carried row.
+                s[:, :w] = s[:, band : band + w]
+                new = slice(w, rows + w)
+            else:
+                s[:, 0] = 0.0   # the integral image's zero border row
+                new = slice(1, rows + w)
+            src = slice(top + new.start - 1, top + new.stop - 1)
+            for out, factors in zip(s[:, new, 1:], channels):
+                if len(factors) == 1:
+                    out[...] = factors[0][src]
+                else:
+                    np.multiply(factors[0][src], factors[1][src], out=out)
+            down = pairs[:, new]
+            if top:
+                np.add(down[:, 0], carry, out=down[:, 0])
+            np.cumsum(down, axis=1, out=down)
+            carry[:] = down[:, -1]
+            fresh = s[:, new, 1:]
+            np.cumsum(fresh, axis=2, out=fresh)
+            m = means[:, :rows]
+            np.subtract(s[:, w : rows + w, w:], s[:, :rows, w:], out=m)
+            np.subtract(m, s[:, w : rows + w, :-w], out=m)
+            np.add(m, s[:, :rows, :-w], out=m)
+            yield slice(top, top + rows), np.divide(m, w * w, out=m)
 
     def __call__(self, b: np.ndarray) -> float:
-        a, s = self._a, self._s
+        a = self._a
         b = np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
             raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
         c1 = (_SSIM_K1 * _SSIM_L) ** 2
         c2 = (_SSIM_K2 * _SSIM_L) ** 2
-        mu_a, var_a, mu_b, var_b, cov = (
-            self._mu_a, self._var_a, self._mu_b, self._var_b, self._cov
-        )
-        self._box_means(b, mu_b)
-        self._moment(np.multiply(b, b, out=s[1:, 1:]), mu_b, mu_b, var_b)
-        self._moment(np.multiply(a, b, out=s[1:, 1:]), mu_a, mu_b, cov)
-        # s_map = ((2 mu_a mu_b + c1) (2 cov + c2))
-        #         / ((mu_a mu_a + mu_b mu_b + c1) (var_a + var_b + c2)),
-        # built in s's interior and the buffers that are dead by then.
-        num = s[1 : cov.shape[0] + 1, 1 : cov.shape[1] + 1]
-        np.multiply(2, mu_a, out=num)
-        np.multiply(num, mu_b, out=num)
-        np.add(num, c1, out=num)
-        np.multiply(2, cov, out=cov)
-        np.add(cov, c2, out=cov)
-        np.multiply(num, cov, out=num)
-        den = cov
-        np.multiply(mu_b, mu_b, out=mu_b)
-        np.multiply(mu_a, mu_a, out=den)
-        np.add(den, mu_b, out=den)
-        np.add(den, c1, out=den)
-        np.add(var_a, var_b, out=var_b)
-        np.add(var_b, c2, out=var_b)
-        np.multiply(den, var_b, out=den)
-        # The map ends in den, a contiguous window-shaped array, so np.mean
-        # sums it in the same order as it sums a freshly allocated map.
-        return float(np.mean(np.divide(num, den, out=den)))
+        for rows, (mu_b, var_b, cov) in self._window_means((b,), (b, b), (a, b)):
+            mu_a, var_a, out = self._mu_a[rows], self._var_a[rows], self._map[rows]
+            t = self._tmp[: out.shape[0]]
+            # s_map = ((2 mu_a mu_b + c1) (2 cov + c2))
+            #         / ((mu_a mu_a + mu_b mu_b + c1) (var_a + var_b + c2)),
+            # with var_b = E[b b] - mu_b mu_b and cov = E[a b] - mu_a mu_b
+            # built over the means they replace; t keeps mu_b mu_b for the
+            # denominator.
+            np.subtract(cov, np.multiply(mu_a, mu_b, out=t), out=cov)
+            np.subtract(var_b, np.multiply(mu_b, mu_b, out=t), out=var_b)
+            np.multiply(mu_a, mu_a, out=out)
+            np.add(out, t, out=out)
+            np.add(out, c1, out=out)
+            np.add(var_a, var_b, out=var_b)
+            np.add(var_b, c2, out=var_b)
+            np.multiply(out, var_b, out=out)
+            np.multiply(2, mu_a, out=t)
+            np.multiply(t, mu_b, out=t)
+            np.add(t, c1, out=t)
+            np.multiply(2, cov, out=cov)
+            np.add(cov, c2, out=cov)
+            np.multiply(t, cov, out=t)
+            np.divide(t, out, out=out)
+        return float(np.mean(self._map))
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -275,8 +333,9 @@ def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionP
 
     The masked coefficients, the half-inverted blocks, the padded inverse
     and the yielded array are allocated once per call; the inverse is
-    written straight into the padded image's block view.  The yielded array
-    is overwritten by the next level, so copy it to keep it.
+    written straight into the padded image's block view, and the padded
+    input is dropped once the forward transform is taken.  The yielded
+    array is overwritten by the next level, so copy it to keep it.
     """
     m = _as_matrix(transform)
     n = m.shape[0]
@@ -286,6 +345,7 @@ def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionP
     padded = _pad_to_multiple(image, n)
     h, w = padded.shape
     coeffs = forward_2d(m, _blockify(padded, n)).reshape(h // n, w // n, n, n)
+    del padded
     masked = np.empty_like(coeffs)
     half = np.empty_like(coeffs)
     inverse = np.empty((h, w))
@@ -313,23 +373,25 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
 
 
 def retention_sweep(
-    image: np.ndarray, transform, r_values: Sequence[float]
+    image: np.ndarray, transform, r_values: Iterable[float]
 ) -> list[tuple[float, float, float]]:
     """(r, psnr, ssim) over a retention grid, in grid order.
 
-    The image is forward-transformed once, and every level is scored
-    against one SSIM reference built from the image, so its window means
-    and variances are computed once.  The reference is built first: an
-    image smaller than the SSIM window raises ValueError before any
-    transform work.  Scores equal per-level ``compress_image`` exactly.
+    The levels are read once, so any iterable works.  The image is
+    forward-transformed once, and every level is scored against one SSIM
+    reference built from the image, so its window means and variances are
+    computed once; PSNR reuses one error buffer.  The reference is built
+    first: an image smaller than the SSIM window raises ValueError before
+    any transform work.  Scores equal per-level ``compress_image`` exactly.
     """
     m = _as_matrix(transform)
     image = np.asarray(image, dtype=np.float64)
     score_ssim = _SsimReference(image)
     policies = [RetentionPolicy(n=m.shape[0], r_fraction=r) for r in r_values]
-    recons = _reconstructions(image, m, policies)
+    err = np.empty(image.shape)
     return [
-        (r, psnr(image, rec), score_ssim(rec)) for r, rec in zip(r_values, recons)
+        (p.r_fraction, _psnr(image, rec, err), score_ssim(rec))
+        for p, rec in zip(policies, _reconstructions(image, m, policies))
     ]
 
 

@@ -1,7 +1,8 @@
 """Size doubling for low-complexity transforms.
 
 `build_scaled` is the one path from a parameter vector to a transform and
-its cost at 8, 16 or 32 points; the 8-point transform is the seed with no
+its cost at 8, 16 or 32 points, and `build_scaled_sizes` the same path to
+several sizes at once; the 8-point transform is the seed with no
 doubling.  A transform of size N is lifted to size 2N by feeding an input
 butterfly of identity and counter-identity blocks into two copies of the
 N-point kernel.  Output rows are emitted frequency-interleaved: row 2k
@@ -14,13 +15,16 @@ seed's plus 2N additions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import DyadicMatrix, ParamVector, Transform, _row_scale, _seed_half_units
 from .kernel import ComplexityCount, complexity
 
-__all__ = ["ScaledTransform", "scale_once", "scaled_complexity", "build_scaled"]
+__all__ = [
+    "ScaledTransform", "scale_once", "scaled_complexity", "build_scaled", "build_scaled_sizes",
+]
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,29 @@ def build_scaled(params: ParamVector, target: int) -> ScaledTransform:
     and the cost ``complexity(params)``.  Raises FeasibilityError for an
     infeasible seed and ValueError for any other target size.
     """
-    if target not in (8, 16, 32):
-        raise ValueError(f"target size must be 8, 16 or 32, got {target}")
+    return build_scaled_sizes(params, (target,))[0]
+
+
+def build_scaled_sizes(
+    params: ParamVector, targets: Sequence[int]
+) -> tuple[ScaledTransform, ...]:
+    """``build_scaled(params, t)`` for each t in ``targets``, in order, from
+    one growth of the seed: each doubling is taken once, from the size
+    below it, up to the largest target."""
+    for target in targets:
+        if target not in (8, 16, 32):
+            raise ValueError(f"target size must be 8, 16 or 32, got {target}")
+    largest = max(targets, default=8)
     m = DyadicMatrix(_seed_half_units(params))
     cost = complexity(params)
+    built = {}
     n = 8
-    while n < target:
+    while True:
+        if n in targets:
+            transform = Transform(n=n, half_units=m.half_units, scale=_row_scale(m.half_units))
+            built[n] = ScaledTransform(seed=params, transform=transform, complexity=cost)
+        if n == largest:
+            return tuple(built[t] for t in targets)
         m = scale_once(m)
         cost = scaled_complexity(cost, n)
         n *= 2
-    transform = Transform(n=target, half_units=m.half_units, scale=_row_scale(m.half_units))
-    return ScaledTransform(seed=params, transform=transform, complexity=cost)

@@ -227,6 +227,25 @@ def reconstruction_reference(image: np.ndarray, transform, policy) -> np.ndarray
     return np.clip(whole[:rows, :cols], 0.0, 255.0)
 
 
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Wrap each named function of ``module`` to count its calls; the
+    returned dict holds the counts so far."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
 def catalog_values(j: int) -> tuple[float, ...]:
     return CATALOG[j].values
 

@@ -32,8 +32,9 @@ from dctapprox.cli import (
     parse_params,
     report_tables,
 )
+from dctapprox import scaling
 from dctapprox.codec import ape, retention_sweep
-from helpers import assert_orthonormal_transform, json_values
+from helpers import assert_orthonormal_transform, count_calls, json_values
 
 DATA = Path(__file__).parent / "data"
 
@@ -693,6 +694,13 @@ class TestReport:
         for path in written:
             golden = DATA / "golden_tables" / path.name
             assert path.read_bytes() == golden.read_bytes(), path.name
+
+    def test_each_seed_grown_once(self, tmp_path, monkeypatch):
+        # One complexity count and two doublings per seed for all three
+        # tables, not one growth per seed and table.
+        calls = count_calls(monkeypatch, scaling, ("complexity", "scale_once"))
+        report_tables(DATA / "golden_front.csv", tmp_path)
+        assert calls == {"complexity": 16, "scale_once": 32}
 
     def test_every_size_at_the_requested_rho(self, tmp_path, capsys):
         # The front CSV was computed at rho 0.95; every metric table must

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +165,60 @@ class TestQualityMetrics:
             ape(1.0, 0.0)
 
 
+def _band_rows(width: int) -> int:
+    return codec._SSIM_BAND_ELEMENTS // (width + 1)
+
+
+class TestSsimBands:
+    """The banded integral images give the whole-image oracle's scores
+    exactly, across band seams and at the extremes of the band height."""
+
+    @pytest.mark.parametrize("shape, bands", [
+        ((3 * _band_rows(40) + 7, 40), 3),    # the last band ends on a band edge
+        ((3 * _band_rows(40) + 8, 40), 4),    # one window row past it
+        ((2 * _band_rows(9000) + 8, 9000), 3),   # bands shorter than the halo
+        ((700, 9), 1),
+        ((9, 700), 1),
+    ])
+    def test_scores_equal_the_oracle(self, shape, bands):
+        g = rng(shape[0] * shape[1])
+        a = g.integers(0, 256, size=shape).astype(np.float64)
+        noisy = np.clip(a + g.normal(0.0, 40.0, size=shape), 0.0, 255.0)
+        score = _SsimReference(a)
+        assert math.ceil((shape[0] - 7) / score._band) == bands
+        for b in [noisy, a, np.full(shape, 17.0), noisy]:
+            assert score(b) == ssim_reference(a, b)
+        assert ssim(noisy, a) == ssim_reference(noisy, a)
+
+    def test_sweep_equals_the_oracles_at_every_level(self):
+        img = ar1_test_image(500, 524, seed=19)
+        ref = img.astype(np.float64)
+        t = exact_dct_matrix(8)
+        grid = default_r_grid()
+        swept = retention_sweep(img, t, grid)
+        assert [r for r, _, _ in swept] == list(grid)
+        for r, p, s in swept:
+            rec = reconstruction_reference(ref, t, RetentionPolicy(n=8, r_fraction=r))
+            assert s == ssim_reference(ref, rec)
+            assert p == 10.0 * np.log10(255.0**2 / np.mean((ref - rec) ** 2))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_sweep_peak_memory(self, n):
+        # Peak traced allocation of a sweep, in image-sized float64 arrays:
+        # the SSIM means, variances and map, the band buffers, the float
+        # image, the PSNR buffer and the reconstruction buffers.
+        img = ar1_test_image(500, 524, seed=20)
+        t = exact_dct_matrix(n)
+        retention_sweep(img, t, (0.5,))   # fill the module's mask caches
+        tracemalloc.start()
+        try:
+            retention_sweep(img, t, (0.25, 0.5, 0.75, 0.99))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (img.size * 8) < 11.5
+
+
 class TestCompressImage:
     def test_full_retention_is_lossless(self):
         img = ar1_test_image(96, 96, seed=9)
@@ -209,6 +266,14 @@ class TestCompressImage:
                 _, scores = compress_image(img, t, RetentionPolicy(n=8, r_fraction=r))
                 assert p == scores.psnr_db
                 assert s == scores.ssim
+
+    def test_sweep_reads_the_levels_once(self):
+        img = ar1_test_image(40, 48, seed=21)
+        t = exact_dct_matrix(8)
+        levels = (0.5, 0.75)
+        swept = retention_sweep(img, t, (r for r in levels))
+        assert len(swept) == 2
+        assert swept == retention_sweep(img, t, levels)
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_reconstructions_match_per_level_reference(self, n):

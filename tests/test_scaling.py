@@ -16,6 +16,8 @@ from dctapprox import (
     scale_once,
     scaled_complexity,
 )
+from dctapprox import scaling
+from dctapprox.scaling import build_scaled_sizes
 from helpers import (
     EXPECTED_16PT,
     EXPECTED_32PT,
@@ -23,6 +25,7 @@ from helpers import (
     TOL_EPSILON,
     TOL_ETA,
     TOL_MSE,
+    count_calls,
     feasible_param_vectors,
 )
 
@@ -136,3 +139,22 @@ class TestBuildScaled:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             build_scaled(CATALOG[1], 64)
+
+
+class TestBuildScaledSizes:
+    @pytest.mark.parametrize("targets", [(8, 16, 32), (32, 8), (16,), (16, 16), ()])
+    def test_equals_build_scaled_at_each_size(self, targets):
+        for pv in CATALOG.values():
+            built = build_scaled_sizes(pv, targets)
+            assert built == tuple(build_scaled(pv, t) for t in targets)
+
+    def test_grows_the_seed_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, scaling, ("complexity", "scale_once"))
+        build_scaled_sizes(CATALOG[5], (8, 16, 32))
+        assert calls == {"complexity": 1, "scale_once": 2}
+
+    def test_infeasible_seed_and_bad_target_rejected(self):
+        with pytest.raises(FeasibilityError):
+            build_scaled_sizes(ParamVector((0,) * 8), (8, 16))
+        with pytest.raises(ValueError, match="8, 16 or 32"):
+            build_scaled_sizes(CATALOG[1], (8, 64))
