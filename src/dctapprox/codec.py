@@ -6,14 +6,16 @@ quantization to 8-bit samples happens only when an image is written out.
 Images whose dimensions are not multiples of the block size are
 edge-replicated up and cropped back after reconstruction.
 
-A retention sweep scores every level against one SSIM reference: the
-reference image's window means and variances are computed once per sweep,
-and the reconstruction and scoring buffers are allocated once per sweep and
-overwritten level by level.  SSIM builds its integral images one band of
-window rows at a time in a small buffer that stays in cache, so the only
-window-sized arrays are the reference's means and variances and the SSIM
-map; the scores are bit-identical to SSIM over whole-image integral images
-(see ``_SsimReference``).  Nothing is kept across calls.
+A retention sweep forward-transforms the image once and then makes one pass
+per level: retain, inverse, crop, clamp and PSNR run in three image-sized
+buffers allocated once per sweep and overwritten level by level (see
+``_reconstructions``), and SSIM scores every level against one reference
+whose window means and variances are computed once.  SSIM builds its
+integral images one band of window rows at a time in a small buffer that
+stays in cache, so the only window-sized arrays are the reference's means
+and variances and the SSIM map; the scores are bit-identical to SSIM over
+whole-image integral images (see ``_SsimReference``).  Nothing is kept
+across calls, and the caller's image is never written.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -327,15 +329,25 @@ def _blockify(image: np.ndarray, n: int) -> np.ndarray:
     return image.reshape(h // n, n, w // n, n).swapaxes(1, 2).reshape(-1, n, n)
 
 
-def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionPolicy]):
-    """Yield the reconstruction of a float image under each policy: forward
-    transform once, then per policy retain, inverse, crop, clamp to [0, 255].
+def _reconstructions(image: np.ndarray, transform, policies: Iterable[RetentionPolicy]):
+    """Yield (reconstruction, PSNR in dB) of a float image under each policy:
+    forward transform once, then per policy retain, inverse, crop, clamp to
+    [0, 255] and score against the image.
 
-    The masked coefficients, the half-inverted blocks, the padded inverse
-    and the yielded array are allocated once per call; the inverse is
-    written straight into the padded image's block view, and the padded
-    input is dropped once the forward transform is taken.  The yielded
-    array is overwritten by the next level, so copy it to keep it.
+    Every level runs in three image-sized buffers, allocated once per call:
+
+    - ``coeffs``, the forward transform of the blocks;
+    - ``half``, the half-inverted blocks M^t (C * mask); once the inverse is
+      taken, its first rows x cols elements are PSNR's squared-error buffer,
+      a contiguous array of the image's shape (see ``_psnr``);
+    - ``inverse``, which holds the masked coefficients until ``half`` is
+      taken and then the inverse in image layout, written through its block
+      view; the reconstruction is its crop, clamped in place.
+
+    The padded image is dropped before the forward transform runs, so the
+    forward stage holds no more image-sized arrays than the loop.  The image
+    is only read.  The yielded array is overwritten by the next level, so
+    copy it to keep it.
     """
     m = _as_matrix(transform)
     n = m.shape[0]
@@ -344,13 +356,16 @@ def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionP
     rows, cols = image.shape
     padded = _pad_to_multiple(image, n)
     h, w = padded.shape
-    coeffs = forward_2d(m, _blockify(padded, n)).reshape(h // n, w // n, n, n)
+    blocks = _blockify(padded, n)
     del padded
-    masked = np.empty_like(coeffs)
+    coeffs = forward_2d(m, blocks).reshape(h // n, w // n, n, n)
+    del blocks
     half = np.empty_like(coeffs)
     inverse = np.empty((h, w))
+    masked = inverse.reshape(coeffs.shape)
     inverse_blocks = inverse.reshape(h // n, n, w // n, n).swapaxes(1, 2)
-    recon = np.empty((rows, cols))
+    recon = inverse[:rows, :cols]
+    err = half.reshape(-1)[: rows * cols].reshape(rows, cols)
     for policy in policies:
         if policy.n != n:
             raise ValueError(f"policy block size {policy.n} != transform size {n}")
@@ -358,18 +373,21 @@ def _reconstructions(image: np.ndarray, transform, policies: Sequence[RetentionP
         np.multiply(coeffs, policy.mask, out=masked)
         np.matmul(m.T, masked, out=half)
         np.matmul(half, m, out=inverse_blocks)
-        yield np.clip(inverse[:rows, :cols], 0.0, 255.0, out=recon)
+        np.clip(recon, 0.0, 255.0, out=recon)
+        yield recon, _psnr(image, recon, err)
 
 
 def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
     """Blockwise forward -> retain -> inverse over a whole image.
 
     Returns (reconstruction, QualityScores); the reconstruction is float,
-    clamped to [0, 255], same shape as the input.
+    clamped to [0, 255], same shape as the input.  It is a crop view of the
+    padded inverse buffer, which each call allocates afresh, so arrays from
+    different calls are independent.
     """
     image = np.asarray(image, dtype=np.float64)
-    recon = next(_reconstructions(image, transform, [policy]))
-    return recon, QualityScores(psnr_db=psnr(image, recon), ssim=ssim(image, recon))
+    recon, psnr_db = next(_reconstructions(image, transform, [policy]))
+    return recon, QualityScores(psnr_db=psnr_db, ssim=ssim(image, recon))
 
 
 def retention_sweep(
@@ -378,20 +396,20 @@ def retention_sweep(
     """(r, psnr, ssim) over a retention grid, in grid order.
 
     The levels are read once, so any iterable works.  The image is
-    forward-transformed once, and every level is scored against one SSIM
-    reference built from the image, so its window means and variances are
-    computed once; PSNR reuses one error buffer.  The reference is built
-    first: an image smaller than the SSIM window raises ValueError before
-    any transform work.  Scores equal per-level ``compress_image`` exactly.
+    forward-transformed once, each level's PSNR comes with its
+    reconstruction from ``_reconstructions``, and every level is scored
+    against one SSIM reference built from the image, so its window means
+    and variances are computed once.  The reference is built first: an
+    image smaller than the SSIM window raises ValueError before any
+    transform work.  Scores equal per-level ``compress_image`` exactly.
     """
     m = _as_matrix(transform)
     image = np.asarray(image, dtype=np.float64)
     score_ssim = _SsimReference(image)
     policies = [RetentionPolicy(n=m.shape[0], r_fraction=r) for r in r_values]
-    err = np.empty(image.shape)
     return [
-        (p.r_fraction, _psnr(image, rec, err), score_ssim(rec))
-        for p, rec in zip(policies, _reconstructions(image, m, policies))
+        (p.r_fraction, psnr_db, score_ssim(rec))
+        for p, (rec, psnr_db) in zip(policies, _reconstructions(image, m, policies))
     ]
 
 

@@ -190,23 +190,29 @@ class TestSsimBands:
             assert score(b) == ssim_reference(a, b)
         assert ssim(noisy, a) == ssim_reference(noisy, a)
 
-    def test_sweep_equals_the_oracles_at_every_level(self):
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_sweep_equals_the_oracles_at_every_level(self, n):
+        # 500 x 524 pads at every size, so PSNR's error buffer is a prefix
+        # of the padded half-inverse buffer and the reconstruction a crop.
+        # Every level at 8 points, every fourth at 16 and 32.
         img = ar1_test_image(500, 524, seed=19)
         ref = img.astype(np.float64)
-        t = exact_dct_matrix(8)
-        grid = default_r_grid()
+        t = exact_dct_matrix(n)
+        grid = default_r_grid()[:: 1 if n == 8 else 4]
         swept = retention_sweep(img, t, grid)
         assert [r for r, _, _ in swept] == list(grid)
         for r, p, s in swept:
-            rec = reconstruction_reference(ref, t, RetentionPolicy(n=8, r_fraction=r))
+            rec = reconstruction_reference(ref, t, RetentionPolicy(n=n, r_fraction=r))
             assert s == ssim_reference(ref, rec)
             assert p == 10.0 * np.log10(255.0**2 / np.mean((ref - rec) ** 2))
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_sweep_peak_memory(self, n):
         # Peak traced allocation of a sweep, in image-sized float64 arrays:
-        # the SSIM means, variances and map, the band buffers, the float
-        # image, the PSNR buffer and the reconstruction buffers.
+        # the float image; the SSIM reference's means, variances and map and
+        # its band buffers; the transform coefficients, the half-inverse
+        # (also the PSNR error) and the masked coefficients (then the
+        # inverse, whose crop is the reconstruction).
         img = ar1_test_image(500, 524, seed=20)
         t = exact_dct_matrix(n)
         retention_sweep(img, t, (0.5,))   # fill the module's mask caches
@@ -216,7 +222,7 @@ class TestSsimBands:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (img.size * 8) < 11.5
+        assert peak / (img.size * 8) < 8.5
 
 
 class TestCompressImage:
@@ -281,8 +287,10 @@ class TestCompressImage:
         rs = (0.9, 0.25, 1.0, 0.5, 0.9)
         for t in (exact_dct_matrix(n), build_scaled(CATALOG[9], n)):
             policies = [RetentionPolicy(n=n, r_fraction=r) for r in rs]
-            for policy, rec in zip(policies, _reconstructions(img, t, policies)):
-                assert np.array_equal(rec, reconstruction_reference(img, t, policy))
+            for policy, (rec, db) in zip(policies, _reconstructions(img, t, policies)):
+                expected = reconstruction_reference(img, t, policy)
+                assert np.array_equal(rec, expected)
+                assert db == psnr(img, expected)
 
     def test_compress_returns_independent_arrays(self):
         img = ar1_test_image(40, 44, seed=17)
@@ -292,6 +300,23 @@ class TestCompressImage:
         second, _ = compress_image(img, t, RetentionPolicy(n=8, r_fraction=0.9))
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (4, 3), (2.25, 2.75)])
+    def test_caller_image_is_left_unchanged(self, n, rows, cols):
+        # In block units: n rows, where _blockify returns a view of the
+        # image itself; a whole number of blocks; and a padded image.
+        shape = (int(rows * n), int(cols * n))
+        img = ar1_test_image(*shape, seed=22).astype(np.float64)
+        kept = img.copy()
+        if shape[0] == n:
+            assert np.shares_memory(codec._blockify(img, n), img)
+        t = build_scaled(CATALOG[9], n)
+        retention_sweep(img, t, (0.25, 0.6, 1.0))
+        assert np.array_equal(img, kept)
+        recon, _ = compress_image(img, t, RetentionPolicy(n=n, r_fraction=0.4))
+        assert np.array_equal(img, kept)
+        assert not np.shares_memory(recon, img)
 
     @pytest.mark.parametrize("shape", [(64,), (2, 16, 16)])
     def test_rejects_images_that_are_not_2d(self, shape):
