@@ -78,7 +78,9 @@ def _float_or_array(x: np.ndarray) -> float | np.ndarray:
 # float or an array of the stack's leading shape.  Each formula is written
 # once, in a private kernel of explicit reference, covariance and transform
 # size n.  Kernel values are sums over rows (the efficiency's in two parts),
-# so the search adds them over a candidate's even and odd 4x4 blocks.
+# so the search adds them over a candidate's even and odd 4x4 blocks.  The
+# coding gain's synthesis gains read no covariance: they are their own
+# kernel, which the search computes once per block for every rho.
 
 def _error_energy(c_hat, ref):
     d = ref - c_hat
@@ -90,10 +92,15 @@ def _mse(c_hat, ref, r, n):
     return np.einsum("...ij,jk,...ik->...", d, r, d) / n
 
 
-def _coding_gain(c_hat, r, n):
+def _synthesis_gains(c_hat):
     g = np.swapaxes(np.linalg.inv(c_hat), -1, -2)
+    return np.sum(g * g, axis=-1)
+
+
+def _coding_gain(c_hat, r, n, synth=None):
+    if synth is None:
+        synth = _synthesis_gains(c_hat)
     band_var = np.einsum("...ki,...kj,ij->...k", c_hat, c_hat, r)
-    synth = np.sum(g * g, axis=-1)
     return 10.0 * (np.sum(np.log10(1.0 / (band_var * synth)), axis=-1) / n)
 
 

@@ -11,8 +11,14 @@ butterfly a candidate is block-diagonal, with an even block of a2 alone
 and an odd block of the other parameters, and every objective is an odd
 part plus an even part: the metrics are sums of the two blocks' kernel
 values, and the cost is the odd row's plus what a2 adds.  So each slice
-of odd rows is scored against all 7 values of a2 in one broadcast.  One
-non-dominated filter decides all dominance: it cuts each scored chunk,
+of odd rows is scored against all 7 values of a2 in one broadcast, in two
+passes: a rho-free pass builds what no signal model changes (the kept
+rows' blocks, the nonsingular mask, error energy, costs, the coding gain's
+synthesis gains and the candidates), and a rho pass adds the mse, band
+variances and efficiency.  The filtered search's rho-free table is built
+once per process, on the first filtered search, and is read-only; the
+unfiltered search streams both passes slice by slice and keeps no table.
+One non-dominated filter decides all dominance: it cuts each scored chunk,
 stacked under the running front, back to a front.  Scoring, the fold and
 the tie grouping pass two arrays, the (m, 6) metric rows and the (m, 8)
 int8 candidates, and pareto_front is the fold and grouping over one chunk.
@@ -21,8 +27,9 @@ Each entry's output order is taken from its rounded row.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import astuple, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,6 +212,8 @@ class SearchResult:
 # its odd rows antisymmetric, so Q maps each onto one half.
 _EYE, _MIRROR = np.eye(8)[:4], np.eye(8)[7:3:-1]
 _Q_HALVES = ((_EYE + _MIRROR) / np.sqrt(2.0), (_EYE - _MIRROR) / np.sqrt(2.0))
+# The even and odd rows of the exact DCT in the butterfly basis.
+_REFS = tuple(core.exact_dct_matrix(8)[parity::2] @ q.T for parity, q in enumerate(_Q_HALVES))
 
 
 def _blocks(half: np.ndarray, parity: int) -> np.ndarray:
@@ -215,48 +224,113 @@ def _blocks(half: np.ndarray, parity: int) -> np.ndarray:
     return (_row_scale(rows)[..., None] * (rows / 2.0)) @ _Q_HALVES[parity].T
 
 
-def _block_sums(blocks: np.ndarray, parity: int, model: SignalModel) -> np.ndarray:
-    """Columns error energy, mse, coding gain, efficiency numerator and
-    denominator of even or odd blocks, against the same block of the exact
-    DCT and of Q R Q^t (block-diagonal: R is centrosymmetric)."""
+def _fixed_columns(blocks: np.ndarray, rows: np.ndarray, parity: int) -> np.ndarray:
+    """Columns error energy, additions and shifts of even or odd blocks and
+    their int8 rows: the parts no signal model changes."""
+    eps = metrics._error_energy(blocks, _REFS[parity])
+    return np.column_stack([eps, *_cheapest_rule(rows)[:2]])
+
+
+def _parts(table, parity: int, model: SignalModel) -> np.ndarray:
+    """Columns error energy, additions, shifts (the table's), mse, coding
+    gain, efficiency numerator and denominator of an even (parity 0) or odd
+    (1) table's blocks: the model's parts against the same block of the
+    exact DCT and of Q R Q^t (block-diagonal: R is centrosymmetric)."""
     q = _Q_HALVES[parity]
-    ref = core.exact_dct_matrix(8)[parity::2] @ q.T
     r = q @ metrics.ar1_covariance(model) @ q.T
     return np.column_stack([
-        metrics._error_energy(blocks, ref),
-        metrics._mse(blocks, ref, r, 8),
-        metrics._coding_gain(blocks, r, 8),
-        *metrics._efficiency_parts(blocks, r),
+        table.fixed,
+        metrics._mse(table.blocks, _REFS[parity], r, 8),
+        metrics._coding_gain(table.blocks, r, 8, table.synth),
+        *metrics._efficiency_parts(table.blocks, r),
     ])
 
 
+class _EvenTable(NamedTuple):
+    """The 7 even blocks, one per a2 in ALLOWED_DOUBLED order, with what no
+    signal model changes: their rows (a2 alone set), synthesis gains,
+    determinants, and columns error energy, additions and shifts, the costs
+    being what a2 adds to an odd row's."""
+
+    rows: np.ndarray
+    blocks: np.ndarray
+    synth: np.ndarray
+    det: np.ndarray
+    fixed: np.ndarray
+
+
+class _OddTable(NamedTuple):
+    """A slice of odd rows scored with every a2, up to the signal model: the
+    kept odd blocks with their synthesis gains and columns error energy,
+    additions and shifts, the (blocks, 7) mask of the nonsingular
+    candidates, and those candidates' int8 rows."""
+
+    blocks: np.ndarray
+    synth: np.ndarray
+    keep: np.ndarray
+    fixed: np.ndarray
+    candidates: np.ndarray
+
+
+def _even_table() -> _EvenTable:
+    rows = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED], dtype=np.int8)
+    blocks = _blocks(_half_units(*rows.T), 0)
+    fixed = _fixed_columns(blocks, rows, 0)
+    fixed[:, 1:] -= _cheapest_rule(np.zeros(8))[:2]  # the cost a2 adds
+    synth, det = metrics._synthesis_gains(blocks), np.linalg.det(blocks)
+    return _EvenTable(rows, blocks, synth, det, fixed)
+
+
+def _odd_table(odd: np.ndarray, even: _EvenTable) -> _OddTable:
+    """The rho-free pass over odd rows with every a2.  The cost is the odd
+    row's (a2 = 0) plus what a2 adds, because every rule weighs a2 alike (2)
+    and no chain holds it, so a2 neither changes which rules apply nor which
+    is cheapest.  A determinant is the product of the two blocks'.  Odd
+    blocks with a zero row, or singular with every a2, are dropped before
+    they are scaled or inverted."""
+    half = _half_units(*odd.T)
+    nonzero = np.all(np.any(half != 0, axis=2), axis=1)
+    rows, blocks = odd[nonzero], _blocks(half[nonzero], 1)
+    keep = np.abs(np.outer(np.linalg.det(blocks), even.det)) > 1e-12
+    live = np.any(keep, axis=1)
+    rows, keep, blocks = rows[live], keep[live], blocks[live]
+    candidates = (rows[:, None] + even.rows)[keep]
+    synth, fixed = metrics._synthesis_gains(blocks), _fixed_columns(blocks, rows, 1)
+    return _OddTable(blocks, synth, keep, fixed, candidates)
+
+
+def _with_rho(odd: _OddTable, even_parts: np.ndarray, model: SignalModel):
+    """The rho pass: metric rows (epsilon, mse, gain, efficiency, additions,
+    shifts) of an odd table's candidates, and those candidates.  Every
+    metric sum is the odd block's plus the even block's, whose parts are
+    given."""
+    eps, adds, shifts, m, gain, eff_num, eff_den = (
+        (_parts(odd, 1, model)[:, None] + even_parts)[odd.keep].T
+    )
+    return np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), odd.candidates
+
+
 def _scored(odd: np.ndarray, model: SignalModel):
-    """Metric rows (epsilon, mse, gain, efficiency, additions, shifts) of the
-    nonsingular candidates among the odd rows with every a2, and those
-    candidates: a chunk per slice of _SLICE odd rows.  Every objective is an
-    odd part plus an even part: the metric sums are the odd block's plus the
-    even block's, and the cost is the odd row's (a2 = 0) plus what a2 adds,
-    because every rule weighs a2 alike (2) and no chain holds it, so a2
-    neither changes which rules apply nor which is cheapest.  A determinant
-    is the product of the two blocks'.  Odd blocks with a zero row, or
-    singular with every a2, are dropped before they are scaled or inverted."""
-    even = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED], dtype=np.int8)
-    even_blocks = _blocks(_half_units(*even.T), 0)
-    even_parts = np.column_stack([_block_sums(even_blocks, 0, model), *_cheapest_rule(even)[:2]])
-    even_parts[:, 5:] -= _cheapest_rule(np.zeros(8))[:2]  # the cost a2 adds
-    even_det = np.linalg.det(even_blocks)
+    """Metric rows and candidates of the nonsingular candidates among the odd
+    rows with every a2: a chunk per slice of _SLICE odd rows, each through
+    both passes, with no table kept."""
+    even = _even_table()
+    even_parts = _parts(even, 0, model)
     for start in range(0, len(odd), _SLICE):
-        rows = odd[start : start + _SLICE]
-        half = _half_units(*rows.T)
-        nonzero = np.all(np.any(half != 0, axis=2), axis=1)
-        rows, blocks = rows[nonzero], _blocks(half[nonzero], 1)
-        keep = np.abs(np.outer(np.linalg.det(blocks), even_det)) > 1e-12
-        live = np.any(keep, axis=1)
-        rows, keep, blocks = rows[live], keep[live], blocks[live]
-        odd_parts = np.column_stack([_block_sums(blocks, 1, model), *_cheapest_rule(rows)[:2]])
-        eps, m, gain, eff_num, eff_den, adds, shifts = (odd_parts[:, None] + even_parts)[keep].T
-        candidates = (rows[:, None] + even)[keep]
-        yield np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), candidates
+        yield _with_rho(_odd_table(odd[start : start + _SLICE], even), even_parts, model)
+
+
+@functools.cache
+def _feasible_table() -> tuple[int, _EvenTable, _OddTable]:
+    """The filtered search's rho-free table, built on first use and kept for
+    the process: the number of feasible odd rows, the even table, and the
+    odd table of those rows (one slice).  Every array is read-only."""
+    odd = _odd_rows(True)
+    even = _even_table()
+    table = _odd_table(odd, even)
+    for array in (*even, *table):
+        array.setflags(write=False)
+    return len(odd), even, table
 
 
 def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
@@ -284,7 +358,10 @@ def run_search(
     """Full pipeline: select the odd rows (see _odd_rows), score them with
     every a2 (see _scored), fold each chunk into the running front, and
     group the survivors' ties (see _tie_grouped): they are already the
-    front, so no second non-dominated filter runs.  Without the filter every
+    front, so no second non-dominated filter runs.  The filtered search
+    builds its rho-free table (see _feasible_table) once per process, on its
+    first call, and keeps it read-only; later calls at any rho run only the
+    rho pass, the fold and the grouping.  Without the filter every
     nonsingular candidate is scored with row-norm diagonal scaling
     (orthogonality not required), about 1,900 times as many.  ``workers``
     must be at least 1 and has no effect: the search runs in one process.
@@ -293,12 +370,16 @@ def run_search(
         raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    odd = _odd_rows(feasibility_filter)
-    values, rows, n_scored = _running_front(_scored(odd, model))
+    if feasibility_filter:
+        n_odd, even, table = _feasible_table()
+        scored = [_with_rho(table, _parts(even, 0, model), model)]
+    else:
+        scored = _scored(_odd_rows(False), model)
+    values, rows, n_scored = _running_front(scored)
     return SearchResult(
         entries=tuple(_tie_grouped(values, rows)),
         n_candidates=N_CANDIDATES,
-        n_feasible=len(odd) * len(ALLOWED_DOUBLED) if feasibility_filter else None,
+        n_feasible=n_odd * len(ALLOWED_DOUBLED) if feasibility_filter else None,
         n_evaluated=n_scored,
         model=model,
         feasibility_filter=feasibility_filter,

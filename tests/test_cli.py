@@ -686,6 +686,20 @@ class TestSearchCli:
             for gv, ev in zip(g[9:13], e[9:13]):
                 assert float(gv) == pytest.approx(float(ev), rel=1e-4)
 
+    def test_unfiltered_search_matches_golden_front(self, tmp_path, capsys):
+        # Every nonsingular candidate at rho 0.95: the front CSV byte for
+        # byte, and the summary (elapsed time dropped) and tie lines.
+        out = tmp_path / "front.csv"
+        argv = ["search", "--no-feasibility-filter", "--rho", "0.95", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / "golden_front_unfiltered.csv").read_bytes()
+        summary, *ties = capsys.readouterr().out.splitlines()
+        head, elapsed = summary.rsplit(" ", 1)
+        assert elapsed.startswith("elapsed=")
+        golden = (DATA / "golden_front_unfiltered.txt").read_text().splitlines()
+        assert [head, *ties] == golden
+        assert " evaluated=5368846 front=335" in head and len(ties) == 44
+
 
 class TestReport:
     def test_golden_rendering_is_byte_stable(self, tmp_path):

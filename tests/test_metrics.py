@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from dctapprox import metrics
 from dctapprox import (
     CATALOG,
     FeasibilityError,
@@ -96,6 +97,40 @@ class TestCodingGain:
         m[0, 0] = 1.0
         with pytest.raises(ValueError):
             unified_coding_gain(m, model8)
+
+
+def _inline_coding_gain(c_hat, r, n):
+    """The coding gain with its synthesis term written inline, as one
+    expression, before the term became its own kernel."""
+    g = np.swapaxes(np.linalg.inv(c_hat), -1, -2)
+    band_var = np.einsum("...ki,...kj,ij->...k", c_hat, c_hat, r)
+    synth = np.sum(g * g, axis=-1)
+    return 10.0 * (np.sum(np.log10(1.0 / (band_var * synth)), axis=-1) / n)
+
+
+class TestSynthesisKernel:
+    # The search passes precomputed synthesis gains and evaluate_matrix lets
+    # _coding_gain compute them: both must give the inline formula's bits.
+    @staticmethod
+    def _assert_inline_bits(c_hat, n):
+        model = SignalModel(rho=0.95, n=n)
+        r = ar1_covariance(model)
+        expected = _inline_coding_gain(c_hat, r, n).tobytes()
+        assert metrics._coding_gain(c_hat, r, n).tobytes() == expected
+        synth = metrics._synthesis_gains(c_hat)
+        assert metrics._coding_gain(c_hat, r, n, synth).tobytes() == expected
+        assert np.asarray(evaluate_matrix(c_hat, model)[2]).tobytes() == expected
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_random_stacks(self, n):
+        stack = rng(n).standard_normal((6, n, n))
+        assert np.all(np.abs(np.linalg.det(stack)) > 1e-6)
+        self._assert_inline_bits(stack, n)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_catalog_stacks(self, n):
+        stack = np.stack([build_scaled(pv, n).transform.matrix for pv in CATALOG.values()])
+        self._assert_inline_bits(stack, n)
 
 
 class TestEfficiency:

@@ -1,6 +1,11 @@
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,10 +37,17 @@ from dctapprox.metrics import (
     transform_efficiency,
     unified_coding_gain,
 )
-from dctapprox.search import _front, _minimized, _odd_rows, _scored
+from dctapprox.search import (
+    _feasible_table,
+    _front,
+    _minimized,
+    _odd_rows,
+    _scored,
+)
 from helpers import (
     FEASIBLE_DOUBLED,
     _nondominated_mask,
+    count_calls,
     objectives_reference,
     param_vectors,
     pareto_front_reference,
@@ -319,7 +331,7 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="8-point seeds; model size is 16"):
             run_search(SignalModel(n=16))
 
-    @pytest.mark.parametrize("rho", [0.90, 0.95, 0.97])
+    @pytest.mark.parametrize("rho", [0.5, 0.90, 0.95, 0.97, 0.99])
     def test_stacked_objectives_equal_per_candidate_exactly(self, rho):
         # Dominance is decided on rounded floats, so the even/odd scoring the
         # search runs must agree with evaluate() after rounding, bit for bit.
@@ -329,6 +341,63 @@ class TestRunSearch:
         stacked = dict(zip(rows, map(tuple, _minimized(values))))
         for d in FEASIBLE_DOUBLED:
             assert objectives(evaluate(ParamVector(d), model)) == stacked[d]
+
+
+_RHOS = (0.5, 0.9, 0.95, 0.97, 0.99)
+
+
+def _search_bytes(result):
+    """A search's front, pickled: entries in order with their canonical
+    flags and reports (floats bit for bit), and the number scored."""
+    entries = [(e.params.doubled, e.canonical, e.report) for e in result.entries]
+    return pickle.dumps((entries, result.n_evaluated))
+
+
+class TestFeasibleTable:
+    def test_built_once_for_every_rho(self, monkeypatch):
+        _feasible_table.cache_clear()
+        calls = count_calls(monkeypatch, search_mod, ("_odd_rows", "_cheapest_rule"))
+        run_search(SignalModel(rho=0.9))
+        built = dict(calls)
+        run_search(SignalModel(rho=0.97))
+        assert built["_odd_rows"] == 1 and built["_cheapest_rule"] > 0
+        assert calls == built
+
+    def test_cached_arrays_are_read_only(self):
+        _n_odd, even, table = _feasible_table()
+        for array in (*even, *table):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_cached_equals_fresh_at_every_rho(self):
+        # The table is built at one rho and reused at the others; no rho may
+        # leak into it.  Each fresh result builds its own table.
+        _feasible_table.cache_clear()
+        run_search(SignalModel(rho=0.7))
+        cached = {rho: _search_bytes(run_search(SignalModel(rho=rho))) for rho in _RHOS}
+        for rho in _RHOS:
+            _feasible_table.cache_clear()
+            assert _search_bytes(run_search(SignalModel(rho=rho))) == cached[rho]
+
+    def test_cached_equals_streamed_at_every_rho(self, monkeypatch):
+        # The same feasible rows through the streamed path, which keeps no
+        # table: a rho left anywhere in the filtered path would show here.
+        cached = {rho: _search_bytes(run_search(SignalModel(rho=rho))) for rho in _RHOS}
+        feasible = _odd_rows(True)
+        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: feasible)
+        for rho in _RHOS:
+            streamed = run_search(SignalModel(rho=rho), feasibility_filter=False)
+            assert _search_bytes(streamed) == cached[rho]
+
+    def test_not_built_at_import(self):
+        import dctapprox
+
+        code = ("import dctapprox, dctapprox.search as s; "
+                "print(s._feasible_table.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(dctapprox.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0\n"
 
 
 def _scored_rows(odd, model):
