@@ -30,7 +30,7 @@ from .codec import (
     default_r_grid,
     retention_sweep,
 )
-from .core import FeasibilityError, ParamVector, Transform, _read_json, exact_dct_matrix
+from .core import SIZES, FeasibilityError, ParamVector, Transform, _read_json, exact_dct_matrix
 from .metrics import DEFAULT_RHO, MetricsReport, SignalModel, evaluate, evaluate_matrix
 from .pgm import read_pgm, write_pgm
 from .scaling import build_scaled, build_scaled_sizes
@@ -84,7 +84,7 @@ def _resolve_rho(args) -> float:
 
 def write_front_csv(result: SearchResult, path) -> None:
     lines = [
-        f"# rho={_fmt(result.model.rho)}",
+        f"# rho={result.model.rho!r}",
         f"# candidates={result.n_candidates}",
         f"# feasible={'' if result.n_feasible is None else result.n_feasible}",
         f"# front={len(result.canonical)}",
@@ -166,9 +166,8 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     seeds = [parse_params(",".join(row[1:])) for row in params_rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
-    sizes = (8, 16, 32)
-    grown = [build_scaled_sizes(pv, sizes) for pv in seeds]
-    for k, (stem, size) in enumerate(zip(("table2", "table4", "table6"), sizes)):
+    grown = [build_scaled_sizes(pv, SIZES) for pv in seeds]
+    for k, (stem, size) in enumerate(zip(("table2", "table4", "table6"), SIZES)):
         model = SignalModel(rho=rho, n=size)
         scaled = [g[k] for g in grown]
         # reshape, unlike np.stack, also takes an empty front
@@ -203,7 +202,7 @@ def _entry_field(item: dict, key: str, default=None):
     32, 'params' and 'file' strings; ValueError naming the field otherwise."""
     value = item.get(key, default)
     if key in ("dct", "size"):
-        ok, wanted = type(value) is int and value in (8, 16, 32), "8, 16 or 32"
+        ok, wanted = type(value) is int and value in SIZES, "8, 16 or 32"
     else:
         ok, wanted = isinstance(value, str), "a string"
     if not ok:
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--params")
     sel.add_argument("--dct", action="store_true", help="evaluate the exact DCT")
-    p.add_argument("--size", type=int, choices=(8, 16, 32), default=8)
+    p.add_argument("--size", type=int, choices=SIZES, default=8)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--complexity", action="store_true",
                    help="emit the addition/shift/rule row at --size instead of metrics")
@@ -439,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scale", help="grow an 8-point seed to 16 or 32 points")
     p.add_argument("--seed", dest="params", metavar="SEED", required=True,
                    help="8 comma-separated values")
-    p.add_argument("--size", type=int, choices=(16, 32), required=True)
+    p.add_argument("--size", type=int, choices=SIZES[1:], required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -448,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--transform", help="transform JSON file")
     sel.add_argument("--dct", action="store_true")
-    p.add_argument("--size", type=int, choices=(8, 16, 32), default=None,
+    p.add_argument("--size", type=int, choices=SIZES, default=None,
                    help="block size for --dct (default 8)")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--out", default=None, help="reconstructed PGM")

@@ -42,6 +42,9 @@ ALLOWED_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 _ALLOWED_SET = frozenset(ALLOWED_DOUBLED)
 
+# Transform sizes: the 8-point seed and its two doublings.
+SIZES = (8, 16, 32)
+
 
 class FeasibilityError(ValueError):
     """Raised when an operation needs an orthogonal, nonsingular parameter
@@ -357,8 +360,8 @@ class Transform:
         n = d.get("n")
         if type(n) is not int:
             raise ValueError(f"transform size 'n' must be an integer, got {n!r}")
-        if n not in (8, 16, 32):
-            raise FeasibilityError(f"transform size {n} not in (8, 16, 32)")
+        if n not in SIZES:
+            raise FeasibilityError(f"transform size {n} not in {SIZES}")
         half = _json_array(d, "entries", (n, n), "i")
         scale = _json_array(d, "scale", (n,), "if")
         if not np.all(np.isin(half, ALLOWED_DOUBLED)):

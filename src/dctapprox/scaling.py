@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DyadicMatrix, ParamVector, Transform, _row_scale, _seed_half_units
+from .core import SIZES, DyadicMatrix, ParamVector, Transform, _row_scale, _seed_half_units
 from .kernel import ComplexityCount, complexity
 
 __all__ = [
@@ -77,7 +77,7 @@ def build_scaled_sizes(
     one growth of the seed: each doubling is taken once, from the size
     below it, up to the largest target."""
     for target in targets:
-        if target not in (8, 16, 32):
+        if target not in SIZES:
             raise ValueError(f"target size must be 8, 16 or 32, got {target}")
     largest = max(targets, default=8)
     m = DyadicMatrix(_seed_half_units(params))

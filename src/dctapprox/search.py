@@ -15,9 +15,10 @@ of odd rows is scored against all 7 values of a2 in one broadcast, in two
 passes: a rho-free pass builds what no signal model changes (the kept
 rows' blocks, the nonsingular mask, error energy, costs, the coding gain's
 synthesis gains and the candidates), and a rho pass adds the mse, band
-variances and efficiency.  The filtered search's rho-free table is built
-once per process, on the first filtered search, and is read-only; the
-unfiltered search streams both passes slice by slice and keeps no table.
+variances and efficiency.  Both modes share the even table, built once
+per process and read-only; the mode picks only the odd tables.  The
+filtered search's is built on its first call and kept read-only; the
+unfiltered search builds one per slice and keeps none.
 One non-dominated filter decides all dominance: it cuts each scored chunk,
 stacked under the running front, back to a front.  Scoring, the fold and
 the tie grouping pass two arrays, the (m, 6) metric rows and the (m, 8)
@@ -224,14 +225,24 @@ def _blocks(half: np.ndarray, parity: int) -> np.ndarray:
     return (_row_scale(rows)[..., None] * (rows / 2.0)) @ _Q_HALVES[parity].T
 
 
-def _fixed_columns(blocks: np.ndarray, rows: np.ndarray, parity: int) -> np.ndarray:
-    """Columns error energy, additions and shifts of even or odd blocks and
-    their int8 rows: the parts no signal model changes."""
+class _Table(NamedTuple):
+    """Blocks of one parity with what no signal model changes: their int8
+    rows, the blocks, their synthesis gains, and columns error energy,
+    additions and shifts."""
+
+    rows: np.ndarray
+    blocks: np.ndarray
+    synth: np.ndarray
+    fixed: np.ndarray
+
+
+def _table(rows: np.ndarray, blocks: np.ndarray, parity: int) -> _Table:
     eps = metrics._error_energy(blocks, _REFS[parity])
-    return np.column_stack([eps, *_cheapest_rule(rows)[:2]])
+    fixed = np.column_stack([eps, *_cheapest_rule(rows)[:2]])
+    return _Table(rows, blocks, metrics._synthesis_gains(blocks), fixed)
 
 
-def _parts(table, parity: int, model: SignalModel) -> np.ndarray:
+def _parts(table: _Table, parity: int, model: SignalModel) -> np.ndarray:
     """Columns error energy, additions, shifts (the table's), mse, coding
     gain, efficiency numerator and denominator of an even (parity 0) or odd
     (1) table's blocks: the model's parts against the same block of the
@@ -246,91 +257,59 @@ def _parts(table, parity: int, model: SignalModel) -> np.ndarray:
     ])
 
 
-class _EvenTable(NamedTuple):
-    """The 7 even blocks, one per a2 in ALLOWED_DOUBLED order, with what no
-    signal model changes: their rows (a2 alone set), synthesis gains,
-    determinants, and columns error energy, additions and shifts, the costs
-    being what a2 adds to an odd row's."""
-
-    rows: np.ndarray
-    blocks: np.ndarray
-    synth: np.ndarray
-    det: np.ndarray
-    fixed: np.ndarray
-
-
-class _OddTable(NamedTuple):
-    """A slice of odd rows scored with every a2, up to the signal model: the
-    kept odd blocks with their synthesis gains and columns error energy,
-    additions and shifts, the (blocks, 7) mask of the nonsingular
-    candidates, and those candidates' int8 rows."""
-
-    blocks: np.ndarray
-    synth: np.ndarray
-    keep: np.ndarray
-    fixed: np.ndarray
-    candidates: np.ndarray
-
-
-def _even_table() -> _EvenTable:
+@functools.cache
+def _even_table() -> _Table:
+    """The 7 even blocks, one per a2 in ALLOWED_DOUBLED order (their rows
+    have a2 alone set), with the costs what a2 adds to an odd row's.  Built
+    on first use and kept read-only for the process."""
     rows = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED], dtype=np.int8)
-    blocks = _blocks(_half_units(*rows.T), 0)
-    fixed = _fixed_columns(blocks, rows, 0)
-    fixed[:, 1:] -= _cheapest_rule(np.zeros(8))[:2]  # the cost a2 adds
-    synth, det = metrics._synthesis_gains(blocks), np.linalg.det(blocks)
-    return _EvenTable(rows, blocks, synth, det, fixed)
+    table = _table(rows, _blocks(_half_units(*rows.T), 0), 0)
+    table.fixed[:, 1:] -= _cheapest_rule(np.zeros(8))[:2]  # the cost a2 adds
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
-def _odd_table(odd: np.ndarray, even: _EvenTable) -> _OddTable:
-    """The rho-free pass over odd rows with every a2.  The cost is the odd
-    row's (a2 = 0) plus what a2 adds, because every rule weighs a2 alike (2)
-    and no chain holds it, so a2 neither changes which rules apply nor which
-    is cheapest.  A determinant is the product of the two blocks'.  Odd
-    blocks with a zero row, or singular with every a2, are dropped before
-    they are scaled or inverted."""
+def _odd_table(odd: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Table]:
+    """The rho-free pass over odd rows with every a2: the (blocks, 7) mask
+    of the nonsingular candidates, those candidates' int8 rows, and the
+    table of the kept odd blocks.  The cost is the odd row's (a2 = 0) plus
+    what a2 adds, because every rule weighs a2 alike (2) and no chain holds
+    it, so a2 neither changes which rules apply nor which is cheapest.  A
+    determinant is the product of the two blocks'.  Odd blocks with a zero
+    row, or singular with every a2, are dropped before they are scaled or
+    inverted."""
+    even = _even_table()
     half = _half_units(*odd.T)
     nonzero = np.all(np.any(half != 0, axis=2), axis=1)
     rows, blocks = odd[nonzero], _blocks(half[nonzero], 1)
-    keep = np.abs(np.outer(np.linalg.det(blocks), even.det)) > 1e-12
+    keep = np.abs(np.outer(np.linalg.det(blocks), np.linalg.det(even.blocks))) > 1e-12
     live = np.any(keep, axis=1)
     rows, keep, blocks = rows[live], keep[live], blocks[live]
     candidates = (rows[:, None] + even.rows)[keep]
-    synth, fixed = metrics._synthesis_gains(blocks), _fixed_columns(blocks, rows, 1)
-    return _OddTable(blocks, synth, keep, fixed, candidates)
+    return keep, candidates, _table(rows, blocks, 1)
 
 
-def _with_rho(odd: _OddTable, even_parts: np.ndarray, model: SignalModel):
+def _with_rho(odd, even_parts: np.ndarray, model: SignalModel):
     """The rho pass: metric rows (epsilon, mse, gain, efficiency, additions,
     shifts) of an odd table's candidates, and those candidates.  Every
     metric sum is the odd block's plus the even block's, whose parts are
     given."""
+    keep, candidates, table = odd
     eps, adds, shifts, m, gain, eff_num, eff_den = (
-        (_parts(odd, 1, model)[:, None] + even_parts)[odd.keep].T
+        (_parts(table, 1, model)[:, None] + even_parts)[keep].T
     )
-    return np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), odd.candidates
-
-
-def _scored(odd: np.ndarray, model: SignalModel):
-    """Metric rows and candidates of the nonsingular candidates among the odd
-    rows with every a2: a chunk per slice of _SLICE odd rows, each through
-    both passes, with no table kept."""
-    even = _even_table()
-    even_parts = _parts(even, 0, model)
-    for start in range(0, len(odd), _SLICE):
-        yield _with_rho(_odd_table(odd[start : start + _SLICE], even), even_parts, model)
+    return np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), candidates
 
 
 @functools.cache
-def _feasible_table() -> tuple[int, _EvenTable, _OddTable]:
-    """The filtered search's rho-free table, built on first use and kept for
-    the process: the number of feasible odd rows, the even table, and the
-    odd table of those rows (one slice).  Every array is read-only."""
-    odd = _odd_rows(True)
-    even = _even_table()
-    table = _odd_table(odd, even)
-    for array in (*even, *table):
+def _feasible_table() -> tuple[np.ndarray, np.ndarray, _Table]:
+    """The odd table of the feasible odd rows (one slice), built on the
+    first filtered search and kept read-only for the process."""
+    keep, candidates, table = odd = _odd_table(_odd_rows(True))
+    for array in (keep, candidates, *table):
         array.setflags(write=False)
-    return len(odd), even, table
+    return odd
 
 
 def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
@@ -355,31 +334,34 @@ def run_search(
     feasibility_filter: bool = True,
     workers: int = 1,
 ) -> SearchResult:
-    """Full pipeline: select the odd rows (see _odd_rows), score them with
-    every a2 (see _scored), fold each chunk into the running front, and
-    group the survivors' ties (see _tie_grouped): they are already the
-    front, so no second non-dominated filter runs.  The filtered search
-    builds its rho-free table (see _feasible_table) once per process, on its
-    first call, and keeps it read-only; later calls at any rho run only the
-    rho pass, the fold and the grouping.  Without the filter every
+    """Full pipeline: score each odd table (see _odd_table) with every a2,
+    fold each chunk into the running front, and group the survivors' ties
+    (see _tie_grouped): they are already the front, so no second
+    non-dominated filter runs.  The filtered search reads one odd table,
+    built on its first call (see _feasible_table), so later calls at any rho
+    run only the rho pass, the fold and the grouping; a feasible candidate
+    is nonsingular, so each one is scored.  Without the filter every
     nonsingular candidate is scored with row-norm diagonal scaling
-    (orthogonality not required), about 1,900 times as many.  ``workers``
-    must be at least 1 and has no effect: the search runs in one process.
+    (orthogonality not required), about 1,900 times as many, one slice of
+    odd rows at a time.  ``workers`` must be at least 1 and has no effect:
+    the search runs in one process.
     """
     if model.n != 8:
         raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if feasibility_filter:
-        n_odd, even, table = _feasible_table()
-        scored = [_with_rho(table, _parts(even, 0, model), model)]
+        tables = [_feasible_table()]
     else:
-        scored = _scored(_odd_rows(False), model)
-    values, rows, n_scored = _running_front(scored)
+        odd = _odd_rows(False)
+        tables = (_odd_table(odd[i : i + _SLICE]) for i in range(0, len(odd), _SLICE))
+    # map drops each table before the next is built, so one slice's is live.
+    score = functools.partial(_with_rho, even_parts=_parts(_even_table(), 0, model), model=model)
+    values, rows, n_scored = _running_front(map(score, tables))
     return SearchResult(
         entries=tuple(_tie_grouped(values, rows)),
         n_candidates=N_CANDIDATES,
-        n_feasible=n_odd * len(ALLOWED_DOUBLED) if feasibility_filter else None,
+        n_feasible=n_scored if feasibility_filter else None,
         n_evaluated=n_scored,
         model=model,
         feasibility_filter=feasibility_filter,

@@ -26,6 +26,7 @@ from dctapprox import (
 from dctapprox.cli import (
     _fmt,
     _load_transform_list,
+    _parse_front_csv,
     _parse_r_grid,
     _parser,
     main,
@@ -655,6 +656,14 @@ class TestSearchCli:
         out = tmp_path / "front.csv"
         assert main(["search", "--out", str(out), "--workers", "0"]) == 2
         assert not out.exists()
+
+    def test_header_keeps_the_exact_rho(self, tmp_path):
+        # report reads the header's rho back, so it must be the search's
+        # to the last bit, not a rounded form of it.
+        out = tmp_path / "front.csv"
+        assert main(["search", "--rho", "0.9512345678", "--out", str(out)]) == 0
+        meta, _rows = _parse_front_csv(out)
+        assert float(meta["rho"]) == 0.9512345678
 
     def test_one_tie_line_per_non_canonical_entry(self, tmp_path, capsys, monkeypatch):
         # The real filtered fronts have no tie, so the search returns one.

@@ -38,11 +38,14 @@ from dctapprox.metrics import (
     unified_coding_gain,
 )
 from dctapprox.search import (
+    _even_table,
     _feasible_table,
     _front,
     _minimized,
     _odd_rows,
-    _scored,
+    _odd_table,
+    _parts,
+    _with_rho,
 )
 from helpers import (
     FEASIBLE_DOUBLED,
@@ -306,6 +309,8 @@ class TestRunSearch:
         result = run_search(model8)
         assert result.n_candidates == N_CANDIDATES
         assert result.n_feasible == len(FEASIBLE_DOUBLED)
+        # a feasible candidate is nonsingular, so each one is scored
+        assert result.n_evaluated == result.n_feasible == 2821
         canonical = {e.params.doubled: e.report for e in result.canonical}
         # spot rows: lowest-cost member and the 22-addition shift-free member
         j1 = canonical[CATALOG[1].doubled]
@@ -355,6 +360,7 @@ def _search_bytes(result):
 
 class TestFeasibleTable:
     def test_built_once_for_every_rho(self, monkeypatch):
+        _even_table.cache_clear()
         _feasible_table.cache_clear()
         calls = count_calls(monkeypatch, search_mod, ("_odd_rows", "_cheapest_rule"))
         run_search(SignalModel(rho=0.9))
@@ -362,20 +368,31 @@ class TestFeasibleTable:
         run_search(SignalModel(rho=0.97))
         assert built["_odd_rows"] == 1 and built["_cheapest_rule"] > 0
         assert calls == built
+        even = _even_table()
+        # A mini unfiltered search over three slices shares the even table:
+        # the rule engine runs once per slice, on its odd rows alone.
+        odd = _odd_rows(True)
+        monkeypatch.setattr(search_mod, "_SLICE", 150)
+        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: odd)
+        run_search(SignalModel(rho=0.97), feasibility_filter=False)
+        assert calls["_cheapest_rule"] == built["_cheapest_rule"] + 3
+        assert _even_table() is even and _even_table.cache_info().misses == 1
 
     def test_cached_arrays_are_read_only(self):
-        _n_odd, even, table = _feasible_table()
-        for array in (*even, *table):
+        keep, candidates, table = _feasible_table()
+        for array in (keep, candidates, *table, *_even_table()):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
     def test_cached_equals_fresh_at_every_rho(self):
         # The table is built at one rho and reused at the others; no rho may
         # leak into it.  Each fresh result builds its own table.
+        _even_table.cache_clear()
         _feasible_table.cache_clear()
         run_search(SignalModel(rho=0.7))
         cached = {rho: _search_bytes(run_search(SignalModel(rho=rho))) for rho in _RHOS}
         for rho in _RHOS:
+            _even_table.cache_clear()
             _feasible_table.cache_clear()
             assert _search_bytes(run_search(SignalModel(rho=rho))) == cached[rho]
 
@@ -393,17 +410,18 @@ class TestFeasibleTable:
         import dctapprox
 
         code = ("import dctapprox, dctapprox.search as s; "
-                "print(s._feasible_table.cache_info().currsize)")
+                "print(s._even_table.cache_info().currsize, "
+                "s._feasible_table.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=str(Path(dctapprox.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out == "0\n"
+        assert out == "0 0\n"
 
 
 def _scored_rows(odd, model):
     """All chunks of the even/odd scoring pass, stacked: metric rows and the
     candidates as tuples."""
-    chunks = list(_scored(odd, model))
+    chunks = [_with_rho(_odd_table(odd), _parts(_even_table(), 0, model), model)]
     values = np.vstack([v for v, _ in chunks])
     rows = [tuple(int(x) for x in r) for _, c in chunks for r in c]
     return values, rows
@@ -460,7 +478,7 @@ class TestUnfilteredSweep:
         # the unfiltered grid it must equal the rule engine on every
         # expanded candidate.
         odd = _odd_rows(False)[: search_mod._SLICE]
-        (values, candidates), = _scored(odd, model8)
+        values, candidates = _with_rho(_odd_table(odd), _parts(_even_table(), 0, model8), model8)
         adds, shifts, _rule = _cheapest_rule(candidates)
         assert len(candidates) > 6 * len(odd)
         assert np.array_equal(values[:, 4], adds) and np.array_equal(values[:, 5], shifts)
@@ -479,5 +497,6 @@ class TestUnfilteredSweep:
         produced = np.array(sorted(objectives(e.report) for e in result.entries))
         expected = np.array(sorted(map(tuple, brute)))
         assert result.n_evaluated == len(objs)
+        assert result.n_feasible is None
         assert produced.shape == expected.shape
         assert np.allclose(produced, expected, atol=1e-9)
