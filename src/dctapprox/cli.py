@@ -280,6 +280,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # checked before the search, not after it
+        raise OSError(f"cannot write {out}: not a file name in an existing directory")
     rho = _resolve_rho(args)
     model = SignalModel(rho=rho, n=8)
     start = time.perf_counter()

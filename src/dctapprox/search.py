@@ -11,18 +11,21 @@ butterfly a candidate is block-diagonal, with an even block of a2 alone
 and an odd block of the other parameters, and every objective is an odd
 part plus an even part: the metrics are sums of the two blocks' kernel
 values, and the cost is the odd row's plus what a2 adds.  So each slice
-of odd rows is scored against all 7 values of a2 in one broadcast, in two
-passes: a rho-free pass builds what no signal model changes (the kept
-rows' blocks, the nonsingular mask, error energy, costs, the coding gain's
-synthesis gains and the candidates), and a rho pass adds the mse, band
-variances and efficiency.  Both modes share the even table, built once
-per process and read-only; the mode picks only the odd tables.  The
-filtered search's is built on its first call and kept read-only; the
-unfiltered search builds one per slice and keeps none.
+of odd rows is scored against the 4 values a2 >= 0 in one broadcast (a
+negative a2 gives a mirror twin of one of them that is always dominated,
+so it is counted but not scored), in two passes: a rho-free pass builds
+what no signal model changes (the kept rows' blocks, the nonsingular mask,
+error energy, costs, the coding gain's synthesis gains and the
+candidates), and a rho pass adds the mse, band variances and efficiency.
+Both modes share the even table, built once per process and read-only;
+the mode picks only the odd tables.  The filtered search's is built on
+its first call and kept read-only; the unfiltered search builds one per
+slice and keeps none.
 One non-dominated filter decides all dominance: it cuts each scored chunk,
-stacked under the running front, back to a front.  Scoring, the fold and
-the tie grouping pass two arrays, the (m, 6) metric rows and the (m, 8)
-int8 candidates, and pareto_front is the fold and grouping over one chunk.
+stacked under the running front, back to a front, visiting the rows in
+the order of one argsort of their row sums.  Scoring, the fold and the
+tie grouping pass two arrays, the (m, 6) metric rows and the (m, 8) int8
+candidates, and pareto_front is the fold and grouping over one chunk.
 Each entry's output order is taken from its rounded row.
 """
 
@@ -130,14 +133,20 @@ class ParetoEntry:
 def _front(objs: np.ndarray) -> np.ndarray:
     """Sorted indices of the rows no other row dominates (minimization).
 
-    Rows are visited by row sum, then lexicographically.  A dominator is no
-    larger in any column, so its rounded sum is never larger, and on equal
-    sums it comes first lexicographically: a row is visited after all its
+    Rows are visited by float row sum.  A dominator is no larger in any
+    column and rounded summation is monotone, so its sum is never larger.
+    So only where two different rows share a sum is a tie-break needed:
+    then rows are visited by sum and then lexicographically, where a
+    dominator comes first.  Either way a row is visited after all its
     dominators, so each row still there when visited is on the front and
     drops the later rows it dominates.  Identical rows never dominate each
-    other, so whole tie groups survive.
+    other, so whole tie groups survive, in whatever order they are visited.
     """
-    rest = np.lexsort((*objs.T[::-1], objs.sum(axis=1)))
+    sums = objs.sum(axis=1)
+    rest = np.argsort(sums)
+    tied = np.flatnonzero(sums[rest[1:]] == sums[rest[:-1]])
+    if np.any(objs[rest[tied]] != objs[rest[tied + 1]]):
+        rest = np.lexsort((*objs.T[::-1], sums))
     front = []
     while rest.size:
         top, rest = rest[0], rest[1:]
@@ -259,10 +268,24 @@ def _parts(table: _Table, parity: int, model: SignalModel) -> np.ndarray:
 
 @functools.cache
 def _even_table() -> _Table:
-    """The 7 even blocks, one per a2 in ALLOWED_DOUBLED order (their rows
-    have a2 alone set), with the costs what a2 adds to an odd row's.  Built
-    on first use and kept read-only for the process."""
-    rows = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED], dtype=np.int8)
+    """The 4 even blocks of a2 in {0, 1/2, 1, 2} (doubled 0, 1, 2, 4; their
+    rows have a2 alone set), with the costs what a2 adds to an odd row's.
+    Built on first use and kept read-only for the process.
+
+    A negative a2 is never scored: it is the mirror twin of -1/a2.  Only rows
+    2 and 6 read a2, as (2, u, -u, -2, -2, -u, u, 2) and (u, -2, 2, -u, -u,
+    2, -2, u) for doubled u, and doubled -4/u turns them into (2/u) times
+    row 6 and (-2/u) times row 2.  So a candidate with a2 = -1, -2 or -1/2
+    is its twin with a2 = 1, 1/2 or 2 with rows 2 and 6 swapped, up to sign
+    and a factor of 2 that the row scaling removes.  Coding gain and
+    efficiency do not change under a row permutation or a sign flip, and
+    the twins' costs are equal, but the kept twin's even error energy is
+    lower by more than 1 and its even mse by more than 1e-5 (on a 4,001-point
+    rho grid over (0, 1)), so the pruned twin is dominated and never on the
+    front.  Their gain and efficiency parts differ only by rounding, within
+    1e-12, and no scored pair was found to straddle _minimized's 1e-9 step.
+    """
+    rows = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED if a2 >= 0], dtype=np.int8)
     table = _table(rows, _blocks(_half_units(*rows.T), 0), 0)
     table.fixed[:, 1:] -= _cheapest_rule(np.zeros(8))[:2]  # the cost a2 adds
     for array in table:
@@ -271,11 +294,12 @@ def _even_table() -> _Table:
 
 
 def _odd_table(odd: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Table]:
-    """The rho-free pass over odd rows with every a2: the (blocks, 7) mask
-    of the nonsingular candidates, those candidates' int8 rows, and the
-    table of the kept odd blocks.  The cost is the odd row's (a2 = 0) plus
-    what a2 adds, because every rule weighs a2 alike (2) and no chain holds
-    it, so a2 neither changes which rules apply nor which is cheapest.  A
+    """The rho-free pass over odd rows with every a2 of the even table: the
+    (blocks, 4) mask of the nonsingular candidates, those candidates' int8
+    rows, and the table of the kept odd blocks.  The cost is the odd row's
+    (a2 = 0) plus what a2 adds, because every rule weighs a2 alike (2) and
+    no chain holds it, so a2 neither changes which rules apply nor which is
+    cheapest.  A
     determinant is the product of the two blocks'.  Odd blocks with a zero
     row, or singular with every a2, are dropped before they are scaled or
     inverted."""
@@ -314,14 +338,16 @@ def _feasible_table() -> tuple[np.ndarray, np.ndarray, _Table]:
 
 def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
     """Fold a stream of (metric rows, candidate rows) chunks into the
-    non-dominated metric rows, their candidates, and the number scored.
-    Each chunk is stacked under the front and the stack cut back to its
-    front, which keeps rows in chunk order."""
+    non-dominated metric rows, their candidates, and the number of
+    candidates the chunks stand for: each row with a2 != 0 stands for its
+    unscored mirror twin too (see run_search).  Each chunk is stacked under
+    the front and the stack cut back to its front, which keeps rows in
+    chunk order."""
     values = np.empty((0, 6))
     rows = np.empty((0, 8), dtype=np.int8)
     n_scored = 0
     for new_values, new_rows in scored:
-        n_scored += len(new_values)
+        n_scored += len(new_rows) + int(np.count_nonzero(new_rows[:, 1]))
         values = np.vstack([values, new_values])
         rows = np.vstack([rows, new_rows])
         keep = _front(_minimized(values))
@@ -334,17 +360,22 @@ def run_search(
     feasibility_filter: bool = True,
     workers: int = 1,
 ) -> SearchResult:
-    """Full pipeline: score each odd table (see _odd_table) with every a2,
-    fold each chunk into the running front, and group the survivors' ties
-    (see _tie_grouped): they are already the front, so no second
-    non-dominated filter runs.  The filtered search reads one odd table,
-    built on its first call (see _feasible_table), so later calls at any rho
-    run only the rho pass, the fold and the grouping; a feasible candidate
-    is nonsingular, so each one is scored.  Without the filter every
-    nonsingular candidate is scored with row-norm diagonal scaling
-    (orthogonality not required), about 1,900 times as many, one slice of
-    odd rows at a time.  ``workers`` must be at least 1 and has no effect:
-    the search runs in one process.
+    """Full pipeline: score each odd table (see _odd_table) with every
+    a2 >= 0, fold each chunk into the running front, and group the
+    survivors' ties (see _tie_grouped): they are already the front, so no
+    second non-dominated filter runs.  A candidate with a2 < 0 is dominated
+    by its mirror twin (see _even_table), so it is not scored, but it is
+    counted: twin even blocks have bit-equal determinants, so the twins
+    share one nonsingular mask, and each scored candidate with a2 != 0
+    counts twice.  The filtered search reads one odd table, built on its
+    first call (see _feasible_table), so later calls at any rho run only
+    the rho pass, the fold and the grouping; a feasible candidate is
+    nonsingular, so each one is counted (1,612 scored stand for 2,821).
+    Without the filter every nonsingular candidate is counted, and those
+    with a2 >= 0 scored, with row-norm diagonal scaling (orthogonality not
+    required), about 1,900 times as many, one slice of odd rows at a time.
+    ``workers`` must be at least 1 and has no effect: the search runs in
+    one process.
     """
     if model.n != 8:
         raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")

@@ -657,6 +657,17 @@ class TestSearchCli:
         assert main(["search", "--out", str(out), "--workers", "0"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["missing/dir/f.csv", "."])
+    def test_bad_out_fails_before_the_search(self, tmp_path, capsys, monkeypatch, out):
+        def searched(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("dctapprox.cli.run_search", searched)
+        monkeypatch.chdir(tmp_path)
+        assert main(["search", "--no-feasibility-filter", "--out", out]) == 4
+        assert "not a file name in an existing directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_keeps_the_exact_rho(self, tmp_path):
         # report reads the header's rho back, so it must be the search's
         # to the last bit, not a rounded form of it.

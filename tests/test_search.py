@@ -20,6 +20,7 @@ from dctapprox import (
     ParamVector,
     SignalModel,
     all_candidates_doubled,
+    build_scaled,
     dominates,
     complexity,
     evaluate,
@@ -29,6 +30,7 @@ from dctapprox import (
     pareto_front,
     run_search,
 )
+from dctapprox import core
 from dctapprox.core import _FEASIBILITY_STAGES, ALLOWED_DOUBLED, _feasible, build_matrix
 from dctapprox.kernel import _cheapest_rule
 from dctapprox.metrics import (
@@ -111,7 +113,7 @@ class TestFeasibleSet:
 
     def test_odd_grid_selection_equals_full_grid_mask(self):
         # FEASIBLE_DOUBLED masks the full 7^8 grid; the search masks the 7^7
-        # grid without a2 and scores each survivor with every a2.
+        # grid without a2, whose survivors with every a2 are the feasible set.
         odd = _odd_rows(True)
         assert odd.dtype == np.int8 and np.all(odd[:, 1] == 0)
         expanded = sorted(
@@ -201,6 +203,17 @@ _objective_rows = st.lists(
 ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=25))
 
 
+# Rows of one pool: a row of large magnitudes of both signs plus small
+# offsets, which the float row sum often absorbs, so different rows share a
+# sum and _front falls back to its lexicographic tie-break.
+_shared_sum_rows = st.tuples(
+    st.tuples(*[st.sampled_from([0.0, 1e16, -1e16, 3e16, -2.0**60])] * 6),
+    st.lists(st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, 0.5, 4.0])] * 6), min_size=1, max_size=5),
+).flatmap(lambda pool: st.lists(st.sampled_from([
+    tuple(big + small for big, small in zip(pool[0], offsets)) for offsets in pool[1]
+]), max_size=25))
+
+
 class TestFront:
     @given(_objective_rows)
     @example([(1e16, 0, 0, 0, 0, 0), (1e16, 1, 0, 0, 0, 0)])
@@ -208,6 +221,21 @@ class TestFront:
     def test_matches_brute_force(self, rows):
         objs = np.array(rows, dtype=np.float64).reshape(-1, 6)
         assert np.array_equal(_front(objs), np.flatnonzero(_nondominated_mask(objs)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shared_sum_rows)
+    def test_shared_sums_match_brute_force(self, rows):
+        objs = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        assert np.array_equal(_front(objs), np.flatnonzero(_nondominated_mask(objs)))
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.95, 0.97, 0.99])
+    def test_search_rows_take_the_one_sort_path(self, rho):
+        # On the search's scored rows only identical rows share a float row
+        # sum, so _front visits them in the order of one argsort.
+        model = SignalModel(rho=rho, n=8)
+        values, _ = _with_rho(_feasible_table(), _parts(_even_table(), 0, model), model)
+        objs = _minimized(values)
+        assert len(np.unique(objs.sum(axis=1))) == len(np.unique(objs, axis=0))
 
 
 # Floats a little off a few bases, so that rows tie, differ by less than
@@ -311,6 +339,7 @@ class TestRunSearch:
         assert result.n_feasible == len(FEASIBLE_DOUBLED)
         # a feasible candidate is nonsingular, so each one is scored
         assert result.n_evaluated == result.n_feasible == 2821
+        assert type(result.n_evaluated) is int
         canonical = {e.params.doubled: e.report for e in result.canonical}
         # spot rows: lowest-cost member and the 22-addition shift-free member
         j1 = canonical[CATALOG[1].doubled]
@@ -340,12 +369,17 @@ class TestRunSearch:
     def test_stacked_objectives_equal_per_candidate_exactly(self, rho):
         # Dominance is decided on rounded floats, so the even/odd scoring the
         # search runs must agree with evaluate() after rounding, bit for bit.
+        # It scores no candidate with a2 < 0: its mirror twin dominates it.
         model = SignalModel(rho=rho, n=8)
         values, rows = _scored_rows(_odd_rows(True), model)
-        assert sorted(rows) == FEASIBLE_DOUBLED
+        assert sorted(rows) == [d for d in FEASIBLE_DOUBLED if d[1] >= 0]
         stacked = dict(zip(rows, map(tuple, _minimized(values))))
-        for d in FEASIBLE_DOUBLED:
-            assert objectives(evaluate(ParamVector(d), model)) == stacked[d]
+        evaluated = {d: objectives(evaluate(ParamVector(d), model)) for d in FEASIBLE_DOUBLED}
+        for d, objs in evaluated.items():
+            if d[1] >= 0:
+                assert objs == stacked[d]
+            else:
+                assert dominates(evaluated[_twin(d)], objs)
 
 
 _RHOS = (0.5, 0.9, 0.95, 0.97, 0.99)
@@ -418,6 +452,12 @@ class TestFeasibleTable:
         assert out == "0 0\n"
 
 
+def _twin(d):
+    """The mirror twin of a candidate with a2 != 0: a2 -> -1/a2, which is
+    -4/a2 in doubled values (-2 <-> 1, -4 <-> 1/2, -1/2 <-> 2)."""
+    return (d[0], -4 // d[1], *d[2:])
+
+
 def _scored_rows(odd, model):
     """All chunks of the even/odd scoring pass, stacked: metric rows and the
     candidates as tuples."""
@@ -468,20 +508,35 @@ class TestUnfilteredSweep:
         reference = [self._reference_objectives(d, model8) for d in candidates]
         expected = dict(zip(candidates, reference))
         assert expected[(0, 0, 2, 0, 2, 2, 2, -2)] is None
-        assert sorted(kept) == sorted(d for d, e in zip(candidates, reference) if e)
+        nonsingular = [d for d, e in zip(candidates, reference) if e]
+        assert sorted(kept) == sorted(d for d in nonsingular if d[1] >= 0)
+        # A pruned twin is nonsingular with its partner, which dominates it,
+        # so each kept candidate with a2 != 0 counts twice.
+        for d in candidates:
+            if d[1] < 0:
+                assert (expected[d] is None) == (expected[_twin(d)] is None)
+                assert expected[d] is None or dominates(expected[_twin(d)], expected[d])
+        assert len(kept) + sum(d[1] != 0 for d in kept) == len(nonsingular)
         objs = _minimized(values)
         for d, got in zip(kept, objs):
             assert got == pytest.approx(expected[d], abs=1e-8)
 
     def test_cost_split_on_a_full_slice(self, model8):
         # The scoring adds a2's cost to the odd row's; on one whole slice of
-        # the unfiltered grid it must equal the rule engine on every
-        # expanded candidate.
+        # the unfiltered grid it must equal the rule engine on every scored
+        # candidate, and on its unscored mirror twin, which stands for it.
         odd = _odd_rows(False)[: search_mod._SLICE]
         values, candidates = _with_rho(_odd_table(odd), _parts(_even_table(), 0, model8), model8)
         adds, shifts, _rule = _cheapest_rule(candidates)
-        assert len(candidates) > 6 * len(odd)
+        paired = candidates[:, 1] != 0
+        assert len(candidates) + np.count_nonzero(paired) > 6 * len(odd)
         assert np.array_equal(values[:, 4], adds) and np.array_equal(values[:, 5], shifts)
+        twins = candidates[paired].copy()
+        twins[:, 1] = -4 // twins[:, 1]
+        assert np.all(twins[:, 1] < 0)
+        twin_adds, twin_shifts, _rule = _cheapest_rule(twins)
+        assert np.array_equal(twin_adds, adds[paired])
+        assert np.array_equal(twin_shifts, shifts[paired])
 
     def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
         gen = rng(13)
@@ -500,3 +555,82 @@ class TestUnfilteredSweep:
         assert result.n_feasible is None
         assert produced.shape == expected.shape
         assert np.allclose(produced, expected, atol=1e-9)
+
+
+# a2 (doubled) of each pruned candidate and of its scored mirror twin.
+_TWIN_PAIRS = ((-4, 1), (-2, 2), (-1, 4))
+
+
+def _even_rows_every_a2():
+    """The 7 even blocks' rows (a2 alone set) in ALLOWED_DOUBLED order, with
+    a2 -> row index."""
+    rows = np.array([(0, a2) + (0,) * 6 for a2 in ALLOWED_DOUBLED], dtype=np.int8)
+    return rows, {a2: i for i, a2 in enumerate(ALLOWED_DOUBLED)}
+
+
+def _parallel(x, y):
+    """x = c y for one c in {+-1, +-2, +-1/2}."""
+    return any(np.array_equal(2 * x, c * y) for c in (-4, -2, -1, 1, 2, 4))
+
+
+def _signed_sorted_rows(matrix):
+    """The rows of a matrix, each signed so that its first nonzero entry is
+    positive, in lexicographic order: the matrix up to row order and sign."""
+    first = matrix[np.arange(len(matrix)), np.argmax(matrix != 0, axis=1)]
+    signed = matrix * np.sign(first)[:, None]
+    return signed[np.lexsort(signed.T[::-1])]
+
+
+class TestMirrorTwins:
+    def test_twin_matrices_swap_rows_2_and_6(self):
+        # Every feasible odd row and 2,000 drawn ones: only rows 2 and 6
+        # read a2, and the twins' rows 2 and 6 are swapped, up to sign and a
+        # factor of 2.
+        drawn = rng(3).choice(ALLOWED_DOUBLED, size=(2000, 8)).astype(np.int8)
+        odd = np.vstack([_odd_rows(True), drawn])
+        for pruned, kept in _TWIN_PAIRS:
+            assert _twin((0, pruned)) == (0, kept) and _twin((0, kept)) == (0, pruned)
+            odd[:, 1] = pruned
+            a = core._half_units(*odd.T)
+            odd[:, 1] = kept
+            b = core._half_units(*odd.T)
+            others = [0, 1, 3, 4, 5, 7]
+            assert np.array_equal(a[:, others], b[:, others])
+            assert _parallel(a[:, 2], b[:, 6]) and _parallel(a[:, 6], b[:, 2])
+            assert not np.array_equal(a[:, 2], b[:, 2])
+
+    def test_twin_even_determinants_are_bit_equal(self):
+        # A twin shares its partner's nonsingular mask, so the search counts
+        # each scored candidate with a2 != 0 twice.
+        rows, index = _even_rows_every_a2()
+        det = np.linalg.det(search_mod._blocks(core._half_units(*rows.T), 0))
+        for pruned, kept in _TWIN_PAIRS:
+            assert det[index[pruned]] == det[index[kept]]
+        assert _even_table().rows[:, 1].tolist() == [0, 1, 2, 4]
+        kept_det = [det[index[a2]] for a2 in (0, 1, 2, 4)]
+        assert np.linalg.det(_even_table().blocks).tolist() == kept_det
+
+    def test_kept_twin_dominates_even_parts_at_every_rho(self):
+        rows, index = _even_rows_every_a2()
+        table = search_mod._table(rows, search_mod._blocks(core._half_units(*rows.T), 0), 0)
+        rhos = np.linspace(0.0, 1.0, 4003)[1:-1]
+        parts = np.stack([_parts(table, 0, SignalModel(rho=rho, n=8)) for rho in rhos])
+        assert len(rhos) == 4001
+        for pruned, kept in _TWIN_PAIRS:
+            p, k = parts[:, index[pruned]], parts[:, index[kept]]
+            # error energy, additions, shifts, mse, gain, efficiency parts
+            assert np.array_equal(p[:, 1:3], k[:, 1:3])
+            assert np.all(p[:, 0] - k[:, 0] >= 1)
+            assert np.all(p[:, 3] - k[:, 3] >= 1e-5)
+            assert np.all(np.abs(p[:, 4:] - k[:, 4:]) <= 1e-12)
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_scaled_twins_have_the_same_rows(self, size):
+        seeds = [pv for pv in CATALOG.values() if pv.doubled[1] != 0]
+        assert len(seeds) == 9
+        for pv in seeds:
+            twin = ParamVector(_twin(pv.doubled))
+            a = build_scaled(pv, size).transform.matrix
+            b = build_scaled(twin, size).transform.matrix
+            assert not np.array_equal(a, b)
+            assert np.array_equal(_signed_sorted_rows(a), _signed_sorted_rows(b))
