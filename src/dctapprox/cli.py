@@ -279,10 +279,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _check_outputs(*paths) -> None:
+    for out in (Path(p) for p in paths if p):
+        if out.is_dir() or not out.parent.is_dir():
+            raise OSError(f"cannot write {out}: not a file name in an existing directory")
+
+
 def _cmd_search(args) -> int:
-    out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():  # checked before the search, not after it
-        raise OSError(f"cannot write {out}: not a file name in an existing directory")
+    _check_outputs(args.out)
     rho = _resolve_rho(args)
     model = SignalModel(rho=rho, n=8)
     start = time.perf_counter()
@@ -306,6 +310,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    _check_outputs(args.out, args.metrics)
     ident, transform, size = _transform_for(args)
     policy = RetentionPolicy(n=size, r_fraction=args.r)
     image = read_pgm(args.infile)
@@ -348,6 +353,7 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
+    _check_outputs(args.out, args.per_image)
     corpus = sorted(Path(args.corpus).glob("*.pgm"))
     if not corpus:
         raise ValueError(f"no .pgm files in {args.corpus}")
@@ -368,7 +374,7 @@ def _cmd_sweep(args) -> int:
         for psnrs, ssims in sc.transpose(1, 2, 0):
             if args.agg == "db-of-mean-mse":
                 mean = float(np.mean(255.0**2 * 10.0 ** (-psnrs / 10.0)))
-                p = 999.0 if mean == 0 else 10.0 * math.log10(255.0**2 / mean)
+                p = 10.0 * math.log10(255.0**2 / mean)
             else:
                 p = float(np.mean(psnrs))
             out.append((p, float(np.mean(ssims))))

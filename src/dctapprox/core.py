@@ -38,7 +38,7 @@ __all__ = [
 
 # Parameter alphabet, as value*2 integers and as exact floats.
 ALLOWED_DOUBLED = (-4, -2, -1, 0, 1, 2, 4)
-ALLOWED_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+ALLOWED_VALUES = tuple(d / 2 for d in ALLOWED_DOUBLED)
 
 _ALLOWED_SET = frozenset(ALLOWED_DOUBLED)
 

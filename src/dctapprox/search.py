@@ -13,14 +13,13 @@ part plus an even part: the metrics are sums of the two blocks' kernel
 values, and the cost is the odd row's plus what a2 adds.  So each slice
 of odd rows is scored against the 4 values a2 >= 0 in one broadcast (a
 negative a2 gives a mirror twin of one of them that is always dominated,
-so it is counted but not scored), in two passes: a rho-free pass builds
-what no signal model changes (the kept rows' blocks, the nonsingular mask,
-error energy, costs, the coding gain's synthesis gains and the
-candidates), and a rho pass adds the mse, band variances and efficiency.
-Both modes share the even table, built once per process and read-only;
-the mode picks only the odd tables.  The filtered search's is built on
-its first call and kept read-only; the unfiltered search builds one per
-slice and keeps none.
+so it is counted but not scored), in two passes: a rho-free pass keeps
+the nonsingular odd rows (one integer determinant each) and builds what
+no signal model changes (their blocks, error energy, costs and synthesis
+gains), and a rho pass adds the mse, band variances and efficiency.  The
+even table and the filtered search's odd table are built once per
+process and kept read-only; the unfiltered search builds one odd table
+per slice and keeps none.
 One non-dominated filter decides all dominance: it cuts each scored chunk,
 stacked under the running front, back to a front, visiting the rows in
 the order of one argsort of their row sums.  Scoring, the fold and the
@@ -200,7 +199,7 @@ def pareto_front(
     costs are small integers) but are not the same objects."""
     values = np.array([astuple(r) for _, r in evaluated], dtype=np.float64).reshape(-1, 6)
     rows = np.array([pv.doubled for pv, _ in evaluated], dtype=np.int8).reshape(-1, 8)
-    return _tie_grouped(*_running_front([(values, rows)])[:2])
+    return _tie_grouped(*_running_front([(values, rows)]))
 
 
 @dataclass(frozen=True)
@@ -293,66 +292,55 @@ def _even_table() -> _Table:
     return table
 
 
-def _odd_table(odd: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Table]:
-    """The rho-free pass over odd rows with every a2 of the even table: the
-    (blocks, 4) mask of the nonsingular candidates, those candidates' int8
-    rows, and the table of the kept odd blocks.  The cost is the odd row's
-    (a2 = 0) plus what a2 adds, because every rule weighs a2 alike (2) and
-    no chain holds it, so a2 neither changes which rules apply nor which is
-    cheapest.  A
-    determinant is the product of the two blocks'.  Odd blocks with a zero
-    row, or singular with every a2, are dropped before they are scaled or
-    inverted."""
-    even = _even_table()
+def _odd_table(odd: np.ndarray) -> _Table:
+    """The rho-free pass over odd rows: the table of the nonsingular ones.
+    The cost is the odd row's (a2 = 0) plus what a2 adds, because every
+    rule weighs a2 alike (2) and no chain holds it, so a2 neither changes
+    which rules apply nor which is cheapest.  The even rows are orthogonal
+    and nonzero for every a2, so the odd block alone decides singularity,
+    and so does the int 4x4 of its antisymmetric rows' first halves, whose
+    determinant is an integer of magnitude at most 3,072.  Singular rows
+    are dropped before they are scaled or inverted."""
     half = _half_units(*odd.T)
-    nonzero = np.all(np.any(half != 0, axis=2), axis=1)
-    rows, blocks = odd[nonzero], _blocks(half[nonzero], 1)
-    keep = np.abs(np.outer(np.linalg.det(blocks), np.linalg.det(even.blocks))) > 1e-12
-    live = np.any(keep, axis=1)
-    rows, keep, blocks = rows[live], keep[live], blocks[live]
-    candidates = (rows[:, None] + even.rows)[keep]
-    return keep, candidates, _table(rows, blocks, 1)
+    live = np.abs(np.linalg.det(half[:, 1::2, :4])) > 0.5
+    return _table(odd[live], _blocks(half[live], 1), 1)
 
 
-def _with_rho(odd, even_parts: np.ndarray, model: SignalModel):
+def _with_rho(table: _Table, even_parts: np.ndarray, model: SignalModel):
     """The rho pass: metric rows (epsilon, mse, gain, efficiency, additions,
-    shifts) of an odd table's candidates, and those candidates.  Every
-    metric sum is the odd block's plus the even block's, whose parts are
-    given."""
-    keep, candidates, table = odd
+    shifts) of an odd table's rows with every a2 of the even table, and
+    those candidates.  Every metric sum is the odd block's plus the even
+    block's, whose parts are given."""
     eps, adds, shifts, m, gain, eff_num, eff_den = (
-        (_parts(table, 1, model)[:, None] + even_parts)[keep].T
+        (_parts(table, 1, model)[:, None] + even_parts).reshape(-1, 7).T
     )
+    candidates = (table.rows[:, None] + _even_table().rows).reshape(-1, 8)
     return np.column_stack([eps, m, gain, eff_num / eff_den, adds, shifts]), candidates
 
 
 @functools.cache
-def _feasible_table() -> tuple[np.ndarray, np.ndarray, _Table]:
+def _feasible_table() -> _Table:
     """The odd table of the feasible odd rows (one slice), built on the
     first filtered search and kept read-only for the process."""
-    keep, candidates, table = odd = _odd_table(_odd_rows(True))
-    for array in (keep, candidates, *table):
+    table = _odd_table(_odd_rows(True))
+    for array in table:
         array.setflags(write=False)
-    return odd
+    return table
 
 
-def _running_front(scored) -> tuple[np.ndarray, np.ndarray, int]:
+def _running_front(scored) -> tuple[np.ndarray, np.ndarray]:
     """Fold a stream of (metric rows, candidate rows) chunks into the
-    non-dominated metric rows, their candidates, and the number of
-    candidates the chunks stand for: each row with a2 != 0 stands for its
-    unscored mirror twin too (see run_search).  Each chunk is stacked under
-    the front and the stack cut back to its front, which keeps rows in
-    chunk order."""
+    non-dominated metric rows and their candidates.  Each chunk is stacked
+    under the front and the stack cut back to its front, which keeps rows
+    in chunk order."""
     values = np.empty((0, 6))
     rows = np.empty((0, 8), dtype=np.int8)
-    n_scored = 0
     for new_values, new_rows in scored:
-        n_scored += len(new_rows) + int(np.count_nonzero(new_rows[:, 1]))
         values = np.vstack([values, new_values])
         rows = np.vstack([rows, new_rows])
         keep = _front(_minimized(values))
         values, rows = values[keep], rows[keep]
-    return values, rows, n_scored
+    return values, rows
 
 
 def run_search(
@@ -365,17 +353,15 @@ def run_search(
     survivors' ties (see _tie_grouped): they are already the front, so no
     second non-dominated filter runs.  A candidate with a2 < 0 is dominated
     by its mirror twin (see _even_table), so it is not scored, but it is
-    counted: twin even blocks have bit-equal determinants, so the twins
-    share one nonsingular mask, and each scored candidate with a2 != 0
-    counts twice.  The filtered search reads one odd table, built on its
-    first call (see _feasible_table), so later calls at any rho run only
-    the rho pass, the fold and the grouping; a feasible candidate is
-    nonsingular, so each one is counted (1,612 scored stand for 2,821).
-    Without the filter every nonsingular candidate is counted, and those
-    with a2 >= 0 scored, with row-norm diagonal scaling (orthogonality not
-    required), about 1,900 times as many, one slice of odd rows at a time.
-    ``workers`` must be at least 1 and has no effect: the search runs in
-    one process.
+    counted: each nonsingular odd row stands for one candidate per a2.  The
+    filtered search reads one odd table, built on its first call (see
+    _feasible_table), so later calls at any rho run only the rho pass, the
+    fold and the grouping; a feasible candidate is nonsingular, so each one
+    is counted (1,612 scored stand for 2,821).  Without the filter every
+    nonsingular candidate is counted, and those with a2 >= 0 scored, with
+    row-norm diagonal scaling (orthogonality not required), about 1,900
+    times as many, one slice of odd rows at a time.  ``workers`` must be at
+    least 1 and has no effect: the search runs in one process.
     """
     if model.n != 8:
         raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
@@ -386,14 +372,21 @@ def run_search(
     else:
         odd = _odd_rows(False)
         tables = (_odd_table(odd[i : i + _SLICE]) for i in range(0, len(odd), _SLICE))
+    even_parts = _parts(_even_table(), 0, model)
+    n_evaluated = 0
+
+    def score(table: _Table):
+        nonlocal n_evaluated
+        n_evaluated += len(table.rows) * len(ALLOWED_DOUBLED)  # every a2, scored or not
+        return _with_rho(table, even_parts, model)
+
     # map drops each table before the next is built, so one slice's is live.
-    score = functools.partial(_with_rho, even_parts=_parts(_even_table(), 0, model), model=model)
-    values, rows, n_scored = _running_front(map(score, tables))
+    values, rows = _running_front(map(score, tables))
     return SearchResult(
         entries=tuple(_tie_grouped(values, rows)),
         n_candidates=N_CANDIDATES,
-        n_feasible=n_scored if feasibility_filter else None,
-        n_evaluated=n_scored,
+        n_feasible=n_evaluated if feasibility_filter else None,
+        n_evaluated=n_evaluated,
         model=model,
         feasibility_filter=feasibility_filter,
     )

@@ -444,6 +444,52 @@ class TestCompressAndSweep:
         # float reconstruction error is ~1e-13, far above 100 dB
         assert float(out.split("psnr=")[1].split()[0]) >= 100.0
 
+    @pytest.mark.parametrize("bad", ["--out", "--metrics"])
+    def test_compress_bad_output_writes_nothing(self, tmp_path, corpus, capsys, monkeypatch,
+                                                bad):
+        def compressed(*args):
+            raise AssertionError("the image was compressed")
+
+        monkeypatch.setattr("dctapprox.cli.compress_image", compressed)
+        outputs = {"--out": tmp_path / "recon.pgm", "--metrics": tmp_path / "m.csv"}
+        outputs[bad] = tmp_path / "missing" / "x"
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["compress", "--in", str(corpus / "a.pgm"), "--dct", "--r", "0.5"]
+        assert main(argv + [a for flag, path in outputs.items() for a in (flag, str(path))]) == 4
+        assert "not a file name in an existing directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("bad", ["--out", "--per-image"])
+    def test_sweep_bad_output_writes_nothing(self, tmp_path, corpus, capsys, monkeypatch, bad):
+        def swept(*args):
+            raise AssertionError("the corpus was swept")
+
+        monkeypatch.setattr("dctapprox.cli.retention_sweep", swept)
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        outputs = {"--out": tmp_path / "curves.csv", "--per-image": tmp_path / "p.csv"}
+        outputs[bad] = tmp_path / "missing" / "x.csv"
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["sweep", "--corpus", str(corpus), "--transforms", str(tlist)]
+        assert main(argv + [a for flag, path in outputs.items() for a in (flag, str(path))]) == 4
+        assert "not a file name in an existing directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_all_zero_image_sweeps_to_the_sentinel(self, tmp_path, capsys):
+        # Every PSNR is at most the 999 dB sentinel, so every mean-MSE term is
+        # positive and db-of-mean-mse gives the sentinel back.
+        zero = tmp_path / "zero"
+        zero.mkdir()
+        write_pgm(zero / "z.pgm", np.zeros((16, 16), dtype=np.uint8))
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "d8", "dct": 8}]')
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--corpus", str(zero), "--transforms", str(tlist),
+                     "--out", str(out), "--agg", "db-of-mean-mse",
+                     "--r-grid", "0.5:0.5:0.1"]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "transform_id,r,psnr,ssim,ape_psnr,ape_ssim", "d8,0.5,999,1,0,0"]
+
     def test_sweep_curves(self, tmp_path, corpus, capsys):
         t16 = tmp_path / "t16.json"
         main(["scale", "--seed", "0,0.5,0,1,1,1,1,2", "--size", "16", "--out", str(t16)])

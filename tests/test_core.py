@@ -24,7 +24,7 @@ from dctapprox import (
     orthonormal_approx,
     scale_factors,
 )
-from dctapprox.core import ALLOWED_DOUBLED, _half_units
+from dctapprox.core import ALLOWED_DOUBLED, ALLOWED_VALUES, _half_units
 from dctapprox.scaling import build_scaled
 from helpers import (
     assert_orthonormal_transform,
@@ -40,6 +40,7 @@ class TestParamVector:
         pv = ParamVector.from_values([0, 0.5, -0.5, 1, -1, 2, -2, 0])
         assert pv.doubled == (0, 1, -1, 2, -2, 4, -4, 0)
         assert pv.values == (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 0.0)
+        assert ALLOWED_VALUES == (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
     def test_from_values_accepts_fractions_and_strings(self):
         pv = ParamVector.from_values([Fraction(1, 2), "1/2", "0.5", 0, 0, 0, 1, 1])

@@ -413,8 +413,8 @@ class TestFeasibleTable:
         assert _even_table() is even and _even_table.cache_info().misses == 1
 
     def test_cached_arrays_are_read_only(self):
-        keep, candidates, table = _feasible_table()
-        for array in (keep, candidates, *table, *_even_table()):
+        table = _feasible_table()
+        for array in (*table, *_even_table()):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
@@ -538,6 +538,25 @@ class TestUnfilteredSweep:
         assert np.array_equal(twin_adds, adds[paired])
         assert np.array_equal(twin_shifts, shifts[paired])
 
+    def test_odd_determinant_decides_every_a2_on_a_full_slice(self):
+        # The odd table keeps exactly the odd rows whose candidates are
+        # nonsingular after row scaling, with every a2, and the integer
+        # determinant that decides it comes out of float elimination within
+        # far less than 1/2 of an integer.
+        odd = _odd_rows(False)[: search_mod._SLICE]
+        det = np.linalg.det(core._half_units(*odd.T)[:, 1::2, :4])
+        assert np.all(np.abs(det - np.round(det)) < 1e-9) and np.abs(det).max() <= 3072
+        kept = {tuple(r) for r in _odd_table(odd).rows.tolist()}
+        assert 0 < len(kept) < len(odd)
+        for a2 in ALLOWED_DOUBLED:
+            odd[:, 1] = a2
+            t = core._half_units(*odd.T) / 2.0
+            norms = np.sqrt(np.sum(t * t, axis=2))
+            scaled = t / np.where(norms == 0, 1.0, norms)[..., None]
+            nonsingular = np.all(norms > 0, axis=1) & (np.abs(np.linalg.det(scaled)) > 1e-12)
+            odd[:, 1] = 0
+            assert [tuple(r) in kept for r in odd.tolist()] == nonsingular.tolist()
+
     def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
         gen = rng(13)
         odd = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(300, 8)).astype(np.int8)
@@ -599,16 +618,15 @@ class TestMirrorTwins:
             assert _parallel(a[:, 2], b[:, 6]) and _parallel(a[:, 6], b[:, 2])
             assert not np.array_equal(a[:, 2], b[:, 2])
 
-    def test_twin_even_determinants_are_bit_equal(self):
-        # A twin shares its partner's nonsingular mask, so the search counts
-        # each scored candidate with a2 != 0 twice.
-        rows, index = _even_rows_every_a2()
-        det = np.linalg.det(search_mod._blocks(core._half_units(*rows.T), 0))
-        for pruned, kept in _TWIN_PAIRS:
-            assert det[index[pruned]] == det[index[kept]]
+    def test_even_rows_are_orthogonal_for_every_a2(self):
+        # Every even block is orthonormal once scaled, so the odd block alone
+        # decides whether a candidate is singular, with every a2 alike: the
+        # search counts each nonsingular odd row once per value of a2.
+        rows, _index = _even_rows_every_a2()
+        even = core._half_units(*rows.T)[:, ::2]
+        for gram in even @ even.swapaxes(1, 2):
+            assert np.array_equal(gram, np.diag(np.diag(gram))) and np.all(np.diag(gram) > 0)
         assert _even_table().rows[:, 1].tolist() == [0, 1, 2, 4]
-        kept_det = [det[index[a2]] for a2 in (0, 1, 2, 4)]
-        assert np.linalg.det(_even_table().blocks).tolist() == kept_det
 
     def test_kept_twin_dominates_even_parts_at_every_rho(self):
         rows, index = _even_rows_every_a2()
