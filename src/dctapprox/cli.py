@@ -280,7 +280,10 @@ def _cmd_eval(args) -> int:
 
 
 def _check_outputs(*paths) -> None:
-    for out in (Path(p) for p in paths if p):
+    outs = [Path(p) for p in paths if p]
+    if len({out.resolve() for out in outs}) < len(outs):
+        raise ValueError(f"two outputs name the same file: {', '.join(map(str, outs))}")
+    for out in outs:
         if out.is_dir() or not out.parent.is_dir():
             raise OSError(f"cannot write {out}: not a file name in an existing directory")
 

@@ -20,12 +20,13 @@ gains), and a rho pass adds the mse, band variances and efficiency.  The
 even table and the filtered search's odd table are built once per
 process and kept read-only; the unfiltered search builds one odd table
 per slice and keeps none.
-One non-dominated filter decides all dominance: it cuts each scored chunk,
-stacked under the running front, back to a front, visiting the rows in
-the order of one argsort of their row sums.  Scoring, the fold and the
-tie grouping pass two arrays, the (m, 6) metric rows and the (m, 8) int8
+One non-dominated filter decides all dominance on the integer 1e-9 grid:
+it cuts each scored chunk, stacked under the running front, back to a
+front, visiting the rows by one argsort of their integer row sums, where
+a dominator's is strictly smaller.  Scoring, the fold and the tie
+grouping pass two arrays, the (m, 6) metric rows and the (m, 8) int8
 candidates, and pareto_front is the fold and grouping over one chunk.
-Each entry's output order is taken from its rounded row.
+Each entry's output order is taken from its grid row.
 """
 
 from __future__ import annotations
@@ -104,16 +105,18 @@ def _odd_rows(feasibility_filter: bool) -> np.ndarray:
 
 def _minimized(values: np.ndarray) -> np.ndarray:
     """Minimization rows of (m, 6) metric rows (epsilon, mse, gain,
-    efficiency, additions, shifts): gain and efficiency negated, every column
-    rounded to 1e-9 so dominance is not decided by summation noise (the
-    integer costs round to themselves)."""
-    return np.round(values * [1, 1, -1, -1, 1, 1], 9)
+    efficiency, additions, shifts), gain and efficiency negated, as int64
+    grid indices k = rint(v * 1e9).  np.round(v, 9) is k / 1e9; for |v| <
+    1e6 (else ValueError) the two agree in order and six k sum exactly."""
+    if not np.all(np.abs(values) < 1e6):
+        raise ValueError("metric values must be finite and below 1e6 in magnitude")
+    return np.rint(values * [1e9, 1e9, -1e9, -1e9, 1e9, 1e9]).astype(np.int64)
 
 
 def objectives(report: MetricsReport) -> tuple:
-    """Minimization vector of one report: the one-row case of _minimized,
-    with its costs kept as the report's integers."""
-    floats = _minimized(np.array(astuple(report), dtype=np.float64))[:4]
+    """Minimization vector of one report: the one-row case of _minimized
+    over 1e9, with its costs kept as the report's integers."""
+    floats = _minimized(np.array(astuple(report), dtype=np.float64))[:4] / 1e9
     return (*floats.tolist(), report.additions, report.shifts)
 
 
@@ -130,28 +133,22 @@ class ParetoEntry:
 
 
 def _front(objs: np.ndarray) -> np.ndarray:
-    """Sorted indices of the rows no other row dominates (minimization).
+    """Sorted indices of the int64 rows no other row dominates (minimization).
 
-    Rows are visited by float row sum.  A dominator is no larger in any
-    column and rounded summation is monotone, so its sum is never larger.
-    So only where two different rows share a sum is a tie-break needed:
-    then rows are visited by sum and then lexicographically, where a
-    dominator comes first.  Either way a row is visited after all its
-    dominators, so each row still there when visited is on the front and
-    drops the later rows it dominates.  Identical rows never dominate each
-    other, so whole tie groups survive, in whatever order they are visited.
+    A dominator is no larger in any column and not equal, so on integers
+    its row sum is strictly smaller.  Visited by one stable argsort of the
+    sums, a row comes after all its dominators, so each row still there
+    when visited is on the front and drops the later rows it dominates: no
+    smaller in any column, larger in sum.  Identical rows never dominate
+    each other, so whole tie groups survive.
     """
     sums = objs.sum(axis=1)
-    rest = np.argsort(sums)
-    tied = np.flatnonzero(sums[rest[1:]] == sums[rest[:-1]])
-    if np.any(objs[rest[tied]] != objs[rest[tied + 1]]):
-        rest = np.lexsort((*objs.T[::-1], sums))
+    rest = np.argsort(sums, kind="stable")
     front = []
     while rest.size:
         top, rest = rest[0], rest[1:]
         front.append(top)
-        p, later = objs[top], objs[rest]
-        rest = rest[~(np.all(p <= later, axis=1) & np.any(p < later, axis=1))]
+        rest = rest[~(np.all(objs[top] <= objs[rest], axis=1) & (sums[rest] > sums[top]))]
     return np.sort(np.array(front, dtype=np.int64))
 
 
@@ -168,8 +165,8 @@ def _tie_grouped(values: np.ndarray, rows: np.ndarray) -> list[ParetoEntry]:
 
     Members with identical _minimized rows are grouped; exactly one member
     per group is flagged canonical.  Output order is deterministic:
-    additions, then error energy, then shifts, then mse (the floats rounded),
-    canonical members first within a tie group.
+    additions, then error energy, then shifts, then mse (on the grid, in
+    rounded-float order), canonical members first within a tie group.
     """
     members = [
         (ParamVector(tuple(row)), MetricsReport(*vals[:4], *map(int, vals[4:])))

@@ -475,6 +475,29 @@ class TestCompressAndSweep:
         assert "not a file name in an existing directory" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command, second", [("compress", "--metrics"),
+                                                 ("sweep", "--per-image")])
+    def test_outputs_naming_one_file_write_nothing(self, tmp_path, corpus, capsys, monkeypatch,
+                                                   command, second):
+        def worked(*args):
+            raise AssertionError("the command did its work")
+
+        monkeypatch.setattr("dctapprox.cli.compress_image", worked)
+        monkeypatch.setattr("dctapprox.cli.retention_sweep", worked)
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        argv = {
+            "compress": ["compress", "--in", str(corpus / "a.pgm"), "--dct", "--r", "0.5"],
+            "sweep": ["sweep", "--corpus", str(corpus), "--transforms", str(tlist)],
+        }[command]
+        same = tmp_path / "same.csv"
+        before = sorted(tmp_path.rglob("*"))
+        # Two spellings of one file.
+        argv += ["--out", str(same), second, str(corpus / ".." / "same.csv")]
+        assert main(argv) == 2
+        assert "two outputs name the same file" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_all_zero_image_sweeps_to_the_sentinel(self, tmp_path, capsys):
         # Every PSNR is at most the 999 dB sentinel, so every mean-MSE term is
         # positive and db-of-mean-mse gives the sentinel back.
@@ -752,6 +775,7 @@ class TestSearchCli:
             for gv, ev in zip(g[9:13], e[9:13]):
                 assert float(gv) == pytest.approx(float(ev), rel=1e-4)
 
+    @pytest.mark.slow
     def test_unfiltered_search_matches_golden_front(self, tmp_path, capsys):
         # Every nonsingular candidate at rho 0.95: the front CSV byte for
         # byte, and the summary (elapsed time dropped) and tie lines.

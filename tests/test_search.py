@@ -196,19 +196,18 @@ def _report(eps, m, cg, eta, adds, shifts):
     )
 
 
-# Rows drawn from a small pool, so duplicates are common; 1e16 makes float
-# row sums tie between rows that differ by 1 in another column.
+# Rows drawn from a small pool, so duplicates are common; 10**15 is the
+# grid index of a metric near the grid's bound of 1e6.
 _objective_rows = st.lists(
-    st.tuples(*[st.sampled_from([0.0, 1.0, 2.0, 1e16])] * 6), min_size=1, max_size=6
+    st.tuples(*[st.sampled_from([0, 1, 2, 10**15])] * 6), min_size=1, max_size=6
 ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=25))
 
 
 # Rows of one pool: a row of large magnitudes of both signs plus small
-# offsets, which the float row sum often absorbs, so different rows share a
-# sum and _front falls back to its lexicographic tie-break.
+# offsets, so different rows often share a row sum.
 _shared_sum_rows = st.tuples(
-    st.tuples(*[st.sampled_from([0.0, 1e16, -1e16, 3e16, -2.0**60])] * 6),
-    st.lists(st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, 0.5, 4.0])] * 6), min_size=1, max_size=5),
+    st.tuples(*[st.sampled_from([0, 10**15, -(10**15), 3 * 10**14, -(2**49)])] * 6),
+    st.lists(st.tuples(*[st.sampled_from([0, 1, -1, 2, 4])] * 6), min_size=1, max_size=5),
 ).flatmap(lambda pool: st.lists(st.sampled_from([
     tuple(big + small for big, small in zip(pool[0], offsets)) for offsets in pool[1]
 ]), max_size=25))
@@ -216,26 +215,17 @@ _shared_sum_rows = st.tuples(
 
 class TestFront:
     @given(_objective_rows)
-    @example([(1e16, 0, 0, 0, 0, 0), (1e16, 1, 0, 0, 0, 0)])
-    @example([(1e16, 1, 0, 0, 0, 0), (1e16, 0, 0, 0, 0, 0)])
+    @example([(10**15, 0, 0, 0, 0, 0), (10**15, 1, 0, 0, 0, 0)])
+    @example([(10**15, 1, 0, 0, 0, 0), (10**15, 0, 0, 0, 0, 0)])
     def test_matches_brute_force(self, rows):
-        objs = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        objs = np.array(rows, dtype=np.int64).reshape(-1, 6)
         assert np.array_equal(_front(objs), np.flatnonzero(_nondominated_mask(objs)))
 
     @settings(max_examples=200, deadline=None)
     @given(_shared_sum_rows)
     def test_shared_sums_match_brute_force(self, rows):
-        objs = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        objs = np.array(rows, dtype=np.int64).reshape(-1, 6)
         assert np.array_equal(_front(objs), np.flatnonzero(_nondominated_mask(objs)))
-
-    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.95, 0.97, 0.99])
-    def test_search_rows_take_the_one_sort_path(self, rho):
-        # On the search's scored rows only identical rows share a float row
-        # sum, so _front visits them in the order of one argsort.
-        model = SignalModel(rho=rho, n=8)
-        values, _ = _with_rho(_feasible_table(), _parts(_even_table(), 0, model), model)
-        objs = _minimized(values)
-        assert len(np.unique(objs.sum(axis=1))) == len(np.unique(objs, axis=0))
 
 
 # Floats a little off a few bases, so that rows tie, differ by less than
@@ -254,6 +244,48 @@ _reports = st.builds(
 _evaluated = st.lists(_reports, min_size=1, max_size=4).flatmap(
     lambda pool: st.lists(st.tuples(param_vectors, st.sampled_from(pool)), max_size=12)
 )
+
+
+# Floats over the grid's domain, with the half-step cases of _near_floats.
+_grid_rows = st.lists(
+    st.tuples(*[st.one_of(st.floats(-1e6, 1e6, exclude_min=True, exclude_max=True),
+                          _near_floats)] * 6),
+    min_size=1, max_size=8,
+)
+
+
+class TestGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(_grid_rows)
+    def test_grid_is_np_round_one_to_one_in_order(self, rows):
+        values = np.array(rows, dtype=np.float64)
+        k = _minimized(values)
+        assert k.dtype == np.int64
+        rounded = np.round(values * [1, 1, -1, -1, 1, 1], 9)
+        # Bit for bit up to the sign of zero, which adding 0.0 clears.
+        assert (k / 1e9 + 0.0).tobytes() == (rounded + 0.0).tobytes()
+        x, kx = rounded.ravel(), k.ravel()
+        assert np.array_equal(x[:, None] < x, kx[:, None] < kx)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e7, -1e7, 1e6])
+    @pytest.mark.parametrize("field", range(4))
+    def test_values_off_the_grid_are_rejected(self, bad, field):
+        values = [1.0, 1.0, 8.0, 90.0]
+        values[field] = bad
+        report = _report(*values, 16, 0)
+        with pytest.raises(ValueError, match="finite and below 1e6"):
+            objectives(report)
+        with pytest.raises(ValueError, match="finite and below 1e6"):
+            pareto_front([(CATALOG[1], report)])
+
+    def test_costs_off_the_grid_are_rejected(self):
+        with pytest.raises(ValueError, match="finite and below 1e6"):
+            pareto_front([(CATALOG[1], _report(1.0, 1.0, 8.0, 90.0, 10**7, 0))])
+
+    def test_largest_values_on_the_grid_are_accepted(self):
+        report = _report(999999.999999999, -999999.999999999, 1.0, 1.0, 999999, 0)
+        assert objectives(report) == (999999.999999999, -999999.999999999, -1.0, -1.0, 999999, 0)
+        assert [e.report for e in pareto_front([(CATALOG[1], report)])] == [report]
 
 
 class TestParetoFront:
@@ -367,13 +399,13 @@ class TestRunSearch:
 
     @pytest.mark.parametrize("rho", [0.5, 0.90, 0.95, 0.97, 0.99])
     def test_stacked_objectives_equal_per_candidate_exactly(self, rho):
-        # Dominance is decided on rounded floats, so the even/odd scoring the
-        # search runs must agree with evaluate() after rounding, bit for bit.
+        # Dominance is decided on the 1e-9 grid, so the even/odd scoring the
+        # search runs must agree with evaluate() there, bit for bit.
         # It scores no candidate with a2 < 0: its mirror twin dominates it.
         model = SignalModel(rho=rho, n=8)
         values, rows = _scored_rows(_odd_rows(True), model)
         assert sorted(rows) == [d for d in FEASIBLE_DOUBLED if d[1] >= 0]
-        stacked = dict(zip(rows, map(tuple, _minimized(values))))
+        stacked = dict(zip(rows, map(tuple, _minimized(values) / 1e9)))
         evaluated = {d: objectives(evaluate(ParamVector(d), model)) for d in FEASIBLE_DOUBLED}
         for d, objs in evaluated.items():
             if d[1] >= 0:
@@ -517,7 +549,7 @@ class TestUnfilteredSweep:
                 assert (expected[d] is None) == (expected[_twin(d)] is None)
                 assert expected[d] is None or dominates(expected[_twin(d)], expected[d])
         assert len(kept) + sum(d[1] != 0 for d in kept) == len(nonsingular)
-        objs = _minimized(values)
+        objs = _minimized(values) / 1e9
         for d, got in zip(kept, objs):
             assert got == pytest.approx(expected[d], abs=1e-8)
 
