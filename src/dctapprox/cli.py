@@ -357,7 +357,10 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
 
 def _cmd_sweep(args) -> int:
     _check_outputs(args.out, args.per_image)
-    corpus = sorted(Path(args.corpus).glob("*.pgm"))
+    folder = Path(args.corpus)
+    if not folder.is_dir():
+        raise OSError(f"corpus {args.corpus} is not an existing directory")
+    corpus = sorted(folder.glob("*.pgm"))
     if not corpus:
         raise ValueError(f"no .pgm files in {args.corpus}")
     transforms = _load_transform_list(args.transforms)

@@ -193,7 +193,7 @@ _GRAM_CROSS = ((1, 3), (1, 5), (1, 7), (3, 5), (3, 7), (5, 7))
 
 def gram_diagnostics(params: ParamVector) -> GramDiagnostics:
     """The Gram entries of build_matrix(params), read off the exact matrix
-    product; their closed forms live only in the feasibility stage groups."""
+    product; their closed forms live only in _feasible."""
     q = gram_quarter_units(build_matrix(params))
     cross = tuple(Fraction(int(q[i, j]), 4) for i, j in _GRAM_CROSS)
     return GramDiagnostics(
@@ -203,52 +203,27 @@ def gram_diagnostics(params: ParamVector) -> GramDiagnostics:
     )
 
 
-def _conditions_to_a4(u1, u2, u3, u4):
-    """The conditions whose last parameter is a4: cross term (1,3) and row 3
-    nonzero."""
-    return (2 * u1 - u1 * u1 + 2 * u3 - u1 * u4 == 0) & ((u1 != 0) | (u3 != 0) | (u4 != 0))
+def _feasible(u1, u2, u3, u4, u5, u6, u7, u8):
+    """Feasibility of doubled parameters, element-wise: takes 8 ints or 8
+    integer columns (or open axes that broadcast together).
 
-
-def _conditions_to_a6(u1, u2, u3, u4, u5, u6):
-    """The conditions whose last parameter is a6: cross terms (1,5) and (3,5)
-    and row 5 nonzero."""
+    The one home of the Gram closed forms: the six polynomials are twice the
+    cross terms at _GRAM_CROSS and must vanish, and the three nonzero-row
+    checks keep rows 3, 5 and 7 from being identically zero, which makes the
+    Gram diagonal positive.  The terms are joined in parameter order (a4,
+    then a6, then a8), so on open axes the broadcasts grow late.
+    """
     return (
-        (u1 * (u6 - u1) == 0)
+        (2 * u1 - u1 * u1 + 2 * u3 - u1 * u4 == 0)
+        & ((u1 != 0) | (u3 != 0) | (u4 != 0))
+        & (u1 * (u6 - u1) == 0)
         & (u1 * u4 + u1 * u5 - u3 * u5 - u1 * u6 == 0)
         & ((u1 != 0) | (u5 != 0) | (u6 != 0))
-    )
-
-
-def _conditions_to_a8(u1, u2, u3, u4, u5, u6, u7, u8):
-    """The conditions whose last parameter is a8: cross terms (1,7), (3,7)
-    and (5,7) and row 7 nonzero."""
-    return (
-        (u1 * u1 - 2 * u6 + 2 * u7 - u1 * u8 == 0)
+        & (u1 * u1 - 2 * u6 + 2 * u7 - u1 * u8 == 0)
         & (u1 * u8 + u1 * u7 - u3 * u6 - u1 * u4 == 0)
         & (u5 * u7 + u5 * u6 - u1 * u1 - u6 * u8 == 0)
         & ((u1 != 0) | (u6 != 0) | (u7 != 0) | (u8 != 0))
     )
-
-
-# The feasibility conditions in three stage groups, keyed by the last
-# parameter each reads: a group takes the parameters up to that one.
-_FEASIBILITY_STAGES = ((4, _conditions_to_a4), (6, _conditions_to_a6), (8, _conditions_to_a8))
-
-
-def _feasible(*u):
-    """Feasibility of doubled parameters, element-wise: takes 8 ints or 8
-    integer columns (or open axes that broadcast together).
-
-    The conjunction of the stage groups in _FEASIBILITY_STAGES, the one
-    home of the Gram closed forms: their six polynomials are twice the cross
-    terms at _GRAM_CROSS and must vanish.  Their three nonzero-row checks
-    keep rows 3, 5 and 7 from being identically zero, which makes the Gram
-    diagonal positive.
-    """
-    ok = True
-    for stop, conditions in _FEASIBILITY_STAGES:
-        ok = ok & conditions(*u[:stop])
-    return ok
 
 
 def is_feasible(params: ParamVector) -> bool:

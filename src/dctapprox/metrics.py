@@ -97,16 +97,14 @@ def _synthesis_gains(c_hat):
     return np.sum(g * g, axis=-1)
 
 
-def _coding_gain(c_hat, r, n, synth=None):
-    if synth is None:
-        synth = _synthesis_gains(c_hat)
+def _coding_gain(c_hat, r, n, synth):
     band_var = np.einsum("...ki,...kj,ij->...k", c_hat, c_hat, r)
     return 10.0 * (np.sum(np.log10(1.0 / (band_var * synth)), axis=-1) / n)
 
 
 def _checked_coding_gain(c_hat, r, n):
     try:
-        return _coding_gain(c_hat, r, n)
+        return _coding_gain(c_hat, r, n, _synthesis_gains(c_hat))
     except np.linalg.LinAlgError:
         raise ValueError("transform is singular; coding gain undefined") from None
 

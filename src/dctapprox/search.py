@@ -4,9 +4,8 @@ additions, shifts).
 
 Both modes run one scoring pass over the odd rows of the 7^7 grid with a2
 pinned: all of them, or with the feasibility filter the 403 that pass the
-six integer checks (none reads a2).  The filter binds the parameters in
-grid order, in three stages, and applies each check once every parameter
-it reads is bound, so no table spans the 7^7 grid.  After the input
+six integer checks (none reads a2), in one call of the checks on open
+axes, so no table of the 7^7 grid's rows is built.  After the input
 butterfly a candidate is block-diagonal, with an even block of a2 alone
 and an odd block of the other parameters, and every objective is an odd
 part plus an even part: the metrics are sums of the two blocks' kernel
@@ -39,9 +38,9 @@ import numpy as np
 
 from . import core, metrics
 from .core import (
-    _FEASIBILITY_STAGES,
     ALLOWED_DOUBLED,
     ParamVector,
+    _feasible,
     _half_units,
     _row_scale,
     feasible_mask,
@@ -84,23 +83,15 @@ def _odd_rows(feasibility_filter: bool) -> np.ndarray:
     """The 7^7 grid of the parameters other than a2, as rows with a2 pinned
     to 0, in _grid order; with the filter only its feasible rows.
     Feasibility does not depend on a2, so each feasible row gives 7 feasible
-    candidates.  The filter binds the parameters in grid order, one stage
-    group of conditions at a time (core._FEASIBILITY_STAGES): it extends the
-    surviving prefix rows by the group's new parameters on open axes and
-    keeps the extensions that pass the group.  C order over (prefix row, new
-    axes) is the grid's lexicographic order, so the survivors (25 through
-    a4, 308 through a6, 403 through a8) stay in _grid order."""
+    candidates.  The filter calls _feasible once on open axes, so no table
+    of the grid's rows is built, and the C order of its mask is _grid
+    order."""
     columns = [np.array(c, dtype=np.int8) for c in [ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6]
     if not feasibility_filter:
         return _grid(columns)
-    rows = np.empty((1, 0), dtype=np.int32)
-    for stop, conditions in _FEASIBILITY_STAGES:
-        new = [c.astype(np.int32) for c in columns[rows.shape[1] : stop]]
-        prefix, *axes = np.ix_(np.arange(len(rows)), *new)
-        mask = conditions(*(rows[prefix, k] for k in range(rows.shape[1])), *axes)
-        kept, *index = np.unravel_index(np.flatnonzero(mask), mask.shape)
-        rows = np.column_stack([rows[kept], *(c[i] for c, i in zip(new, index))])
-    return rows.astype(np.int8)
+    mask = _feasible(*np.ix_(*(c.astype(np.int32) for c in columns)))
+    index = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    return np.column_stack([c[i] for c, i in zip(columns, index)])
 
 
 def _minimized(values: np.ndarray) -> np.ndarray:

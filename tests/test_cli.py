@@ -475,6 +475,32 @@ class TestCompressAndSweep:
         assert "not a file name in an existing directory" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("kind, code, message", [
+        ("missing", 4, "is not an existing directory"),
+        ("file", 4, "is not an existing directory"),
+        ("empty", 2, "no .pgm files in"),
+    ])
+    def test_sweep_corpus_checked_before_work(self, tmp_path, capsys, monkeypatch,
+                                              kind, code, message):
+        # A corpus that is not a directory is an I/O error, like every other
+        # missing input; a directory without .pgm files is a usage error.
+        def swept(*args):
+            raise AssertionError("the corpus was swept")
+
+        monkeypatch.setattr("dctapprox.cli.retention_sweep", swept)
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        corpus = tmp_path / "corpus"
+        if kind == "file":
+            write_pgm(corpus, ar1_test_image(16, 16, seed=21))
+        elif kind == "empty":
+            corpus.mkdir()
+        out = tmp_path / "curves.csv"
+        argv = ["sweep", "--corpus", str(corpus), "--transforms", str(tlist), "--out", str(out)]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, second", [("compress", "--metrics"),
                                                  ("sweep", "--per-image")])
     def test_outputs_naming_one_file_write_nothing(self, tmp_path, corpus, capsys, monkeypatch,

@@ -109,14 +109,15 @@ def _inline_coding_gain(c_hat, r, n):
 
 
 class TestSynthesisKernel:
-    # The search passes precomputed synthesis gains and evaluate_matrix lets
-    # _coding_gain compute them: both must give the inline formula's bits.
+    # The search passes its tables' synthesis gains and evaluate_matrix
+    # computes them in _checked_coding_gain: both must give the inline
+    # formula's bits.
     @staticmethod
     def _assert_inline_bits(c_hat, n):
         model = SignalModel(rho=0.95, n=n)
         r = ar1_covariance(model)
         expected = _inline_coding_gain(c_hat, r, n).tobytes()
-        assert metrics._coding_gain(c_hat, r, n).tobytes() == expected
+        assert metrics._checked_coding_gain(c_hat, r, n).tobytes() == expected
         synth = metrics._synthesis_gains(c_hat)
         assert metrics._coding_gain(c_hat, r, n, synth).tobytes() == expected
         assert np.asarray(evaluate_matrix(c_hat, model)[2]).tobytes() == expected
