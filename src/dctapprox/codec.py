@@ -164,7 +164,7 @@ def _psnr(reference: np.ndarray, test: np.ndarray, err: np.ndarray) -> float:
     # The squared error is built in err, a contiguous array of the images'
     # shape, so np.mean sums it in the order it sums a fresh array.
     np.subtract(reference, test, out=err)
-    mse = np.mean(np.multiply(err, err, out=err))
+    mse = np.mean(np.square(err, out=err))
     if mse == 0.0:
         return PSNR_IDENTICAL_SENTINEL
     return float(10.0 * np.log10(255.0**2 / mse))
@@ -189,6 +189,16 @@ class _SsimReference:
     columns; complex addition adds the real and imaginary parts on their
     own, so each column gets the same additions.
 
+    The window step copies the lower-right corner view into the band's
+    means buffer, subtracts the upper-right and lower-left views from it
+    and adds the upper-left one in place, then scales by 2**-6 with a
+    multiply.  A ufunc that reads two strided views of the band is slower
+    than a copy of one view plus an in-place ufunc, and a divide is slower
+    than a multiply.  Neither changes a bit: x - y is the same IEEE
+    subtraction whichever buffer holds x, and since 64 is a power of two,
+    x / 64 and x * 2**-6 are the same correctly rounded value, subnormals
+    included.
+
     The score equals SSIM with every term freshly allocated (``np.cumsum``
     over the whole image), bit for bit:
 
@@ -196,7 +206,8 @@ class _SsimReference:
       the carry plus a row equals the column sum so far plus that row, as
       IEEE addition commutes;
     - the window and map steps are element by element, in the same
-      operation order;
+      operation order, ((A - B) - C) + D for the window sums, and
+      ``np.square(x)`` is ``x * x``;
     - the one ``np.mean`` over a contiguous map keeps its pairwise order.
 
     Column 0 of the buffer is the integral image's zero border and, like
@@ -224,17 +235,17 @@ class _SsimReference:
         self._means = np.empty((3, band, window[1]))
         self._tmp = np.empty((band, window[1]))
         self._mu_a, self._var_a, self._map = (np.empty(window) for _ in range(3))
-        for rows, (mu, mean_sq) in self._window_means((a,), (a, a)):
+        for rows, (mu, mean_sq) in self._window_means(a):
             # var_a = E[a a] - mu_a mu_a, written straight into its rows.
             var = self._var_a[rows]
             np.subtract(mean_sq, np.multiply(mu, mu, out=var), out=var)
             self._mu_a[rows] = mu
 
-    def _window_means(self, *channels: tuple[np.ndarray, ...]):
-        """Yield (window-row slice, stacked window means) band by band, one
-        channel per factor tuple: (x,) is x itself, (x, y) the product."""
+    def _window_means(self, x: np.ndarray, *others: np.ndarray):
+        """Yield (window-row slice, stacked window means) band by band, for
+        the channels x, x*x and then y*x for each y in others."""
         w, band = _SSIM_WINDOW, self._band
-        k = len(channels)
+        k = 2 + len(others)
         s, pairs, carry = self._s[:k], self._pairs[:k], self._carry[:k]
         means = self._means[:k]
         total = self._map.shape[0]
@@ -250,23 +261,24 @@ class _SsimReference:
                 s[:, 0] = 0.0   # the integral image's zero border row
                 new = slice(1, rows + w)
             src = slice(top + new.start - 1, top + new.stop - 1)
-            for out, factors in zip(s[:, new, 1:], channels):
-                if len(factors) == 1:
-                    out[...] = factors[0][src]
-                else:
-                    np.multiply(factors[0][src], factors[1][src], out=out)
+            fresh = s[:, new, 1:]
+            xs = x[src]
+            np.copyto(fresh[0], xs)
+            np.square(xs, out=fresh[1])
+            for y, out in zip(others, fresh[2:]):
+                np.multiply(y[src], xs, out=out)
             down = pairs[:, new]
             if top:
                 np.add(down[:, 0], carry, out=down[:, 0])
             np.cumsum(down, axis=1, out=down)
             carry[:] = down[:, -1]
-            fresh = s[:, new, 1:]
             np.cumsum(fresh, axis=2, out=fresh)
             m = means[:, :rows]
-            np.subtract(s[:, w : rows + w, w:], s[:, :rows, w:], out=m)
+            np.copyto(m, s[:, w : rows + w, w:])
+            np.subtract(m, s[:, :rows, w:], out=m)
             np.subtract(m, s[:, w : rows + w, :-w], out=m)
             np.add(m, s[:, :rows, :-w], out=m)
-            yield slice(top, top + rows), np.divide(m, w * w, out=m)
+            yield slice(top, top + rows), np.multiply(m, 1.0 / (w * w), out=m)
 
     def __call__(self, b: np.ndarray) -> float:
         a = self._a
@@ -275,7 +287,7 @@ class _SsimReference:
             raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
         c1 = (_SSIM_K1 * _SSIM_L) ** 2
         c2 = (_SSIM_K2 * _SSIM_L) ** 2
-        for rows, (mu_b, var_b, cov) in self._window_means((b,), (b, b), (a, b)):
+        for rows, (mu_b, var_b, cov) in self._window_means(b, a):
             mu_a, var_a, out = self._mu_a[rows], self._var_a[rows], self._map[rows]
             t = self._tmp[: out.shape[0]]
             # s_map = ((2 mu_a mu_b + c1) (2 cov + c2))

@@ -28,7 +28,13 @@ from dctapprox import (
 )
 from dctapprox import codec
 from dctapprox.codec import _reconstructions, _SsimReference
-from helpers import JPEG_ZIGZAG_8, reconstruction_reference, rng, ssim_reference
+from helpers import (
+    JPEG_ZIGZAG_8,
+    _box_means,
+    reconstruction_reference,
+    rng,
+    ssim_reference,
+)
 
 
 class TestZigzag:
@@ -179,6 +185,7 @@ class TestSsimBands:
         ((2 * _band_rows(9000) + 8, 9000), 3),   # bands shorter than the halo
         ((700, 9), 1),
         ((9, 700), 1),
+        ((524, 500), 8),   # the benchmark's transposed shape: 65-row bands
     ])
     def test_scores_equal_the_oracle(self, shape, bands):
         g = rng(shape[0] * shape[1])
@@ -189,6 +196,43 @@ class TestSsimBands:
         for b in [noisy, a, np.full(shape, 17.0), noisy]:
             assert score(b) == ssim_reference(a, b)
         assert ssim(noisy, a) == ssim_reference(noisy, a)
+
+    @pytest.mark.parametrize("scale, shape", [
+        (1.0, (2 * _band_rows(60) + 11, 60)),
+        (1e-310, (16, 40)),   # integral entries below 2**-1021, so exact
+    ])
+    def test_reference_means_equal_the_oracle(self, scale, shape):
+        a = scale * rng(23).random(shape)
+        score = _SsimReference(a)
+        mu = _box_means(a, 8)
+        assert np.array_equal(score._mu_a, mu)
+        assert np.array_equal(score._var_a, _box_means(a * a, 8) - mu * mu)
+        if scale < 1.0:
+            # The window sums in units of 2**-1074 are not all multiples of
+            # 64, so the 2**-6 scale rounds; a*a underflows to finite zeros.
+            units = (a * 2.0**537 * 2.0**537).astype(np.int64)
+            s = np.pad(units.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+            assert np.any((s[8:, 8:] - s[:-8, 8:] - s[8:, :-8] + s[:-8, :-8]) % 64)
+
+    def test_call_allocates_no_image_sized_buffer(self):
+        # Every array of a call is allocated at construction: the window
+        # sums are formed in place in the band's means buffer.  What a call
+        # still allocates does not grow with the image height: numpy's
+        # 8192-element iterator buffers for ufuncs over strided band views,
+        # and the temporary through which it copies the 3 x 8-row halo
+        # between views of one buffer.  Together they peak near 6% of the
+        # image here; one band-sized channel would add 13%.
+        img = ar1_test_image(500, 524, seed=22).astype(np.float64)
+        score = _SsimReference(img)
+        b = np.clip(img + rng(22).normal(0.0, 9.0, size=img.shape), 0.0, 255.0)
+        score(b)
+        tracemalloc.start()
+        try:
+            score(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * img.nbytes
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_sweep_equals_the_oracles_at_every_level(self, n):
