@@ -68,7 +68,6 @@ from .search import (
     ParetoEntry,
     SearchResult,
     all_candidates_doubled,
-    dominates,
     objectives,
     pareto_front,
     run_search,

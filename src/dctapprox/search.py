@@ -19,13 +19,15 @@ gains), and a rho pass adds the mse, band variances and efficiency.  The
 even table and the filtered search's odd table are built once per
 process and kept read-only; the unfiltered search builds one odd table
 per slice and keeps none.
-One non-dominated filter decides all dominance on the integer 1e-9 grid:
-it cuts each scored chunk, stacked under the running front, back to a
-front, visiting the rows by one argsort of their integer row sums, where
-a dominator's is strictly smaller.  Scoring, the fold and the tie
-grouping pass two arrays, the (m, 6) metric rows and the (m, 8) int8
-candidates, and pareto_front is the fold and grouping over one chunk.
-Each entry's output order is taken from its grid row.
+One non-dominated filter decides all dominance on the integer 1e-9 grid,
+visiting the rows by one argsort of their integer row sums, where a
+dominator's is strictly smaller.  The unfiltered search cuts each scored
+slice to its own front and then the union of those fronts once: the front
+of a union is the front of the union of its parts' fronts.  Scoring, the
+cut and the tie grouping pass two arrays, the (m, 6) metric rows and the
+(m, 8) int8 candidates, and pareto_front is one cut and the grouping.
+Each entry's output order is taken from its grid row, so the order of the
+rows that reach the grouping never shows.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "all_candidates_doubled",
     "feasible_mask",
     "objectives",
-    "dominates",
     "pareto_front",
     "run_search",
 ]
@@ -109,11 +110,6 @@ def objectives(report: MetricsReport) -> tuple:
     over 1e9, with its costs kept as the report's integers."""
     floats = _minimized(np.array(astuple(report), dtype=np.float64))[:4] / 1e9
     return (*floats.tolist(), report.additions, report.shifts)
-
-
-def dominates(x: Sequence, y: Sequence) -> bool:
-    """Component-wise dominance for minimization."""
-    return all(a <= b for a, b in zip(x, y)) and any(a < b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -181,13 +177,13 @@ def pareto_front(
     evaluated: Sequence[tuple[ParamVector, MetricsReport]],
 ) -> list[ParetoEntry]:
     """Non-dominated entries of an evaluated collection, ties grouped and
-    ordered as in _tie_grouped: the search's fold and grouping over one
-    chunk.  Params and reports are rebuilt from the float64 and int8 rows,
-    so they equal the ones passed in by value (floats round-trip exactly,
-    costs are small integers) but are not the same objects."""
+    ordered as in _tie_grouped: one cut (see _cut) and the search's
+    grouping.  Params and reports are rebuilt from the float64 and int8
+    rows, so they equal the ones passed in by value (floats round-trip
+    exactly, costs are small integers) but are not the same objects."""
     values = np.array([astuple(r) for _, r in evaluated], dtype=np.float64).reshape(-1, 6)
     rows = np.array([pv.doubled for pv, _ in evaluated], dtype=np.int8).reshape(-1, 8)
-    return _tie_grouped(*_running_front([(values, rows)]))
+    return _tie_grouped(*_cut(values, rows))
 
 
 @dataclass(frozen=True)
@@ -316,19 +312,11 @@ def _feasible_table() -> _Table:
     return table
 
 
-def _running_front(scored) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a stream of (metric rows, candidate rows) chunks into the
-    non-dominated metric rows and their candidates.  Each chunk is stacked
-    under the front and the stack cut back to its front, which keeps rows
-    in chunk order."""
-    values = np.empty((0, 6))
-    rows = np.empty((0, 8), dtype=np.int8)
-    for new_values, new_rows in scored:
-        values = np.vstack([values, new_values])
-        rows = np.vstack([rows, new_rows])
-        keep = _front(_minimized(values))
-        values, rows = values[keep], rows[keep]
-    return values, rows
+def _cut(values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The non-dominated (m, 6) metric rows and their (m, 8) candidates, in
+    input order."""
+    keep = _front(_minimized(values))
+    return values[keep], rows[keep]
 
 
 def run_search(
@@ -337,14 +325,16 @@ def run_search(
     workers: int = 1,
 ) -> SearchResult:
     """Full pipeline: score each odd table (see _odd_table) with every
-    a2 >= 0, fold each chunk into the running front, and group the
-    survivors' ties (see _tie_grouped): they are already the front, so no
-    second non-dominated filter runs.  A candidate with a2 < 0 is dominated
-    by its mirror twin (see _even_table), so it is not scored, but it is
-    counted: each nonsingular odd row stands for one candidate per a2.  The
-    filtered search reads one odd table, built on its first call (see
-    _feasible_table), so later calls at any rho run only the rho pass, the
-    fold and the grouping; a feasible candidate is nonsingular, so each one
+    a2 >= 0, cut it to its front (see _cut), cut the union of those fronts
+    once, and group the survivors' ties (see _tie_grouped).  The cuts are
+    exact: a row off the whole front is dominated by a row on it, since
+    dominance on the integer grid is transitive, and that row survives its
+    own slice's cut.  A candidate with a2 < 0 is dominated by its mirror
+    twin (see _even_table), so it is not scored, but it is counted: each
+    nonsingular odd row stands for one candidate per a2.  The filtered
+    search reads one odd table, built on its first call (see
+    _feasible_table), so later calls at any rho run only the rho pass, one
+    cut and the grouping; a feasible candidate is nonsingular, so each one
     is counted (1,612 scored stand for 2,821).  Without the filter every
     nonsingular candidate is counted, and those with a2 >= 0 scored, with
     row-norm diagonal scaling (orthogonality not required), about 1,900
@@ -355,11 +345,6 @@ def run_search(
         raise ValueError(f"the search evaluates 8-point seeds; model size is {model.n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if feasibility_filter:
-        tables = [_feasible_table()]
-    else:
-        odd = _odd_rows(False)
-        tables = (_odd_table(odd[i : i + _SLICE]) for i in range(0, len(odd), _SLICE))
     even_parts = _parts(_even_table(), 0, model)
     n_evaluated = 0
 
@@ -368,8 +353,14 @@ def run_search(
         n_evaluated += len(table.rows) * len(ALLOWED_DOUBLED)  # every a2, scored or not
         return _with_rho(table, even_parts, model)
 
-    # map drops each table before the next is built, so one slice's is live.
-    values, rows = _running_front(map(score, tables))
+    if feasibility_filter:
+        values, rows = _cut(*score(_feasible_table()))
+    else:
+        odd = _odd_rows(False)
+        tables = (_odd_table(odd[i : i + _SLICE]) for i in range(0, len(odd), _SLICE))
+        # map drops each table before the next is built, so one slice's is live.
+        fronts = [_cut(*scored) for scored in map(score, tables)]
+        values, rows = _cut(*map(np.concatenate, zip(*fronts)))
     return SearchResult(
         entries=tuple(_tie_grouped(values, rows)),
         n_candidates=N_CANDIDATES,

@@ -130,6 +130,12 @@ def assert_orthonormal_transform(t) -> None:
     assert np.allclose(t.matrix @ t.matrix.T, np.eye(t.n), rtol=0, atol=1e-12)
 
 
+def dominates(x, y) -> bool:
+    """Component-wise dominance for minimization: the scalar oracle for the
+    search's non-dominated filter."""
+    return all(a <= b for a, b in zip(x, y)) and any(a < b for a, b in zip(x, y))
+
+
 def _nondominated_mask(objs: np.ndarray) -> np.ndarray:
     """Brute-force reference front: boolean mask of rows not dominated by any
     other row (minimization).  Rows with identical values never dominate

@@ -27,7 +27,6 @@ from dctapprox import (
     compress_image,
     count_operations,
     default_r_grid,
-    dominates,
     evaluate,
     evaluate_matrix,
     exact_dct_matrix,
@@ -50,6 +49,7 @@ from helpers import (
     TOL_EPSILON,
     TOL_ETA,
     TOL_MSE,
+    dominates,
     rng,
 )
 

@@ -21,7 +21,6 @@ from dctapprox import (
     SignalModel,
     all_candidates_doubled,
     build_scaled,
-    dominates,
     complexity,
     evaluate,
     feasible_mask,
@@ -40,6 +39,7 @@ from dctapprox.metrics import (
     unified_coding_gain,
 )
 from dctapprox.search import (
+    _cut,
     _even_table,
     _feasible_table,
     _front,
@@ -53,6 +53,7 @@ from helpers import (
     FEASIBLE_DOUBLED,
     _nondominated_mask,
     count_calls,
+    dominates,
     objectives_reference,
     param_vectors,
     pareto_front_reference,
@@ -208,6 +209,29 @@ class TestFront:
     def test_shared_sums_match_brute_force(self, rows):
         objs = np.array(rows, dtype=np.int64).reshape(-1, 6)
         assert np.array_equal(_front(objs), np.flatnonzero(_nondominated_mask(objs)))
+
+    # Row 1's only dominator, row 3, lies in a later slice; the front's tie
+    # group of rows 0, 4 and 5 is split over three slices; slice 1 is empty.
+    @example([(1, 1, 3, 3, 1, 1), (2, 2, 3, 3, 0, 2), (3, 0, 3, 3, 0, 0),
+              (2, 2, 3, 3, 0, 1), (1, 1, 3, 3, 1, 1), (1, 1, 3, 3, 1, 1)], [1, 1, 3, 5])
+    # Row 1 is dominated by the tie group of rows 0 and 2, one member in the
+    # slice before it and one in the slice after.
+    @example([(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)], [1, 2])
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 3)] * 6), min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30)),
+        st.lists(st.integers(0, 30), max_size=5),
+    )
+    def test_slice_cuts_then_union_cut_match_brute_force(self, rows, bounds):
+        # The unfiltered search's two steps: each slice cut to its own front,
+        # then the union of those fronts cut once.  Gain and efficiency are
+        # negated on the grid, as in every scored row.
+        values = np.array(rows, dtype=np.float64)
+        index = np.arange(len(values))
+        edges = sorted(min(b, len(values)) for b in bounds)
+        fronts = [_cut(values[part], part) for part in np.split(index, edges)]
+        _, kept = _cut(*map(np.concatenate, zip(*fronts)))
+        assert np.array_equal(kept, np.flatnonzero(_nondominated_mask(_minimized(values))))
 
 
 # Floats a little off a few bases, so that rows tie, differ by less than
@@ -571,11 +595,29 @@ class TestUnfilteredSweep:
             odd[:, 1] = 0
             assert [tuple(r) in kept for r in odd.tolist()] == nonsingular.tolist()
 
-    def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
-        gen = rng(13)
-        odd = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(300, 8)).astype(np.int8)
+    @staticmethod
+    def _mini_odd():
+        """300 odd rows, the 15 catalog vectors first and the rest drawn:
+        5 slices at _SLICE = 70."""
+        odd = rng(13).choice([-4, -2, -1, 0, 1, 2, 4], size=(300, 8)).astype(np.int8)
         odd[:15] = np.array([list(pv.doubled) for pv in CATALOG.values()], dtype=np.int8)
         odd[:, 1] = 0
+        return odd
+
+    def test_front_runs_once_per_slice_and_once_on_their_union(self, model8, monkeypatch):
+        calls = count_calls(monkeypatch, search_mod, ("_front",))
+        run_search(model8)
+        assert calls["_front"] == 1
+        pareto_front([(CATALOG[1], evaluate(CATALOG[1], model8))])
+        assert calls["_front"] == 2
+        odd = self._mini_odd()
+        monkeypatch.setattr(search_mod, "_SLICE", 70)
+        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: odd)
+        run_search(model8, feasibility_filter=False)
+        assert calls["_front"] == 2 + 5 + 1
+
+    def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
+        odd = self._mini_odd()
         monkeypatch.setattr(search_mod, "_SLICE", 70)
         monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: odd)
         result = run_search(model8, feasibility_filter=False)
