@@ -23,16 +23,12 @@ from .codec import (
     zigzag_order,
 )
 from .core import (
-    DyadicMatrix,
     FeasibilityError,
-    GramDiagnostics,
     ParamVector,
     Transform,
     build_matrix,
     exact_dct_matrix,
     feasible_mask,
-    gram,
-    gram_diagnostics,
     gram_quarter_units,
     is_feasible,
     orthonormal_approx,
@@ -40,7 +36,6 @@ from .core import (
 )
 from .kernel import (
     ComplexityCount,
-    FactorSet,
     apply_fast,
     apply_fast_doubled,
     apply_inverse,

@@ -73,7 +73,12 @@ def _report_cols(rep: MetricsReport, fmt) -> list[str]:
 
 def _default_rho() -> float:
     env = os.environ.get("DCTAPPROX_RHO")
-    return float(env) if env else DEFAULT_RHO
+    if not env:
+        return DEFAULT_RHO
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(f"DCTAPPROX_RHO must be a number, got {env!r}") from None
 
 
 def _resolve_rho(args) -> float:

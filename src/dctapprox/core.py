@@ -2,10 +2,12 @@
 low-complexity 8-point transforms.
 
 Every matrix entry lives in the dyadic set ``{0, +-1/2, +-1, +-2}`` and is
-stored as an integer scaled by two ("half units"), so construction, Gram
-products and the orthogonality feasibility test run in exact integer
-arithmetic.  Floating point enters only when a transform is orthonormalized,
-because the diagonal scaling factors are irrational.
+stored as an integer scaled by two ("half units").  A half-unit matrix is a
+plain int64 array, either fresh and owned by the caller or a shared
+read-only constant, so construction, Gram products and the orthogonality
+feasibility test run in exact integer arithmetic.  Floating point enters
+only when a transform is orthonormalized, because the diagonal scaling
+factors are irrational.
 """
 
 from __future__ import annotations
@@ -22,14 +24,10 @@ __all__ = [
     "ALLOWED_VALUES",
     "FeasibilityError",
     "ParamVector",
-    "DyadicMatrix",
-    "GramDiagnostics",
     "Transform",
     "exact_dct_matrix",
     "build_matrix",
     "gram_quarter_units",
-    "gram",
-    "gram_diagnostics",
     "is_feasible",
     "feasible_mask",
     "scale_factors",
@@ -88,44 +86,6 @@ class ParamVector:
         return ",".join(format(v, "g") for v in self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicMatrix:
-    """Integer matrix read as value*2 (fixed denominator 2), held as a read-only copy."""
-
-    half_units: np.ndarray
-
-    def __post_init__(self) -> None:
-        h = np.array(self.half_units, dtype=np.int64)
-        h.setflags(write=False)
-        object.__setattr__(self, "half_units", h)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.half_units.shape
-
-    def to_float(self) -> np.ndarray:
-        return self.half_units / 2.0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicMatrix):
-            return NotImplemented
-        return self.shape == other.shape and bool(
-            np.array_equal(self.half_units, other.half_units)
-        )
-
-
-@dataclass(frozen=True)
-class GramDiagnostics:
-    """The distinct entries of T*T^t for a parametrized matrix T, exactly:
-    ``diagonal_terms`` at the rows in _GRAM_DIAGONAL (row 6 equals row 2,
-    rows 0 and 4 are always 8) and ``cross_terms``, the six potentially
-    nonzero off-diagonal inner products, at the positions in _GRAM_CROSS."""
-
-    diagonal_terms: tuple[Fraction, ...]
-    cross_terms: tuple[Fraction, ...]
-    off_diagonal_zero: bool
-
-
 def exact_dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II matrix of size n, rows indexed by frequency."""
     if n < 2:
@@ -163,44 +123,28 @@ def _half_units(u1, u2, u3, u4, u5, u6, u7, u8) -> np.ndarray:
     return half.T.swapaxes(-1, -2).astype(np.int64, order="C")
 
 
-def build_matrix(params: ParamVector) -> DyadicMatrix:
-    """The 8x8 low-complexity matrix of a parameter vector: the one-row
-    case of _half_units."""
-    return DyadicMatrix(_half_units(*params.doubled))
+def build_matrix(params: ParamVector) -> np.ndarray:
+    """The 8x8 low-complexity matrix of a parameter vector as a fresh int64
+    half-unit array: the one-row case of _half_units."""
+    return _half_units(*params.doubled)
 
 
-def gram_quarter_units(m: DyadicMatrix) -> np.ndarray:
-    """T*T^t scaled by four, as exact int64 (entries are value*4)."""
-    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"gram requires a square matrix, got shape {m.shape}")
-    return m.half_units @ m.half_units.T
+def _square_half_units(m, caller: str) -> np.ndarray:
+    """m as a square int64 half-unit matrix, widened from any integer dtype
+    so products cannot overflow; ValueError for any other dtype or shape."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu":
+        raise ValueError(f"{caller} requires an integer half-unit matrix, got dtype {m.dtype}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{caller} requires a square matrix, got shape {m.shape}")
+    return m.astype(np.int64, copy=False)
 
 
-def gram(m: DyadicMatrix) -> np.ndarray:
-    """T*T^t as an exact rational matrix (object array of Fraction)."""
-    q = gram_quarter_units(m)
-    out = np.empty(q.shape, dtype=object)
-    for i in range(q.shape[0]):
-        for j in range(q.shape[1]):
-            out[i, j] = Fraction(int(q[i, j]), 4)
-    return out
-
-
-# Where GramDiagnostics reads T*T^t: its diagonal rows and cross positions.
-_GRAM_DIAGONAL = (1, 2, 3, 5, 7)
-_GRAM_CROSS = ((1, 3), (1, 5), (1, 7), (3, 5), (3, 7), (5, 7))
-
-
-def gram_diagnostics(params: ParamVector) -> GramDiagnostics:
-    """The Gram entries of build_matrix(params), read off the exact matrix
-    product; their closed forms live only in _feasible."""
-    q = gram_quarter_units(build_matrix(params))
-    cross = tuple(Fraction(int(q[i, j]), 4) for i, j in _GRAM_CROSS)
-    return GramDiagnostics(
-        diagonal_terms=tuple(Fraction(int(q[i, i]), 4) for i in _GRAM_DIAGONAL),
-        cross_terms=cross,
-        off_diagonal_zero=all(c == 0 for c in cross),
-    )
+def gram_quarter_units(m) -> np.ndarray:
+    """T*T^t of a half-unit matrix T, scaled by four, as exact int64
+    (entries are value*4)."""
+    h = _square_half_units(m, "gram_quarter_units")
+    return h @ h.T
 
 
 def _feasible(u1, u2, u3, u4, u5, u6, u7, u8):
@@ -208,10 +152,11 @@ def _feasible(u1, u2, u3, u4, u5, u6, u7, u8):
     integer columns (or open axes that broadcast together).
 
     The one home of the Gram closed forms: the six polynomials are twice the
-    cross terms at _GRAM_CROSS and must vanish, and the three nonzero-row
-    checks keep rows 3, 5 and 7 from being identically zero, which makes the
-    Gram diagonal positive.  The terms are joined in parameter order (a4,
-    then a6, then a8), so on open axes the broadcasts grow late.
+    cross terms of T*T^t at (1, 3), (1, 5), (1, 7), (3, 5), (3, 7) and
+    (5, 7) and must vanish, and the three nonzero-row checks keep rows 3, 5
+    and 7 from being identically zero, which makes the Gram diagonal
+    positive.  The terms are joined in parameter order (a4, then a6, then
+    a8), so on open axes the broadcasts grow late.
     """
     return (
         (2 * u1 - u1 * u1 + 2 * u3 - u1 * u4 == 0)
@@ -281,7 +226,8 @@ class Transform:
 
     The composed real matrix is ``diag(scale) @ (half_units / 2)`` and has
     orthonormal rows whenever the integer part came from a feasible build.
-    Both arrays are read-only copies of the ones passed in.
+    Both arrays are read-only copies of the ones passed in, and the integer
+    part must have an integer dtype.
     """
 
     n: int
@@ -289,7 +235,7 @@ class Transform:
     scale: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.array(self.half_units, dtype=np.int64)
+        h = np.array(_square_half_units(self.half_units, "Transform"))
         s = np.array(self.scale, dtype=np.float64)
         if h.shape != (self.n, self.n):
             raise ValueError(f"integer part shape {h.shape} != ({self.n}, {self.n})")
@@ -341,7 +287,7 @@ class Transform:
         scale = _json_array(d, "scale", (n,), "if")
         if not np.all(np.isin(half, ALLOWED_DOUBLED)):
             raise FeasibilityError("transform entries outside {0, +-1/2, +-1, +-2}")
-        quarter = half @ half.T
+        quarter = gram_quarter_units(half)
         diag = np.diag(quarter)
         if np.any(quarter != np.diag(diag)) or np.any(diag == 0):
             raise FeasibilityError("transform rows are not nonzero and orthogonal")

@@ -1,13 +1,13 @@
 """Sparse-factorization evaluation of the 8-point transform and exact
 arithmetic-complexity accounting.
 
-The transform factors into four half-unit matrices: two +-1 butterfly
-stages, a block-diagonal core that carries all eight parameters, and an
-output permutation.  The fast walks, the inverse and the operation count all
-read these matrices.  Zero entries are skipped, so multiplying by an entry
-only ever means negate, halve or double, and each row costs one addition
-fewer than its nonzero entries, which is what the addition/shift counting
-below models.
+The transform factors into four half-unit matrices, each an int64 array:
+two +-1 butterfly stages, a block-diagonal core that carries all eight
+parameters, and an output permutation.  The fast walks, the inverse and the
+operation count all read these matrices.  Zero entries are skipped, so
+multiplying by an entry only ever means negate, halve or double, and each
+row costs one addition fewer than its nonzero entries, which is what the
+addition/shift counting below models.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from operator import floordiv, truediv
 
 import numpy as np
 
-from .core import DyadicMatrix, ParamVector, scale_factors
+from .core import ParamVector, _square_half_units, scale_factors
 
 __all__ = [
-    "FactorSet",
     "ComplexityCount",
     "factor_matrices",
     "factored_product",
@@ -63,42 +62,26 @@ def _core(u1, u2, u3, u4, u5, u6, u7, u8) -> np.ndarray:
     ], dtype=np.int64)
 
 
-def _factors(params: ParamVector) -> tuple[np.ndarray, ...]:
-    """The half-unit factors in the order they apply: stage 1, stage 2,
-    core, permutation."""
+def factor_matrices(params: ParamVector) -> tuple[np.ndarray, ...]:
+    """The half-unit factors (stage1, stage2, core, perm), in the order they
+    apply.  The core is fresh; the other three are shared read-only
+    constants.  Their product equals build_matrix(params) exactly."""
     return _STAGE1, _STAGE2, _core(*params.doubled), _PERM
 
 
-@dataclass(frozen=True)
-class FactorSet:
-    """The four sparse factors: input butterfly, second butterfly, parameter
-    core, and output permutation.  Their product equals build_matrix exactly."""
+def factored_product(factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Exact product perm @ core @ stage2 @ stage1 of the four half-unit
+    factors, as a half-unit array.
 
-    stage1: DyadicMatrix
-    stage2: DyadicMatrix
-    core: DyadicMatrix
-    perm: DyadicMatrix
-
-
-def factor_matrices(params: ParamVector) -> FactorSet:
-    return FactorSet(*map(DyadicMatrix, _factors(params)))
-
-
-def factored_product(factors: FactorSet) -> DyadicMatrix:
-    """Exact product perm @ core @ stage2 @ stage1 as a dyadic matrix.
-
-    The four half-unit factors multiply to 16x the true product, so one
-    integer shift by 8 recovers half units exactly.
+    The four factors multiply to 16x the true product, so one integer shift
+    by 8 recovers half units exactly.  A factor that is not a square integer
+    matrix, or a product that is not a multiple of 8, raises ValueError.
     """
-    prod = (
-        factors.perm.half_units
-        @ factors.core.half_units
-        @ factors.stage2.half_units
-        @ factors.stage1.half_units
-    )
+    stage1, stage2, core, perm = (_square_half_units(f, "factored_product") for f in factors)
+    prod = perm @ core @ stage2 @ stage1
     if np.any(prod % 8):
-        raise AssertionError("factored product is not a half-unit matrix")
-    return DyadicMatrix(prod // 8)
+        raise ValueError("factored product is not a half-unit matrix")
+    return prod // 8
 
 
 def _mul(entry: int, v, div):
@@ -144,7 +127,7 @@ def apply_fast(params: ParamVector, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_vector(x)
-    return np.array(_walk(_factors(params), x.tolist(), truediv), dtype=np.float64)
+    return np.array(_walk(factor_matrices(params), x.tolist(), truediv), dtype=np.float64)
 
 
 def apply_fast_doubled(params: ParamVector, x) -> np.ndarray:
@@ -155,7 +138,7 @@ def apply_fast_doubled(params: ParamVector, x) -> np.ndarray:
     _check_vector(x)
     if x.dtype.kind not in "iu":
         raise ValueError(f"input must have an integer dtype, got {x.dtype}")
-    y = _walk(_factors(params), [2 * v for v in x.tolist()], floordiv)
+    y = _walk(factor_matrices(params), [2 * v for v in x.tolist()], floordiv)
     return np.array(y, dtype=np.int64)
 
 
@@ -166,7 +149,7 @@ def apply_inverse(params: ParamVector, coeffs) -> np.ndarray:
     scale = scale_factors(params)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_vector(coeffs)
-    transposed = [h.T for h in reversed(_factors(params))]
+    transposed = [h.T for h in reversed(factor_matrices(params))]
     return np.array(_walk(transposed, (coeffs * scale).tolist(), truediv), dtype=np.float64)
 
 
@@ -258,6 +241,6 @@ def count_operations(params: ParamVector) -> tuple[int, int]:
     A zero parameter removes both its multiplication and the downstream
     addition; negation is free.
     """
-    h = np.stack(_factors(params))
+    h = np.stack(factor_matrices(params))
     adds = np.maximum(np.count_nonzero(h, axis=-1) - 1, 0).sum()
     return int(adds), int(np.count_nonzero(_needs_shift(np.abs(h))))

@@ -9,7 +9,8 @@ N-point kernel.  Output rows are emitted frequency-interleaved: row 2k
 comes from the half-sum path (even frequencies), row 2k+1 from the
 half-difference path, so the doubled transform stays frequency-ordered like
 its seed.  Orthogonality is preserved exactly, and cost grows as twice the
-seed's plus 2N additions.
+seed's plus 2N additions.  The integer part at every size is an int64
+half-unit array, doubled in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SIZES, DyadicMatrix, ParamVector, Transform, _row_scale, _seed_half_units
+from .core import SIZES, ParamVector, Transform, _row_scale, _seed_half_units, _square_half_units
 from .kernel import ComplexityCount, complexity
 
 __all__ = [
@@ -37,17 +38,15 @@ class ScaledTransform:
     complexity: ComplexityCount
 
 
-def scale_once(m: DyadicMatrix) -> DyadicMatrix:
-    """Double a square dyadic matrix: butterfly the input, interleave the
-    sum/difference outputs."""
-    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"scale_once requires a square matrix, got shape {m.shape}")
-    h = m.half_units
+def scale_once(m) -> np.ndarray:
+    """Double a square half-unit matrix into a fresh int64 array: butterfly
+    the input, interleave the sum/difference outputs."""
+    h = _square_half_units(m, "scale_once")
     n = h.shape[0]
     out = np.empty((2 * n, 2 * n), dtype=np.int64)
     out[0::2] = np.hstack([h, h[:, ::-1]])
     out[1::2] = np.hstack([h, -h[:, ::-1]])
-    return DyadicMatrix(out)
+    return out
 
 
 def scaled_complexity(c: ComplexityCount, n: int) -> ComplexityCount:
@@ -80,13 +79,13 @@ def build_scaled_sizes(
         if target not in SIZES:
             raise ValueError(f"target size must be 8, 16 or 32, got {target}")
     largest = max(targets, default=8)
-    m = DyadicMatrix(_seed_half_units(params))
+    m = _seed_half_units(params)
     cost = complexity(params)
     built = {}
     n = 8
     while True:
         if n in targets:
-            transform = Transform(n=n, half_units=m.half_units, scale=_row_scale(m.half_units))
+            transform = Transform(n=n, half_units=m, scale=_row_scale(m))
             built[n] = ScaledTransform(seed=params, transform=transform, complexity=cost)
         if n == largest:
             return tuple(built[t] for t in targets)

@@ -154,7 +154,7 @@ def test_criterion_4_fast_kernel_equivalence():
         doubled = tuple(int(v) for v in gen.choice((-4, -2, -1, 0, 1, 2, 4), 8))
         pv = ParamVector(doubled)
         x = gen.integers(-128, 128, size=8)
-        if not np.array_equal(apply_fast_doubled(pv, x), build_matrix(pv).half_units @ x):
+        if not np.array_equal(apply_fast_doubled(pv, x), build_matrix(pv) @ x):
             failures += 1
     assert failures == 0, f"{failures} fast-kernel mismatches out of 10000"
     _passed(4, "fast kernel equivalence")
@@ -183,7 +183,7 @@ def test_criterion_6_orthogonality_all_sizes():
             assert np.all(off == 0), f"{pv}: nonzero off-diagonal at {size}"
             assert np.all(np.diag(quarter) > 0)
             scale = 2.0 / np.sqrt(np.diag(quarter).astype(float))
-            composed = scale[:, None] * m.to_float()
+            composed = scale[:, None] * (m / 2)
             err = np.max(np.abs(composed @ composed.T - np.eye(size)))
             assert err < 1e-12, f"{pv}: orthonormality error {err} at {size}"
     _passed(6, "orthogonality at 8/16/32")

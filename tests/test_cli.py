@@ -139,6 +139,13 @@ class TestGenEvalScale:
         flag_row = capsys.readouterr().out.strip().splitlines()[1]
         assert flag_row == default_row
 
+    def test_bad_rho_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("DCTAPPROX_RHO", "abc")
+        assert main(["eval", "--dct"]) == 2
+        assert "DCTAPPROX_RHO" in capsys.readouterr().err
+        # The flag wins, so the variable is never read.
+        assert main(["eval", "--dct", "--rho", "0.9"]) == 0
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dctapprox import (
     CATALOG,
-    DyadicMatrix,
     FeasibilityError,
     ParamVector,
     SignalModel,
@@ -17,15 +16,14 @@ from dctapprox import (
     build_matrix,
     evaluate,
     exact_dct_matrix,
-    gram,
-    gram_diagnostics,
+    factored_product,
     gram_quarter_units,
     is_feasible,
     orthonormal_approx,
     scale_factors,
 )
 from dctapprox.core import ALLOWED_DOUBLED, ALLOWED_VALUES, _half_units
-from dctapprox.scaling import build_scaled
+from dctapprox.scaling import build_scaled, scale_once
 from helpers import (
     assert_orthonormal_transform,
     feasible_param_vectors,
@@ -76,28 +74,28 @@ class TestExactDct:
 
 class TestBuildMatrix:
     def test_fixed_rows(self):
-        m = build_matrix(CATALOG[15]).to_float()
+        m = build_matrix(CATALOG[15]) / 2
         assert np.array_equal(m[0], np.ones(8))
         assert np.array_equal(m[4], [1, -1, -1, 1, 1, -1, -1, 1])
 
     def test_catalog_15_rows(self):
-        m = build_matrix(CATALOG[15]).to_float()
+        m = build_matrix(CATALOG[15]) / 2
         assert np.array_equal(m[1], [1, 1, 1, 1, -1, -1, -1, -1])
         assert np.array_equal(m[3], [1, 0.5, -0.5, -1, 1, 0.5, -0.5, -1])
 
     def test_zero_vector_rows_vanish(self):
-        m = build_matrix(ParamVector((0,) * 8)).to_float()
+        m = build_matrix(ParamVector((0,) * 8)) / 2
         for row in (3, 5, 7):
             assert np.array_equal(m[row], np.zeros(8))
         assert np.linalg.matrix_rank(m) < 8
 
     def test_sparse_row3(self):
-        m = build_matrix(CATALOG[1]).to_float()
+        m = build_matrix(CATALOG[1]) / 2
         assert np.array_equal(m[3], [0, 0, -1, 0, 0, 1, 0, 0])
 
     @given(param_vectors)
     def test_entries_stay_in_alphabet(self, pv):
-        h = build_matrix(pv).half_units
+        h = build_matrix(pv)
         assert set(np.unique(h)) <= {-4, -2, -1, 0, 1, 2, 4}
 
     @given(param_vectors, param_vectors)
@@ -106,8 +104,8 @@ class TestBuildMatrix:
         merged = ParamVector(
             (pv1.doubled[0], pv2.doubled[1]) + pv1.doubled[2:]
         )
-        m1 = build_matrix(merged).half_units
-        m2 = build_matrix(pv2).half_units
+        m1 = build_matrix(merged)
+        m2 = build_matrix(pv2)
         for row in (0, 2, 4, 6):
             assert np.array_equal(m1[row], m2[row])
 
@@ -122,52 +120,60 @@ class TestHalfUnitColumns:
         assert half.shape == (len(rows), 8, 8)
         assert half.dtype == np.int64 and half.flags.c_contiguous
         for row, h in zip(rows, half):
-            assert np.array_equal(h, build_matrix(ParamVector(row)).half_units)
+            assert np.array_equal(h, build_matrix(ParamVector(row)))
 
 
 class TestGram:
     def test_catalog_1_diagonal(self):
-        g = gram(build_matrix(CATALOG[1]))
-        expected = [8, 4, 4, 2, 8, 4, 4, 2]
-        for i in range(8):
-            for j in range(8):
-                want = Fraction(expected[i]) if i == j else Fraction(0)
-                assert g[i, j] == want
+        q = gram_quarter_units(build_matrix(CATALOG[1]))
+        assert np.array_equal(q, np.diag([32, 16, 16, 8, 32, 16, 16, 8]))
 
     def test_identity(self):
-        ident = DyadicMatrix(2 * np.eye(8, dtype=np.int64))
-        g = gram(ident)
-        assert all(g[i, i] == 1 for i in range(8))
-        assert all(g[i, j] == 0 for i in range(8) for j in range(8) if i != j)
+        q = gram_quarter_units(2 * np.eye(8, dtype=np.int64))
+        assert np.array_equal(q, 4 * np.eye(8, dtype=np.int64))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
-            gram_quarter_units(DyadicMatrix(np.ones((2, 3), dtype=np.int64)))
+            gram_quarter_units(np.ones((2, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("call", [
+        gram_quarter_units,
+        scale_once,
+        lambda m: Transform(n=1, half_units=m, scale=np.ones(1)),
+        lambda m: factored_product((m, m, m, m)),
+    ], ids=["gram_quarter_units", "scale_once", "Transform", "factored_product"])
+    def test_non_integer_dtype_rejected(self, call):
+        # A half-unit matrix holds integers: 1.5 would otherwise truncate.
+        with pytest.raises(ValueError, match="integer"):
+            call(np.array([[1.5]]))
+
+    def test_narrow_integers_widened(self):
+        # A row of 4s (value 2) has squared norm 128 in quarter units, which
+        # overflows int8.
+        q = gram_quarter_units(np.full((8, 8), 4, dtype=np.int8))
+        assert q.dtype == np.int64
+        assert np.all(q == 128)
 
     def test_all_ones_cross_terms_vanish(self):
-        d = gram_diagnostics(ParamVector((2,) * 8))
-        assert d.cross_terms[0] == 0
-        assert d.off_diagonal_zero
+        q = gram_quarter_units(build_matrix(ParamVector((2,) * 8)))
+        assert q[1, 3] == 0
+        assert np.array_equal(q, np.diag(np.diag(q)))
 
-    def test_matches_closed_forms_10000_samples(self):
-        # Exact integer equality between the matrix-product Gram and the
-        # closed-form entries, including the structural zero pattern.
+    def test_structural_pattern_10000_samples(self):
+        # Whatever the parameters, T*T^t is zero outside the diagonal and
+        # the six cross positions, rows 0 and 4 have squared norm 8, and row
+        # 6 has the norm of row 2.
         gen = rng(1234)
         doubled = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(10_000, 8))
-        cross_pos = [(1, 3), (1, 5), (1, 7), (3, 5), (3, 7), (5, 7)]
-        diag_pos = [1, 2, 3, 5, 7]
+        free = np.eye(8, dtype=bool)
+        for i, j in [(1, 3), (1, 5), (1, 7), (3, 5), (3, 7), (5, 7)]:
+            free[i, j] = free[j, i] = True
         for row in doubled:
             pv = ParamVector(tuple(int(v) for v in row))
             quarter = gram_quarter_units(build_matrix(pv))
-            d = gram_diagnostics(pv)
-            expected = np.zeros((8, 8), dtype=np.int64)
-            expected[0, 0] = expected[4, 4] = 32
-            expected[2, 2] = expected[6, 6] = 4 * d.diagonal_terms[1]
-            for pos, term in zip(diag_pos, (0, 1, 2, 3, 4)):
-                expected[pos, pos] = 4 * d.diagonal_terms[term]
-            for (i, j), term in zip(cross_pos, d.cross_terms):
-                expected[i, j] = expected[j, i] = 4 * term
-            assert np.array_equal(quarter, expected)
+            assert np.all(quarter[~free] == 0)
+            assert quarter[0, 0] == quarter[4, 4] == 32
+            assert quarter[6, 6] == quarter[2, 2]
 
 
 class TestFeasibility:
@@ -246,14 +252,18 @@ class TestSeedGate:
 
 
 class TestValueTypesCopy:
-    # DyadicMatrix and Transform hold read-only copies: the caller's arrays
-    # stay writable, and writing to them leaves the value as it was.
-    def test_dyadic_matrix(self):
-        a = 2 * np.eye(8, dtype=np.int64)
-        m = DyadicMatrix(a)
-        a[0, 0] = 1
-        assert a.flags.writeable and not m.half_units.flags.writeable
-        assert m == DyadicMatrix(2 * np.eye(8, dtype=np.int64))
+    # Transform holds read-only copies: the caller's arrays stay writable,
+    # and writing to them leaves the value as it was.  Functions that return
+    # a half-unit array return a fresh one each call.
+    @pytest.mark.parametrize("call", [
+        lambda: build_matrix(CATALOG[9]),
+        lambda: scale_once(build_matrix(CATALOG[9])),
+    ], ids=["build_matrix", "scale_once"])
+    def test_returned_arrays_are_fresh(self, call):
+        a = call()
+        expected = a.copy()
+        a[...] = 0
+        assert np.array_equal(call(), expected)
 
     def test_transform(self):
         t = orthonormal_approx(CATALOG[9])

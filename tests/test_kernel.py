@@ -33,18 +33,19 @@ from helpers import (
 
 class TestFactorMatrices:
     def test_butterflies_and_perm_are_sign_matrices(self):
-        fs = factor_matrices(CATALOG[1])
-        for m in (fs.stage1, fs.stage2, fs.perm):
-            assert set(np.unique(m.half_units)) <= {-2, 0, 2}
+        stage1, stage2, _, perm = factor_matrices(CATALOG[1])
+        for m in (stage1, stage2, perm):
+            assert set(np.unique(m)) <= {-2, 0, 2}
 
     def test_perm_is_a_permutation(self):
-        p = factor_matrices(CATALOG[1]).perm.to_float()
+        *_, perm = factor_matrices(CATALOG[1])
+        p = perm / 2
         assert np.array_equal(p @ p.T, np.eye(8))
         assert np.array_equal(p.sum(axis=0), np.ones(8))
         assert np.array_equal(p.sum(axis=1), np.ones(8))
 
     def test_core_block_pattern(self):
-        k = factor_matrices(CATALOG[15]).core.half_units
+        _, _, k, _ = factor_matrices(CATALOG[15])
         blocks = [(range(0, 2), range(0, 2)), (range(2, 4), range(2, 4)),
                   (range(4, 8), range(4, 8))]
         inside = np.zeros((8, 8), dtype=bool)
@@ -53,13 +54,14 @@ class TestFactorMatrices:
         assert np.all(k[~inside] == 0)
 
     def test_core_lower_block_catalog_1(self):
-        k = factor_matrices(CATALOG[1]).core.to_float()
+        _, _, core, _ = factor_matrices(CATALOG[1])
+        k = core / 2
         expected = [[0, 0, 1, 1], [0, 0, -1, 1], [0, -1, 0, 0], [-1, 0, 0, 0]]
         assert np.array_equal(k[4:, 4:], expected)
 
     @given(param_vectors)
     def test_product_identity(self, pv):
-        assert factored_product(factor_matrices(pv)) == build_matrix(pv)
+        assert np.array_equal(factored_product(factor_matrices(pv)), build_matrix(pv))
 
     def test_product_identity_10000_samples(self):
         gen = rng(271828)
@@ -67,7 +69,13 @@ class TestFactorMatrices:
             pv = ParamVector(
                 tuple(int(v) for v in gen.choice([-4, -2, -1, 0, 1, 2, 4], 8))
             )
-            assert factored_product(factor_matrices(pv)) == build_matrix(pv)
+            assert np.array_equal(factored_product(factor_matrices(pv)), build_matrix(pv))
+
+    def test_product_not_in_half_units_rejected(self):
+        # Four identities read as half units multiply to 1/16 of a unit.
+        eye = np.eye(8, dtype=np.int64)
+        with pytest.raises(ValueError):
+            factored_product((eye, eye, eye, eye))
 
 
     def test_constant_factors_read_only_at_import(self):
@@ -87,7 +95,7 @@ class TestApplyFast:
         pv = CATALOG[13]
         x = np.zeros(8)
         x[0] = 1.0
-        assert np.array_equal(apply_fast(pv, x), build_matrix(pv).to_float()[:, 0])
+        assert np.array_equal(apply_fast(pv, x), (build_matrix(pv) / 2)[:, 0])
 
     def test_dc_input(self):
         out = apply_fast(CATALOG[1], np.ones(8))
@@ -99,7 +107,7 @@ class TestApplyFast:
             pv = ParamVector(tuple(int(v) for v in gen.choice([-4, -2, -1, 0, 1, 2, 4], 8)))
             x = gen.integers(-100, 100, size=8)
             assert np.array_equal(
-                apply_fast_doubled(pv, x), build_matrix(pv).half_units @ x
+                apply_fast_doubled(pv, x), build_matrix(pv) @ x
             )
 
     def test_float_walk_is_exact(self):
@@ -109,7 +117,7 @@ class TestApplyFast:
         for _ in range(1000):
             pv = ParamVector(tuple(int(v) for v in gen.choice([-4, -2, -1, 0, 1, 2, 4], 8)))
             x = gen.integers(-100, 100, size=8).astype(np.float64)
-            assert np.array_equal(apply_fast(pv, x), build_matrix(pv).to_float() @ x)
+            assert np.array_equal(apply_fast(pv, x), (build_matrix(pv) / 2) @ x)
 
     def test_zero_entry_is_skipped_not_multiplied(self):
         # Column 3 of this transform has zero entries, so the dense product
@@ -118,7 +126,7 @@ class TestApplyFast:
         x = np.zeros(8)
         x[3] = np.inf
         with np.errstate(invalid="ignore"):
-            dense = build_matrix(pv).to_float() @ x
+            dense = (build_matrix(pv) / 2) @ x
         assert np.isnan(dense).sum() == 4
         expected = [np.inf, 0, -np.inf, 0, np.inf, 0, 0, -np.inf]
         assert np.array_equal(apply_fast(pv, x), expected)
@@ -129,7 +137,7 @@ class TestApplyFast:
             apply_fast_doubled(CATALOG[9], x)
 
     def test_doubled_accepts_integer_dtypes(self):
-        expected = build_matrix(CATALOG[9]).half_units @ np.arange(8)
+        expected = build_matrix(CATALOG[9]) @ np.arange(8)
         for x in (list(range(8)), np.arange(8, dtype=np.uint8), np.arange(8, dtype=np.int32)):
             assert np.array_equal(apply_fast_doubled(CATALOG[9], x), expected)
 

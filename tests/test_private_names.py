@@ -1,8 +1,12 @@
-"""Every private top-level name of the package is used: a helper left
-behind by a refactor fails here instead of lingering as dead code."""
+"""Every private top-level name of the package is used, and every public
+name a module exports exists: a helper left behind by a refactor, or a
+removed name left in an ``__all__``, fails here instead of lingering as dead
+code or surfacing at a user's star import."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 _PACKAGE = Path(__file__).parents[1] / "src" / "dctapprox"
 
@@ -50,3 +54,13 @@ def test_every_private_top_level_name_is_referenced():
     unused = sorted(f"{module}: {name}" for name, modules in defined.items()
                     if name not in used for module in modules)
     assert not unused, unused
+
+
+_MODULES = ["dctapprox"] + sorted(
+    f"dctapprox.{p.stem}" for p in _PACKAGE.glob("*.py") if p.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_star_import_finds_every_exported_name(module):
+    exec(f"from {module} import *", {})

@@ -33,7 +33,7 @@ from helpers import (
 class TestScaleOnce:
     def test_dc_row_stays_all_ones(self):
         doubled = scale_once(build_matrix(CATALOG[1]))
-        assert np.array_equal(doubled.to_float()[0], np.ones(16))
+        assert np.array_equal((doubled / 2)[0], np.ones(16))
 
     def test_gram_diagonal_interleaves(self):
         doubled = scale_once(build_matrix(CATALOG[1]))
@@ -47,13 +47,11 @@ class TestScaleOnce:
     def test_double_scaling_matches_build_scaled_32(self):
         m32 = scale_once(scale_once(build_matrix(CATALOG[9])))
         st = build_scaled(CATALOG[9], 32)
-        assert np.array_equal(m32.half_units, st.transform.half_units)
+        assert np.array_equal(m32, st.transform.half_units)
 
     def test_nonsquare_rejected(self):
-        from dctapprox import DyadicMatrix
-
         with pytest.raises(ValueError):
-            scale_once(DyadicMatrix(np.ones((2, 3), dtype=np.int64)))
+            scale_once(np.ones((2, 3), dtype=np.int64))
 
 
 class TestScaledComplexity:

@@ -24,13 +24,12 @@ from dctapprox import (
     complexity,
     evaluate,
     feasible_mask,
-    gram_diagnostics,
     objectives,
     pareto_front,
     run_search,
 )
 from dctapprox import core
-from dctapprox.core import ALLOWED_DOUBLED, _feasible, build_matrix
+from dctapprox.core import ALLOWED_DOUBLED, _feasible, build_matrix, gram_quarter_units
 from dctapprox.kernel import _cheapest_rule
 from dctapprox.metrics import (
     mse,
@@ -104,8 +103,8 @@ class TestFeasibleSet:
         rows = gen.choice([-4, -2, -1, 0, 1, 2, 4], size=(2000, 8)).astype(np.int8)
         mask = feasible_mask(rows)
         for row, ok in zip(rows, mask):
-            g = gram_diagnostics(ParamVector(tuple(int(v) for v in row)))
-            exact = g.off_diagonal_zero and all(d > 0 for d in g.diagonal_terms)
+            q = gram_quarter_units(build_matrix(ParamVector(tuple(int(v) for v in row))))
+            exact = np.array_equal(q, np.diag(np.diag(q))) and np.all(np.diag(q) > 0)
             assert exact == bool(ok)
 
     def test_count_is_stable(self):
@@ -517,7 +516,7 @@ def _expanded(odd):
 class TestUnfilteredSweep:
     def _reference_objectives(self, doubled_row, model):
         pv = ParamVector(tuple(int(v) for v in doubled_row))
-        t = build_matrix(pv).to_float()
+        t = build_matrix(pv) / 2
         norms = np.sqrt(np.sum(t * t, axis=1))
         if np.any(norms == 0):
             return None
