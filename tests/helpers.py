@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dctapprox import CATALOG, forward_2d, inverse_2d, retain
-from dctapprox.codec import _as_matrix, _blockify, _pad_to_multiple
+from dctapprox.codec import _as_matrix
 from dctapprox.core import ALLOWED_DOUBLED, ParamVector
 from dctapprox.search import ParetoEntry, all_candidates_doubled, feasible_mask
 
@@ -204,7 +204,8 @@ def _box_means(x: np.ndarray, w: int) -> np.ndarray:
 
 def ssim_reference(a: np.ndarray, b: np.ndarray) -> float:
     """Reference SSIM (uniform 8x8 window, K1=0.01, K2=0.03, range 255),
-    every term freshly allocated: the oracle for ``codec._SsimReference``."""
+    every term freshly allocated: the oracle for ``codec.ssim`` and
+    ``codec._SsimReference``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c1 = (0.01 * 255.0) ** 2
@@ -226,9 +227,11 @@ def reconstruction_reference(image: np.ndarray, transform, policy) -> np.ndarray
     pad, blocks, forward, retain, inverse, reassemble, crop, clamp."""
     n = _as_matrix(transform).shape[0]
     rows, cols = image.shape
-    padded = _pad_to_multiple(np.asarray(image, dtype=np.float64), n)
+    image = np.asarray(image, dtype=np.float64)
+    padded = np.pad(image, ((0, -rows % n), (0, -cols % n)), mode="edge")
     h, w = padded.shape
-    blocks = inverse_2d(transform, retain(forward_2d(transform, _blockify(padded, n)), policy))
+    blocks = padded.reshape(h // n, n, w // n, n).swapaxes(1, 2).reshape(-1, n, n)
+    blocks = inverse_2d(transform, retain(forward_2d(transform, blocks), policy))
     whole = blocks.reshape(h // n, w // n, n, n).swapaxes(1, 2).reshape(h, w)
     return np.clip(whole[:rows, :cols], 0.0, 255.0)
 

@@ -171,8 +171,8 @@ class TestQualityMetrics:
             ape(1.0, 0.0)
 
 
-def _band_rows(width: int) -> int:
-    return codec._SSIM_BAND_ELEMENTS // (width + 1)
+def _band_rows(width: int, channels: int = 3) -> int:
+    return codec._SSIM_BAND_ELEMENTS // (channels * (width + 1))
 
 
 class TestSsimBands:
@@ -196,6 +196,23 @@ class TestSsimBands:
         for b in [noisy, a, np.full(shape, 17.0), noisy]:
             assert score(b) == ssim_reference(a, b)
         assert ssim(noisy, a) == ssim_reference(noisy, a)
+
+    @pytest.mark.parametrize("shape, bands", [
+        ((3 * _band_rows(40, 5) + 7, 40), 3),    # the last band ends on a band edge
+        ((3 * _band_rows(40, 5) + 8, 40), 4),    # one window row past it
+        ((700, 9), 1),
+        ((9, 700), 1),
+    ])
+    def test_one_image_scores_equal_the_oracle(self, shape, bands):
+        # ssim and compress_image score one image in one pass over five
+        # channels, whose bands are shorter than the sweep reference's.
+        g = rng(shape[0] + 7 * shape[1])
+        a = g.integers(0, 256, size=shape).astype(np.float64)
+        noisy = np.clip(a + g.normal(0.0, 40.0, size=shape), 0.0, 255.0)
+        assert math.ceil((shape[0] - 7) / codec._SsimBands(shape, 5)._band) == bands
+        for b in [noisy, a, np.full(shape, 17.0)]:
+            assert ssim(a, b) == ssim_reference(a, b)
+            assert ssim(b, a) == ssim_reference(b, a)
 
     @pytest.mark.parametrize("scale, shape", [
         (1.0, (2 * _band_rows(60) + 11, 60)),
@@ -331,7 +348,7 @@ class TestCompressImage:
         rs = (0.9, 0.25, 1.0, 0.5, 0.9)
         for t in (exact_dct_matrix(n), build_scaled(CATALOG[9], n)):
             policies = [RetentionPolicy(n=n, r_fraction=r) for r in rs]
-            for policy, (rec, db) in zip(policies, _reconstructions(img, t, policies)):
+            for policy, (rec, db, _) in zip(policies, _reconstructions(img, t, policies)):
                 expected = reconstruction_reference(img, t, policy)
                 assert np.array_equal(rec, expected)
                 assert db == psnr(img, expected)
@@ -348,13 +365,11 @@ class TestCompressImage:
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("rows, cols", [(1, 5), (4, 3), (2.25, 2.75)])
     def test_caller_image_is_left_unchanged(self, n, rows, cols):
-        # In block units: n rows, where _blockify returns a view of the
-        # image itself; a whole number of blocks; and a padded image.
+        # In block units: one block row, a whole number of blocks, and a
+        # padded image.
         shape = (int(rows * n), int(cols * n))
         img = ar1_test_image(*shape, seed=22).astype(np.float64)
         kept = img.copy()
-        if shape[0] == n:
-            assert np.shares_memory(codec._blockify(img, n), img)
         t = build_scaled(CATALOG[9], n)
         retention_sweep(img, t, (0.25, 0.6, 1.0))
         assert np.array_equal(img, kept)
@@ -377,9 +392,78 @@ class TestCompressImage:
         def no_transform(*_args):
             raise AssertionError("transform work before the SSIM window check")
 
-        monkeypatch.setattr(codec, "forward_2d", no_transform)
+        # _reconstructions does all transform work, the forward stage first.
+        monkeypatch.setattr(codec, "_reconstructions", no_transform)
+        small = ar1_test_image(6, 40, seed=18)
+        t = exact_dct_matrix(8)
         with pytest.raises(ValueError, match="smaller than the 8x8 window"):
-            retention_sweep(ar1_test_image(6, 6, seed=18), exact_dct_matrix(8), (0.5,))
+            retention_sweep(small, t, (0.5,))
+        with pytest.raises(ValueError, match="smaller than the 8x8 window"):
+            compress_image(small, t, RetentionPolicy(n=8, r_fraction=0.5))
+        with pytest.raises(ValueError, match="policy block size 16 != transform size 8"):
+            compress_image(ar1_test_image(40, 40, seed=18), t,
+                           RetentionPolicy(n=16, r_fraction=0.5))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_compress_equals_the_oracles(self, n):
+        # Padded shapes: a few blocks, and five-channel SSIM bands whose
+        # last one ends on its band edge.
+        shapes = [(2 * n + 3, 3 * n - 5), (3 * _band_rows(203, 5) + 7, 203)]
+        for shape in shapes:
+            img = ar1_test_image(*shape, seed=n + shape[1]).astype(np.float64)
+            for t in (exact_dct_matrix(n), build_scaled(CATALOG[9], n)):
+                for r in (0.25, 0.6, 1.0):
+                    policy = RetentionPolicy(n=n, r_fraction=r)
+                    recon, scores = compress_image(img, t, policy)
+                    expected = reconstruction_reference(img, t, policy)
+                    assert np.array_equal(recon, expected)
+                    mse = np.mean((img - expected) ** 2)
+                    assert scores.psnr_db == 10.0 * np.log10(255.0**2 / mse)
+                    assert scores.ssim == ssim_reference(img, expected)
+
+    def test_integer_and_float32_images_read_as_float64(self):
+        img = ar1_test_image(45, 61, seed=25)   # uint8
+        t = build_scaled(CATALOG[9], 16)
+        policy = RetentionPolicy(n=16, r_fraction=0.4)
+        int16 = (img.astype(np.int16) - 64) * 2   # values outside [0, 255]
+        float32 = (img + rng(25).random(img.shape)).astype(np.float32)
+        for typed in (img, int16, float32):
+            as_float = typed.astype(np.float64)
+            other = np.clip(as_float[::-1] + 3.0, 0.0, 255.0)
+            assert psnr(typed, other) == psnr(as_float, other)
+            assert psnr(other, typed) == psnr(other, as_float)
+            mse = np.mean((as_float - other) ** 2)
+            assert psnr(typed, other) == 10.0 * np.log10(255.0**2 / mse)
+            for x, y, oracle in [(typed, other, (as_float, other)),
+                                 (other, typed, (other, as_float))]:
+                assert ssim(x, y) == ssim(*oracle) == ssim_reference(*oracle)
+            recon, scores = compress_image(typed, t, policy)
+            expected = reconstruction_reference(as_float, t, policy)
+            assert np.array_equal(recon, expected)
+            assert scores == compress_image(as_float, t, policy)[1]
+            assert scores.ssim == ssim_reference(as_float, expected)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_compress_peak_memory(self, n):
+        # Peak traced allocation of a warm call, in image-sized float64
+        # arrays, each buffer padded to whole blocks:
+        # - the inverse buffer: the edge-replicated image, then the masked
+        #   coefficients, then the inverse, whose crop is returned;
+        # - the scratch buffer: the forward stage's M @ A, the half-inverse,
+        #   PSNR's squared error, then the SSIM map;
+        # - the five-channel SSIM band buffers, under one array.
+        # The uint8 image is read through float64 casts, never copied.
+        img = ar1_test_image(500, 524, seed=24)
+        t = exact_dct_matrix(n)
+        policy = RetentionPolicy(n=n, r_fraction=0.45)
+        compress_image(img, t, policy)   # fill the module's mask cache
+        tracemalloc.start()
+        try:
+            compress_image(img, t, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (img.size * 8) < 3.5
 
 
 class TestDefaultGrid:
