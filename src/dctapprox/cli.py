@@ -324,7 +324,8 @@ def _cmd_compress(args) -> int:
     image = read_pgm(args.infile)
     recon, scores = compress_image(image, transform, policy)
     if args.out:
-        write_pgm(args.out, np.rint(recon).astype(np.uint8))
+        # recon is a fresh buffer that this command owns: round it in place.
+        write_pgm(args.out, np.rint(recon, out=recon).astype(np.uint8))
     if args.metrics:
         Path(args.metrics).write_text(
             "input,transform,r,psnr,ssim\n"

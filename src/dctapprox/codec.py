@@ -14,14 +14,22 @@ map); the caller's image is read through float64 casts, never copied, and
 SSIM makes one band pass over five channels (see ``_ssim``).  Its traced
 peak on a 500x524 image is about 3.1 image-sized float64 arrays.
 
-A retention sweep forward-transforms the image once and then makes one pass
-per level: retain, inverse, crop, clamp and PSNR run in three image-sized
-buffers allocated once per sweep and overwritten level by level (see
-``_reconstructions``), and SSIM scores every level against one reference
-whose window means and variances are computed once (see
-``_SsimReference``).  With the float image, the reference's means,
-variances and map and its band buffers, a sweep peaks at about 8
-image-sized float64 arrays.
+A retention sweep forward-transforms the image once, into one coefficient
+buffer that every level only reads, and computes the image's SSIM window
+means and variances once (see ``_SsimReference``).  It then scores its
+levels in up to two lanes, one per usable CPU: lane 0 in the calling thread
+and lane 1 in one thread started and joined by the call, each scoring every
+other level into its grid-order slot (see ``retention_sweep``).  Each lane
+owns one (inverse, scratch) buffer pair, in which retain, inverse, crop,
+clamp and PSNR run and whose scratch then holds the level's SSIM map (see
+``_reconstruct``), and one SSIM band set, the two sets splitting one band
+budget.  The image is read through float64 casts, never copied.  With the
+coefficients, the shared means and variances, two buffer pairs and two band
+sets, a two-lane sweep of a 500x524 image peaks at about 8.2-8.4
+image-sized float64 arrays traced, and a one-lane sweep at about 6.0-6.2.
+The numpy kernels release the GIL, so on two cores the lanes overlap: a
+38-level sweep of a 500x524 image took a median 0.42 s, against 0.56 s in
+one lane (-24%, 2-vCPU Xeon, numpy 2.4.6, BLAS threads 1).
 
 SSIM builds its integral images one band of window rows at a time in a
 small buffer that stays in cache, so no integral image is image-sized; the
@@ -32,7 +40,10 @@ never written.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -64,8 +75,9 @@ _SSIM_WINDOW = 8
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_L = 255.0
-# SSIM integral-image band size in elements over all its channels; its
-# height is this over the channel count and the width.
+# SSIM integral-image band size in elements over all its channels and
+# lanes; its height is this over the lane count, the channel count and the
+# width.
 _SSIM_BAND_ELEMENTS = 98_304
 
 
@@ -201,14 +213,15 @@ class _SsimBands:
     The integral images of the channels (each an image, or the product of
     two) are built one band of window rows at a time, stacked in one buffer
     of shape (channels, band + 8, width + 1) that stays in cache; the band
-    height is ``_SSIM_BAND_ELEMENTS`` over the channel count and the width.
-    Each band copies the last 8 integral rows of the band before it as its
-    halo, continues the down-the-column ``np.cumsum`` of its new rows from
-    the carried column sums, runs the along-row ``np.cumsum`` over them and
-    takes the window sums.  The column cumsum runs on a complex128 view of
-    the buffer, each element a pair of adjacent columns, so every step adds
-    two columns; complex addition adds the real and imaginary parts on their
-    own, so each column gets the same additions.
+    height is ``_SSIM_BAND_ELEMENTS`` over the lane count, the channel
+    count and the width, so the band sets of a sweep's lanes share one
+    budget.  Each band copies the last 8 integral rows of the band before
+    it as its halo, continues the down-the-column ``np.cumsum`` of its new
+    rows from the carried column sums, runs the along-row ``np.cumsum``
+    over them and takes the window sums.  The column cumsum runs on a
+    complex128 view of the buffer, each element a pair of adjacent columns,
+    so every step adds two columns; complex addition adds the real and
+    imaginary parts on their own, so each column gets the same additions.
 
     The window step copies the lower-right corner view into the band's
     means buffer, subtracts the upper-right and lower-left views from it
@@ -236,11 +249,12 @@ class _SsimBands:
     row 0 is zeroed afresh for the first band, since halos overwrite it.
     """
 
-    def __init__(self, shape: tuple[int, ...], channels: int) -> None:
+    def __init__(self, shape: tuple[int, ...], channels: int, lanes: int = 1) -> None:
         w = _SSIM_WINDOW
         window = _ssim_window(shape)
         width = shape[1]
-        band = max(1, min(window[0], _SSIM_BAND_ELEMENTS // (channels * (width + 1))))
+        budget = _SSIM_BAND_ELEMENTS // lanes
+        band = max(1, min(window[0], budget // (channels * (width + 1))))
         self._window = window
         self._band = band
         # width + 1 columns, padded to an even count, in complex pairs.
@@ -250,6 +264,12 @@ class _SsimBands:
         self._carry = np.empty((channels, pairs), dtype=np.complex128)
         self._means = np.empty((channels, band, window[1]))
         self._tmp = np.empty((band, window[1]))
+
+    def _map(self, buf: np.ndarray) -> np.ndarray:
+        """The SSIM map, built in the first elements of buf, a contiguous
+        float64 array, so that ``np.mean`` sums it in the order it sums a
+        fresh array."""
+        return buf[: self._window[0] * self._window[1]].reshape(self._window)
 
     def _window_means(self, *channels: tuple[np.ndarray, ...]):
         """Yield (window-row slice, stacked window means) band by band, one
@@ -319,47 +339,46 @@ class _SsimBands:
         np.divide(t, out, out=out)
 
 
-class _SsimReference(_SsimBands):
-    """SSIM scorer for one reference image: ``_SsimReference(a)(b)`` is the
-    mean structural similarity of ``b`` against ``a``, for a retention
-    sweep that scores every level against the same image.
+class _SsimReference:
+    """SSIM scorer for one reference image: ``reference(b, bands, buf)`` is
+    the mean structural similarity of ``b`` against the image, for a
+    retention sweep that scores every level against the same image.
 
-    The reference's window means ``mu_a`` and variances ``var_a`` are
-    computed once; they and the SSIM map are the only window-sized arrays.
-    Each call runs one band pass over the three channels b, b*b and a*b
-    and ``np.mean`` once over the whole map.
+    The image's window means ``mu_a`` and variances ``var_a`` are computed
+    once, through a band set of the image's shape, and are the only arrays
+    it keeps; they are read-only, so lanes can share them.  Each call runs
+    one band pass over the three channels b, b*b and a*b in the caller's
+    band set, which needs three channels, builds the SSIM map in the first
+    elements of buf (see ``_SsimBands._map``) and takes ``np.mean`` once.
+    Images of any real dtype are read as float64.
     """
 
-    def __init__(self, a: np.ndarray) -> None:
-        a = np.asarray(a, dtype=np.float64)
-        super().__init__(a.shape, 3)
+    def __init__(self, a: np.ndarray, bands: _SsimBands) -> None:
         self._a = a
-        self._mu_a, self._var_a, self._map = (np.empty(self._window) for _ in range(3))
-        for rows, (mu, mean_sq) in self._window_means((a,), (a, a)):
+        self._mu_a, self._var_a = np.empty(bands._window), np.empty(bands._window)
+        for rows, (mu, mean_sq) in bands._window_means((a,), (a, a)):
             # var_a = E[a a] - mu_a mu_a, written straight into its rows.
             var = self._var_a[rows]
             np.subtract(mean_sq, np.multiply(mu, mu, out=var), out=var)
             self._mu_a[rows] = mu
+        self._mu_a.setflags(write=False)
+        self._var_a.setflags(write=False)
 
-    def __call__(self, b: np.ndarray) -> float:
-        a = self._a
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-        for rows, (mu_b, var_b, cov) in self._window_means((b,), (b, b), (a, b)):
+    def __call__(self, b: np.ndarray, bands: _SsimBands, buf: np.ndarray) -> float:
+        s_map = bands._map(buf)
+        for rows, (mu_b, var_b, cov) in bands._window_means((b,), (b, b), (self._a, b)):
             mu_a, var_a = self._mu_a[rows], self._var_a[rows]
-            self._map_rows(mu_a, var_a, mu_b, var_b, cov, self._map[rows])
-        return float(np.mean(self._map))
+            bands._map_rows(mu_a, var_a, mu_b, var_b, cov, s_map[rows])
+        return float(np.mean(s_map))
 
 
 def _ssim(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
     """SSIM of b against a (same shape, any real dtype) in one band pass
     over the five channels b, b*b, a*b, a and a*a, so a's window means and
     variances exist only as band rows.  The map is built in the first
-    elements of buf, a contiguous float64 array, so ``np.mean`` sums it in
-    the order it sums a fresh array."""
+    elements of buf (see ``_SsimBands._map``)."""
     bands = _SsimBands(a.shape, 5)
-    s_map = buf[: bands._window[0] * bands._window[1]].reshape(bands._window)
+    s_map = bands._map(buf)
     channels = (b,), (b, b), (a, b), (a,), (a, a)
     for rows, (mu_b, var_b, cov, mu_a, var_a) in bands._window_means(*channels):
         out = s_map[rows]
@@ -388,59 +407,72 @@ def ape(metric_approx: float, metric_baseline: float) -> float:
     return 100.0 * abs(metric_baseline - metric_approx) / abs(metric_baseline)
 
 
-def _reconstructions(image: np.ndarray, transform, policies: list[RetentionPolicy]):
-    """Yield (reconstruction, PSNR in dB, scratch) of a 2-d image under each
-    policy: forward transform once, then per policy retain, inverse, crop,
-    clamp to [0, 255] and score against the image.
+def _blocks(buf: np.ndarray, n: int) -> np.ndarray:
+    """The n x n blocks of an image-layout (h, w) buffer, as an
+    (h/n, w/n, n, n) view."""
+    h, w = buf.shape
+    return buf.reshape(h // n, n, w // n, n).swapaxes(1, 2)
 
-    Two image-sized buffers serve every stage, plus a third for the
-    coefficients when there is more than one policy; all are allocated
-    once per call:
 
-    - ``inverse`` first holds the image, edge-replicated to whole blocks
-      (``np.pad``'s "edge" mode), read block by block in place by the
-      forward transform; then the coefficients of the blocks, masked in
-      place when there is one policy, or the masked copy of ``coeffs``;
-      then the inverse in image layout, written through its block view.
-      The reconstruction is its crop, clamped in place.
-    - ``scratch`` holds the forward stage's M @ A, then the half-inverted
-      blocks M^t (C * mask); once the inverse is taken, its first
-      rows x cols elements are PSNR's squared-error buffer (see ``_psnr``).
-      It is yielded so that the caller can use it until the next level,
-      as the SSIM map in ``compress_image``.
-    - ``coeffs``, the forward transform, kept across levels when there is
-      more than one policy.
+def _transform_buffers(shape: tuple[int, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh (inverse, scratch) pair for an image of this shape, padded to
+    whole n x n blocks: inverse is (h, w) and scratch h * w contiguous
+    float64 elements (see ``_reconstruct``)."""
+    rows, cols = shape
+    h, w = rows + (-rows) % n, cols + (-cols) % n
+    return np.empty((h, w)), np.empty(h * w)
 
-    Each product is the same IEEE operation on the same operands as
-    ``forward_2d``, ``retain`` and ``inverse_2d`` on a blocked copy of the
-    padded float image.  The image is only read, through float64 casts.
-    The yielded arrays are overwritten by the next level, so copy them to
-    keep them.
+
+def _forward(image, m, inverse, scratch, coeffs) -> None:
+    """Forward-transform a 2-d image into coeffs, h * w contiguous elements
+    in block order, which may be inverse itself.
+
+    inverse first holds the image, edge-replicated to whole blocks
+    (``np.pad``'s "edge" mode) and read block by block in place; scratch
+    holds M @ A.  Each product is the same IEEE operation on the same
+    operands as ``forward_2d`` on a blocked copy of the padded float image.
+    The image is only read, through float64 casts.
     """
-    m = _as_matrix(transform)
     n = m.shape[0]
     rows, cols = image.shape
-    h, w = rows + (-rows) % n, cols + (-cols) % n
-    inverse = np.empty((h, w))
     np.copyto(inverse[:rows, :cols], image)
     inverse[rows:, :cols] = inverse[rows - 1, :cols]
     inverse[:, cols:] = inverse[:, cols - 1 : cols]
-    scratch = np.empty(h * w)
-    half = scratch.reshape(h // n, w // n, n, n)
-    masked = inverse.reshape(half.shape)
-    inverse_blocks = inverse.reshape(h // n, n, w // n, n).swapaxes(1, 2)
-    coeffs = masked if len(policies) == 1 else np.empty(half.shape)
+    blocks = _blocks(inverse, n)
+    half = scratch.reshape(blocks.shape)
     # forward_2d with out= buffers: M @ A @ M^t.
-    np.matmul(m, inverse_blocks, out=half)
-    np.matmul(half, m.T, out=coeffs)
-    recon = inverse[:rows, :cols]
-    for policy in policies:
-        # retain and inverse_2d, with out= buffers: M^t @ (C * mask) @ M.
-        np.multiply(coeffs, policy.mask, out=masked)
-        np.matmul(m.T, masked, out=half)
-        np.matmul(half, m, out=inverse_blocks)
-        np.clip(recon, 0.0, 255.0, out=recon)
-        yield recon, _psnr(image, recon, scratch), scratch
+    np.matmul(m, blocks, out=half)
+    np.matmul(half, m.T, out=coeffs.reshape(blocks.shape))
+
+
+def _reconstruct(image, m, coeffs, mask, inverse, scratch):
+    """(reconstruction, PSNR in dB) of one retention level: retain, inverse,
+    crop, clamp to [0, 255] and score against the image, in one
+    (inverse, scratch) pair from ``_transform_buffers``.
+
+    - ``inverse`` holds the masked coefficients, then the inverse in image
+      layout, written through its block view.  The reconstruction is its
+      crop, clamped in place.  coeffs may be inverse itself (masked in
+      place) or a buffer that is only read, so that several pairs can
+      share it.
+    - ``scratch`` holds the half-inverted blocks M^t (C * mask); once the
+      inverse is taken, its first rows x cols elements are PSNR's
+      squared-error buffer (see ``_psnr``), and then it is free for the
+      caller, as the SSIM map.
+
+    Each product is the same IEEE operation on the same operands as
+    ``retain`` and ``inverse_2d``.  The returned reconstruction is
+    overwritten by the next level in the same pair, so copy it to keep it.
+    """
+    blocks = _blocks(inverse, m.shape[0])
+    masked, half = inverse.reshape(blocks.shape), scratch.reshape(blocks.shape)
+    # retain and inverse_2d, with out= buffers: M^t @ (C * mask) @ M.
+    np.multiply(coeffs.reshape(blocks.shape), mask, out=masked)
+    np.matmul(m.T, masked, out=half)
+    np.matmul(half, m, out=blocks)
+    recon = inverse[: image.shape[0], : image.shape[1]]
+    np.clip(recon, 0.0, 255.0, out=recon)
+    return recon, _psnr(image, recon, scratch)
 
 
 def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
@@ -453,8 +485,9 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
 
     The shape, the SSIM window and the block size are checked before any
     transform work.  A call runs in two image-sized float64 buffers (see
-    ``_reconstructions``): the inverse buffer, whose crop is returned, and
-    the scratch buffer, which holds the forward stage's intermediate, the
+    ``_forward`` and ``_reconstruct``): the inverse buffer, which holds the
+    coefficients, masked in place, and whose crop is returned, and the
+    scratch buffer, which holds the forward stage's intermediate, the
     half-inverse, PSNR's squared error and then the SSIM map.  SSIM runs
     in one band pass over five channels (see ``_ssim``).  The image is read
     through float64 casts, never copied; the traced peak of a warm call on
@@ -466,8 +499,17 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
     _ssim_window(image.shape)
     if policy.n != m.shape[0]:
         raise ValueError(f"policy block size {policy.n} != transform size {m.shape[0]}")
-    recon, psnr_db, scratch = next(_reconstructions(image, m, [policy]))
+    inverse, scratch = _transform_buffers(image.shape, m.shape[0])
+    _forward(image, m, inverse, scratch, inverse)
+    recon, psnr_db = _reconstruct(image, m, inverse, policy.mask, inverse, scratch)
     return recon, QualityScores(psnr_db=psnr_db, ssim=_ssim(image, recon, scratch))
+
+
+def _lane_count() -> int:
+    """Lanes a sweep may score its levels in: the usable CPUs, at most two."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
 
 
 def retention_sweep(
@@ -475,22 +517,71 @@ def retention_sweep(
 ) -> list[tuple[float, float, float]]:
     """(r, psnr, ssim) over a retention grid, in grid order.
 
-    The levels are read once, so any iterable works.  The image is
-    forward-transformed once, each level's PSNR comes with its
-    reconstruction from ``_reconstructions``, and every level is scored
-    against one SSIM reference built from the image, so its window means
-    and variances are computed once.  The reference is built first: an
-    image smaller than the SSIM window raises ValueError before any
-    transform work.  Scores equal per-level ``compress_image`` exactly.
+    The levels are read once, so any iterable works.  The image must be
+    2-d and at least as large as the SSIM window, and every level a valid
+    retention fraction; both are checked before any transform work.
+
+    The image is forward-transformed once, into one coefficient buffer
+    that the levels only read, and its SSIM window means and variances are
+    computed once (see ``_SsimReference``).  The levels are then scored in
+    L = min(2, usable CPUs, levels) lanes: lane k scores levels k, k + L,
+    k + 2L, ... and writes each result into its grid-order slot.  Lane 0
+    runs in the calling thread and lane 1 in one thread started for the
+    call, in a copy of the caller's context, so that the caller's
+    ``np.errstate`` governs both; it is joined before the call returns or
+    raises, and an exception in either lane stops the other at its next
+    level and is raised here.  Each lane owns one (inverse, scratch) pair
+    (see ``_reconstruct``), whose scratch holds the level's SSIM map, and
+    one SSIM band set, with half the band budget when there are two lanes.
+    The numpy kernels release the GIL, so the lanes overlap.  The image is
+    read through float64 casts, never copied.
+
+    Scores equal per-level ``compress_image`` exactly, whatever the lane
+    count.
     """
     m = _as_matrix(transform)
-    image = np.asarray(image, dtype=np.float64)
-    score_ssim = _SsimReference(image)
-    policies = [RetentionPolicy(n=m.shape[0], r_fraction=r) for r in r_values]
-    return [
-        (p.r_fraction, psnr_db, score_ssim(rec))
-        for p, (rec, psnr_db, _) in zip(policies, _reconstructions(image, m, policies))
-    ]
+    n = m.shape[0]
+    image = np.asarray(image)
+    _ssim_window(image.shape)
+    policies = [RetentionPolicy(n=n, r_fraction=r) for r in r_values]
+    if not policies:
+        return []
+    levels = [(p.r_fraction, p.mask) for p in policies]
+    lanes = min(_lane_count(), len(levels))
+    pairs = [_transform_buffers(image.shape, n) for _ in range(lanes)]
+    bands = [_SsimBands(image.shape, 3, lanes) for _ in range(lanes)]
+    reference = _SsimReference(image, bands[0])
+    coeffs = np.empty(pairs[0][1].size)
+    _forward(image, m, *pairs[0], coeffs)
+    scores: list = [None] * len(levels)
+    failed: list[BaseException] = []
+
+    def lane(k: int) -> None:
+        # Private kernels only: no lane calls a public function, which a
+        # caller may have wrapped with state that is not thread-safe.
+        inverse, scratch = pairs[k]
+        try:
+            for i in range(k, len(levels), lanes):
+                if failed:
+                    return
+                r, mask = levels[i]
+                recon, psnr_db = _reconstruct(image, m, coeffs, mask, inverse, scratch)
+                scores[i] = (r, psnr_db, reference(recon, bands[k], scratch))
+        except BaseException as exc:   # raised again by the caller below
+            failed.append(exc)
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, k))
+               for k in range(1, lanes)]
+    for worker in workers:
+        worker.start()
+    try:
+        lane(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if failed:
+        raise failed[0]
+    return scores
 
 
 def default_r_grid() -> tuple[float, ...]:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,14 +29,34 @@ from dctapprox import (
     zigzag_order,
 )
 from dctapprox import codec
-from dctapprox.codec import _reconstructions, _SsimReference
+from dctapprox.codec import (
+    _forward,
+    _reconstruct,
+    _SsimBands,
+    _SsimReference,
+    _transform_buffers,
+)
 from helpers import (
     JPEG_ZIGZAG_8,
     _box_means,
+    count_calls,
     reconstruction_reference,
     rng,
     ssim_reference,
 )
+
+
+def _one_lane_reference(a):
+    """The SSIM scorer of a one-lane sweep of image a: (score, band set),
+    where score(b) builds its map in a buffer of its own."""
+    bands = _SsimBands(a.shape, 3)
+    reference = _SsimReference(a, bands)
+    buf = np.empty(a.size)
+    return (lambda b: reference(b, bands, buf)), bands
+
+
+def _force_lanes(monkeypatch, lanes: int) -> None:
+    monkeypatch.setattr(codec, "_lane_count", lambda: lanes)
 
 
 class TestZigzag:
@@ -159,7 +181,7 @@ class TestQualityMetrics:
         others = [np.clip(a + g.normal(0.0, 40.0, size=(h, w)), 0.0, 255.0)
                   for _ in range(extra)]
         others.append(np.full((h, w), 17.0))
-        score = _SsimReference(a)
+        score, _ = _one_lane_reference(a)
         for b in [a, *others, others[0], a]:
             assert score(b) == ssim_reference(a, b)
         assert ssim(others[0], a) == ssim_reference(others[0], a)
@@ -191,8 +213,8 @@ class TestSsimBands:
         g = rng(shape[0] * shape[1])
         a = g.integers(0, 256, size=shape).astype(np.float64)
         noisy = np.clip(a + g.normal(0.0, 40.0, size=shape), 0.0, 255.0)
-        score = _SsimReference(a)
-        assert math.ceil((shape[0] - 7) / score._band) == bands
+        score, band_set = _one_lane_reference(a)
+        assert math.ceil((shape[0] - 7) / band_set._band) == bands
         for b in [noisy, a, np.full(shape, 17.0), noisy]:
             assert score(b) == ssim_reference(a, b)
         assert ssim(noisy, a) == ssim_reference(noisy, a)
@@ -209,7 +231,7 @@ class TestSsimBands:
         g = rng(shape[0] + 7 * shape[1])
         a = g.integers(0, 256, size=shape).astype(np.float64)
         noisy = np.clip(a + g.normal(0.0, 40.0, size=shape), 0.0, 255.0)
-        assert math.ceil((shape[0] - 7) / codec._SsimBands(shape, 5)._band) == bands
+        assert math.ceil((shape[0] - 7) / _SsimBands(shape, 5)._band) == bands
         for b in [noisy, a, np.full(shape, 17.0)]:
             assert ssim(a, b) == ssim_reference(a, b)
             assert ssim(b, a) == ssim_reference(b, a)
@@ -220,10 +242,12 @@ class TestSsimBands:
     ])
     def test_reference_means_equal_the_oracle(self, scale, shape):
         a = scale * rng(23).random(shape)
-        score = _SsimReference(a)
         mu = _box_means(a, 8)
-        assert np.array_equal(score._mu_a, mu)
-        assert np.array_equal(score._var_a, _box_means(a * a, 8) - mu * mu)
+        for lanes in (1, 2):
+            score = _SsimReference(a, _SsimBands(shape, 3, lanes))
+            assert np.array_equal(score._mu_a, mu)
+            assert np.array_equal(score._var_a, _box_means(a * a, 8) - mu * mu)
+            assert not (score._mu_a.flags.writeable or score._var_a.flags.writeable)
         if scale < 1.0:
             # The window sums in units of 2**-1074 are not all multiples of
             # 64, so the 2**-6 scale rounds; a*a underflows to finite zeros.
@@ -238,9 +262,10 @@ class TestSsimBands:
         # 8192-element iterator buffers for ufuncs over strided band views,
         # and the temporary through which it copies the 3 x 8-row halo
         # between views of one buffer.  Together they peak near 6% of the
-        # image here; one band-sized channel would add 13%.
+        # image here; one band-sized channel would add 13%.  The map is
+        # built in a buffer that the caller passes in.
         img = ar1_test_image(500, 524, seed=22).astype(np.float64)
-        score = _SsimReference(img)
+        score, _ = _one_lane_reference(img)
         b = np.clip(img + rng(22).normal(0.0, 9.0, size=img.shape), 0.0, 255.0)
         score(b)
         tracemalloc.start()
@@ -255,7 +280,8 @@ class TestSsimBands:
     def test_sweep_equals_the_oracles_at_every_level(self, n):
         # 500 x 524 pads at every size, so PSNR's error buffer is a prefix
         # of the padded half-inverse buffer and the reconstruction a crop.
-        # Every level at 8 points, every fourth at 16 and 32.
+        # Every level at 8 points, every fourth at 16 and 32, in the lanes
+        # this host gives a sweep.
         img = ar1_test_image(500, 524, seed=19)
         ref = img.astype(np.float64)
         t = exact_dct_matrix(n)
@@ -268,22 +294,141 @@ class TestSsimBands:
             assert p == 10.0 * np.log10(255.0**2 / np.mean((ref - rec) ** 2))
 
     @pytest.mark.parametrize("n", [8, 16, 32])
-    def test_sweep_peak_memory(self, n):
-        # Peak traced allocation of a sweep, in image-sized float64 arrays:
-        # the float image; the SSIM reference's means, variances and map and
-        # its band buffers; the transform coefficients, the half-inverse
-        # (also the PSNR error) and the masked coefficients (then the
-        # inverse, whose crop is the reconstruction).
+    def test_sweep_peak_memory(self, n, monkeypatch):
+        # Peak traced allocation of a sweep, in image-sized float64 arrays,
+        # under one and two lanes: the transform coefficients and the SSIM
+        # reference's means and variances, shared by the lanes; per lane,
+        # its band buffers and one (inverse, scratch) pair, each padded to
+        # whole blocks: the masked coefficients, then the inverse, whose
+        # crop is the reconstruction; the half-inverse, then the PSNR
+        # error, then the SSIM map.  Two lanes split one band budget.  The
+        # uint8 image is read through float64 casts, never copied.
         img = ar1_test_image(500, 524, seed=20)
         t = exact_dct_matrix(n)
         retention_sweep(img, t, (0.5,))   # fill the module's mask caches
-        tracemalloc.start()
+        for lanes in (1, 2):
+            _force_lanes(monkeypatch, lanes)
+            tracemalloc.start()
+            try:
+                retention_sweep(img, t, (0.25, 0.5, 0.75, 0.99))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / (img.size * 8) < 8.5, lanes
+
+
+class TestSweepLanes:
+    """A sweep scores its levels in one or two lanes with the same bytes,
+    raises what either lane raises, and leaves no thread behind."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_one_and_two_lanes_equal_the_oracles(self, n, monkeypatch):
+        # Two lanes' bands are half as tall: two bands each, the last one
+        # short, and every size pads.
+        shape = (2 * _band_rows(203, 6) + 12, 203)
+        img = ar1_test_image(*shape, seed=28 + n)
+        ref = img.astype(np.float64)
+        t = build_scaled(CATALOG[9], n)
+        grid = default_r_grid()
+        for levels in (0, 1, 2, 3, 38):
+            rs = grid[:levels]
+            swept = []
+            for lanes in (1, 2):
+                _force_lanes(monkeypatch, lanes)
+                swept.append(retention_sweep(img, t, (r for r in rs)))
+            expected = []
+            for r in rs:
+                rec = reconstruction_reference(ref, t, RetentionPolicy(n=n, r_fraction=r))
+                db = 10.0 * np.log10(255.0**2 / np.mean((ref - rec) ** 2))
+                expected.append((r, db, ssim_reference(ref, rec)))
+            assert swept[0] == swept[1] == expected, levels
+
+    def test_concurrent_sweeps_fill_their_own_slots(self, monkeypatch):
+        # Four callers of two-lane sweeps at once, eight threads on fewer
+        # cores, switching as often as the interpreter allows: a lost or
+        # misplaced slot would change a result.
+        img = ar1_test_image(40, 56, seed=27)
+        t = exact_dct_matrix(8)
+        grid = default_r_grid()
+        _force_lanes(monkeypatch, 1)
+        expected = retention_sweep(img, t, grid)
+        _force_lanes(monkeypatch, 2)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = retention_sweep(img, t, grid)
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            retention_sweep(img, t, (0.25, 0.5, 0.75, 0.99))
-            _, peak = tracemalloc.get_traced_memory()
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
         finally:
-            tracemalloc.stop()
-        assert peak / (img.size * 8) < 8.5
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 4
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_lane_error_is_raised_and_its_thread_joined(self, failing, monkeypatch):
+        img = ar1_test_image(40, 56, seed=29)
+        t = exact_dct_matrix(8)
+        _force_lanes(monkeypatch, 2)
+        caller = threading.get_ident()
+        before = threading.active_count()
+
+        def failing_lane(*args):
+            lane = "caller" if threading.get_ident() == caller else "worker"
+            if lane == failing:
+                raise RuntimeError(f"in the {lane} lane")
+            return _reconstruct(*args)
+
+        monkeypatch.setattr(codec, "_reconstruct", failing_lane)
+        with pytest.raises(RuntimeError, match=f"in the {failing} lane"):
+            retention_sweep(img, t, default_r_grid())
+        assert threading.active_count() == before
+
+    def test_bad_input_raises_before_any_thread_starts(self, monkeypatch):
+        def no_start(_thread):
+            raise AssertionError("a lane started before the inputs were checked")
+
+        def no_transform(*_args):
+            raise AssertionError("transform work before the inputs were checked")
+
+        _force_lanes(monkeypatch, 2)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        monkeypatch.setattr(codec, "_forward", no_transform)
+        t = exact_dct_matrix(8)
+        img = ar1_test_image(40, 56, seed=30)
+        for rs in [(0.5, 0.75, 1.5), (0.5, 0.0), (float("nan"),)]:
+            with pytest.raises(ValueError, match="retention fraction"):
+                retention_sweep(img, t, (r for r in rs))
+        with pytest.raises(ValueError, match="smaller than the 8x8 window"):
+            retention_sweep(img[:7], t, (0.5, 0.75))
+
+    def test_lanes_run_in_the_callers_errstate_and_private_kernels(self, monkeypatch):
+        # numpy keeps np.errstate in a contextvar, which a new thread would
+        # start without.  The lanes call no public codec function, which a
+        # caller may wrap with state that is not thread-safe.
+        img = ar1_test_image(40, 56, seed=31)
+        t = exact_dct_matrix(8)
+        _force_lanes(monkeypatch, 2)
+        public = count_calls(monkeypatch, codec, ["psnr", "ssim", "compress_image",
+                                                  "forward_2d", "inverse_2d", "retain"])
+        seen = {}
+
+        def recording_lane(*args):
+            seen.setdefault(threading.get_ident(), set()).add(np.geterr()["over"])
+            return _reconstruct(*args)
+
+        monkeypatch.setattr(codec, "_reconstruct", recording_lane)
+        with np.errstate(over="raise"):
+            retention_sweep(img, t, default_r_grid()[:4])
+        assert len(seen) == 2
+        assert all(modes == {"raise"} for modes in seen.values())
+        assert not any(public.values())
 
 
 class TestCompressImage:
@@ -344,14 +489,23 @@ class TestCompressImage:
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_reconstructions_match_per_level_reference(self, n):
+        # One forward transform, read by two buffer pairs in turn, as the
+        # lanes of a sweep read it.
         img = ar1_test_image(2 * n + 3, 3 * n - 5, seed=16).astype(np.float64)
         rs = (0.9, 0.25, 1.0, 0.5, 0.9)
         for t in (exact_dct_matrix(n), build_scaled(CATALOG[9], n)):
-            policies = [RetentionPolicy(n=n, r_fraction=r) for r in rs]
-            for policy, (rec, db, _) in zip(policies, _reconstructions(img, t, policies)):
+            m = codec._as_matrix(t)
+            pairs = [_transform_buffers(img.shape, n) for _ in range(2)]
+            coeffs = np.empty(pairs[0][0].size)
+            _forward(img, m, *pairs[0], coeffs)
+            kept = coeffs.copy()
+            for k, r in enumerate(rs):
+                policy = RetentionPolicy(n=n, r_fraction=r)
+                rec, db = _reconstruct(img, m, coeffs, policy.mask, *pairs[k % 2])
                 expected = reconstruction_reference(img, t, policy)
                 assert np.array_equal(rec, expected)
                 assert db == psnr(img, expected)
+            assert np.array_equal(coeffs, kept)
 
     def test_compress_returns_independent_arrays(self):
         img = ar1_test_image(40, 44, seed=17)
@@ -392,8 +546,8 @@ class TestCompressImage:
         def no_transform(*_args):
             raise AssertionError("transform work before the SSIM window check")
 
-        # _reconstructions does all transform work, the forward stage first.
-        monkeypatch.setattr(codec, "_reconstructions", no_transform)
+        # _forward is the first transform work of both.
+        monkeypatch.setattr(codec, "_forward", no_transform)
         small = ar1_test_image(6, 40, seed=18)
         t = exact_dct_matrix(8)
         with pytest.raises(ValueError, match="smaller than the 8x8 window"):
@@ -421,7 +575,7 @@ class TestCompressImage:
                     assert scores.psnr_db == 10.0 * np.log10(255.0**2 / mse)
                     assert scores.ssim == ssim_reference(img, expected)
 
-    def test_integer_and_float32_images_read_as_float64(self):
+    def test_integer_and_float32_images_read_as_float64(self, monkeypatch):
         img = ar1_test_image(45, 61, seed=25)   # uint8
         t = build_scaled(CATALOG[9], 16)
         policy = RetentionPolicy(n=16, r_fraction=0.4)
@@ -442,6 +596,10 @@ class TestCompressImage:
             assert np.array_equal(recon, expected)
             assert scores == compress_image(as_float, t, policy)[1]
             assert scores.ssim == ssim_reference(as_float, expected)
+            for lanes in (1, 2):
+                _force_lanes(monkeypatch, lanes)
+                rs = (0.25, 0.4, 0.99)
+                assert retention_sweep(typed, t, rs) == retention_sweep(as_float, t, rs)
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_compress_peak_memory(self, n):
