@@ -19,23 +19,26 @@ buffer that every level only reads, and computes the image's SSIM window
 means and variances once (see ``_SsimReference``).  It then scores its
 levels in up to two lanes, one per usable CPU: lane 0 in the calling thread
 and lane 1 in one thread started and joined by the call, each scoring every
-other level into its grid-order slot (see ``retention_sweep``).  Each lane
-owns one (inverse, scratch) buffer pair, in which retain, inverse, crop,
-clamp and PSNR run and whose scratch then holds the level's SSIM map (see
-``_reconstruct``), and one SSIM band set, the two sets splitting one band
-budget.  The image is read through float64 casts, never copied.  With the
-coefficients, the shared means and variances, two buffer pairs and two band
-sets, a two-lane sweep of a 500x524 image peaks at about 8.2-8.4
-image-sized float64 arrays traced, and a one-lane sweep at about 6.0-6.2.
-The numpy kernels release the GIL, so on two cores the lanes overlap: a
-38-level sweep of a 500x524 image took a median 0.42 s, against 0.56 s in
-one lane (-24%, 2-vCPU Xeon, numpy 2.4.6, BLAS threads 1).
+other level into its grid-order slot (see ``_Lanes``).  Each lane owns one
+(inverse, scratch) buffer pair, in which retain, inverse, crop, clamp and
+PSNR run (see ``_reconstruct``), and one SSIM band set.  Once PSNR is
+taken, the scratch hosts the band set's integral images, in bands tall
+enough that numpy runs their along-row cumsum without the GIL, and the
+level's SSIM map is built over the spent reconstruction, in the prefix of
+the inverse buffer; the window means stay in small sub-band buffers (see
+``_SsimBands``).  The image is read through float64 casts, never copied.
+With the coefficients, the shared means and variances, and two lanes, a
+sweep of a 500x524 image peaks at about 7.8-7.9 image-sized float64 arrays
+traced, and a one-lane sweep at about 5.6-5.7.  On two cores the lanes
+overlap: a 38-level sweep of a 500x524 image took a median 0.32 s, against
+0.42 s with bands too short to release the GIL (2-vCPU Xeon, numpy 2.4.6,
+BLAS threads 1).
 
-SSIM builds its integral images one band of window rows at a time in a
-small buffer that stays in cache, so no integral image is image-sized; the
-scores are bit-identical to SSIM over whole-image integral images (see
-``_SsimBands``).  Nothing is kept across calls, and the caller's image is
-never written.
+SSIM builds its integral images one band of window rows at a time, in a
+small buffer that stays in cache or in a sweep lane's scratch, so no
+integral image is made whole; the scores are bit-identical to SSIM over
+whole-image integral images (see ``_SsimBands``).  Nothing is kept across
+calls, and the caller's image is never written.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -75,10 +78,13 @@ _SSIM_WINDOW = 8
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_L = 255.0
-# SSIM integral-image band size in elements over all its channels and
-# lanes; its height is this over the lane count, the channel count and the
-# width.
+# SSIM band size in elements over all its channels and lanes; its height is
+# this over the lane count, the channel count and the width.
 _SSIM_BAND_ELEMENTS = 98_304
+# numpy runs an accumulate such as np.cumsum without the GIL only over more
+# than this many independent rows (NPY_BEGIN_THREADS_THRESHOLDED in
+# numpy/_core/include/numpy/ndarraytypes.h).
+_GIL_FREE_ROWS = 500
 
 
 def zigzag_order(n: int) -> list[tuple[int, int]]:
@@ -206,24 +212,48 @@ def _ssim_window(shape: tuple[int, ...]) -> tuple[int, int]:
     return shape[0] - _SSIM_WINDOW + 1, shape[1] - _SSIM_WINDOW + 1
 
 
+def _tall_band(shape: tuple[int, ...], channels: int) -> tuple[int, int]:
+    """(band, size) of a hosted SSIM band set (see ``_SsimBands``): the
+    window rows per band, the fewest over _GIL_FREE_ROWS / channels or the
+    whole image, and the float64 elements its integral buffer takes."""
+    band = min(_ssim_window(shape)[0], _GIL_FREE_ROWS // channels + 1)
+    pairs = (shape[1] + 2) // 2   # width + 1 columns, padded to an even count
+    return band, 2 * channels * (band + _SSIM_WINDOW) * pairs
+
+
 class _SsimBands:
     """Window means of several channels of one image shape, band by band,
     and the SSIM map step over them.
 
     The integral images of the channels (each an image, or the product of
     two) are built one band of window rows at a time, stacked in one buffer
-    of shape (channels, band + 8, width + 1) that stays in cache; the band
-    height is ``_SSIM_BAND_ELEMENTS`` over the lane count, the channel
-    count and the width, so the band sets of a sweep's lanes share one
-    budget.  Each band copies the last 8 integral rows of the band before
-    it as its halo, continues the down-the-column ``np.cumsum`` of its new
-    rows from the carried column sums, runs the along-row ``np.cumsum``
-    over them and takes the window sums.  The column cumsum runs on a
-    complex128 view of the buffer, each element a pair of adjacent columns,
-    so every step adds two columns; complex addition adds the real and
-    imaginary parts on their own, so each column gets the same additions.
+    of shape (channels, band + 8, width + 1).  Each band copies the last 8
+    integral rows of the band before it as its halo, continues the
+    down-the-column ``np.cumsum`` of its new rows from the carried column
+    sums, runs the along-row ``np.cumsum`` over them and takes the window
+    sums, sub-band by sub-band, in a small means buffer.  The column cumsum
+    runs on a complex128 view of the buffer, each element a pair of
+    adjacent columns, so every step adds two columns; complex addition adds
+    the real and imaginary parts on their own, so each column gets the
+    same additions.
 
-    The window step copies the lower-right corner view into the band's
+    A band set has one of two geometries:
+
+    - Without a host, it owns a small integral buffer that stays in cache,
+      and a band is one sub-band: ``_SSIM_BAND_ELEMENTS`` over the lane
+      count, the channel count and the width.  ``_ssim`` scores one image
+      this way.
+    - With a host, a caller's float64 buffer of at least
+      ``_tall_band(shape, channels)[1]`` elements, the integral buffer is
+      the host's prefix and a band is tall: more than 500 / channels window
+      rows, so the along-row cumsum of every band but a short last one
+      runs over more than 500 rows.  Only then does numpy release the GIL
+      for it (``NPY_BEGIN_THREADS_THRESHOLDED`` in numpy's
+      ``ndarraytypes.h``), so that two lanes' passes overlap.  The
+      sub-bands keep the small geometry, so the means buffers do not grow.
+      A sweep lane hosts its bands in its scratch buffer.
+
+    The window step copies the lower-right corner view into the sub-band's
     means buffer, subtracts the upper-right and lower-left views from it
     and adds the upper-left one in place, then scales by 2**-6 with a
     multiply.  A ufunc that reads two strided views of the band is slower
@@ -234,7 +264,8 @@ class _SsimBands:
     included.
 
     The means equal those over whole-image integral images (``np.cumsum``
-    over the whole image, every term freshly allocated), bit for bit:
+    over the whole image, every term freshly allocated), bit for bit, at
+    any band and sub-band height:
 
     - each integral entry is made by the same additions in the same order:
       the carry plus a row equals the column sum so far plus that row, as
@@ -244,26 +275,37 @@ class _SsimBands:
       product channel is the oracle's float64 ``x * y``;
     - a map that is a contiguous array keeps ``np.mean``'s pairwise order.
 
-    Column 0 of the buffer is the integral image's zero border and, like
-    the padding column that makes the column count even, is never written;
-    row 0 is zeroed afresh for the first band, since halos overwrite it.
+    Column 0 of the buffer is the integral image's zero border, and the
+    last column pads the column count to even; the fills never write
+    either, and each pass zeroes both afresh, since a host holds earlier
+    contents there.  Row 0 is zeroed for the first band, since halos
+    overwrite it.
     """
 
-    def __init__(self, shape: tuple[int, ...], channels: int, lanes: int = 1) -> None:
+    def __init__(self, shape: tuple[int, ...], channels: int, lanes: int = 1,
+                 host: np.ndarray | None = None) -> None:
         w = _SSIM_WINDOW
         window = _ssim_window(shape)
         width = shape[1]
         budget = _SSIM_BAND_ELEMENTS // lanes
-        band = max(1, min(window[0], budget // (channels * (width + 1))))
-        self._window = window
-        self._band = band
+        sub = max(1, min(window[0], budget // (channels * (width + 1))))
         # width + 1 columns, padded to an even count, in complex pairs.
         pairs = (width + 2) // 2
-        self._pairs = np.zeros((channels, band + w, pairs), dtype=np.complex128)
-        self._s = self._pairs.view(np.float64)[..., : width + 1]
+        if host is None:
+            band = sub
+            self._pairs = np.zeros((channels, band + w, pairs), dtype=np.complex128)
+        else:
+            band, size = _tall_band(shape, channels)
+            sub = min(sub, band)
+            self._pairs = host[:size].view(np.complex128).reshape(channels, band + w, pairs)
+        self._window = window
+        self._band = band
+        self._sub = sub
+        self._flat = self._pairs.view(np.float64)
+        self._s = self._flat[..., : width + 1]
         self._carry = np.empty((channels, pairs), dtype=np.complex128)
-        self._means = np.empty((channels, band, window[1]))
-        self._tmp = np.empty((band, window[1]))
+        self._means = np.empty((channels, sub, window[1]))
+        self._tmp = np.empty((sub, window[1]))
 
     def _map(self, buf: np.ndarray) -> np.ndarray:
         """The SSIM map, built in the first elements of buf, a contiguous
@@ -272,14 +314,21 @@ class _SsimBands:
         return buf[: self._window[0] * self._window[1]].reshape(self._window)
 
     def _window_means(self, *channels: tuple[np.ndarray, ...]):
-        """Yield (window-row slice, stacked window means) band by band, one
-        mean per channel.  A channel is a 1-tuple of an image or a pair of
-        images to multiply; images of any real dtype are read as float64."""
-        w, band = _SSIM_WINDOW, self._band
+        """Yield (window-row slice, stacked window means) sub-band by
+        sub-band, one mean per channel.  A channel is a 1-tuple of an image
+        or a pair of images to multiply; images of any real dtype are read
+        as float64.  A band of window rows top .. top + rows - 1 reads the
+        image rows through top + rows + 6, which they need, before its
+        first yield, and no row beyond them."""
+        w, band, sub = _SSIM_WINDOW, self._band, self._sub
         k = len(channels)
         s, pairs, carry = self._s[:k], self._pairs[:k], self._carry[:k]
         means = self._means[:k]
         total = self._window[0]
+        # The zero-border column and the padding column, never written by
+        # the fills below.
+        self._flat[:k, :, 0] = 0.0
+        self._flat[:k, :, s.shape[-1] :] = 0.0
         for top in range(0, total, band):
             rows = min(band, total - top)
             if top:
@@ -304,15 +353,17 @@ class _SsimBands:
             np.cumsum(down, axis=1, out=down)
             carry[:] = down[:, -1]
             np.cumsum(fresh, axis=2, out=fresh)
-            m = means[:, :rows]
-            np.copyto(m, s[:, w : rows + w, w:])
-            np.subtract(m, s[:, :rows, w:], out=m)
-            np.subtract(m, s[:, w : rows + w, :-w], out=m)
-            np.add(m, s[:, :rows, :-w], out=m)
-            yield slice(top, top + rows), np.multiply(m, 1.0 / (w * w), out=m)
+            for lo in range(0, rows, sub):
+                hi = min(lo + sub, rows)
+                m = means[:, : hi - lo]
+                np.copyto(m, s[:, lo + w : hi + w, w:])
+                np.subtract(m, s[:, lo:hi, w:], out=m)
+                np.subtract(m, s[:, lo + w : hi + w, :-w], out=m)
+                np.add(m, s[:, lo:hi, :-w], out=m)
+                yield slice(top + lo, top + hi), np.multiply(m, 1.0 / (w * w), out=m)
 
     def _map_rows(self, mu_a, var_a, mu_b, var_b, cov, out) -> None:
-        """Write one band's rows of the SSIM map into out.  var_b and cov
+        """Write one sub-band's rows of the SSIM map into out.  var_b and cov
         come in as the window means of b*b and a*b and are overwritten."""
         c1 = (_SSIM_K1 * _SSIM_L) ** 2
         c2 = (_SSIM_K2 * _SSIM_L) ** 2
@@ -351,6 +402,14 @@ class _SsimReference:
     band set, which needs three channels, builds the SSIM map in the first
     elements of buf (see ``_SsimBands._map``) and takes ``np.mean`` once.
     Images of any real dtype are read as float64.
+
+    buf may be the buffer that b is a row-major view of, with rows of
+    stride w_pad >= width, as a sweep lane's reconstruction is a crop of
+    its inverse buffer: b is then spent.  Map row r ends at flat offset
+    (r + 1)(width - 7), and it is written only after the band pass has
+    read every row of b through row r + 7 (see
+    ``_SsimBands._window_means``), so it stays behind the first unread row
+    of b, which starts at (r + 8) w_pad.
     """
 
     def __init__(self, a: np.ndarray, bands: _SsimBands) -> None:
@@ -414,13 +473,15 @@ def _blocks(buf: np.ndarray, n: int) -> np.ndarray:
     return buf.reshape(h // n, n, w // n, n).swapaxes(1, 2)
 
 
-def _transform_buffers(shape: tuple[int, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _transform_buffers(
+    shape: tuple[int, int], n: int, scratch_size: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """A fresh (inverse, scratch) pair for an image of this shape, padded to
-    whole n x n blocks: inverse is (h, w) and scratch h * w contiguous
-    float64 elements (see ``_reconstruct``)."""
+    whole n x n blocks: inverse is (h, w) and scratch max(h * w,
+    scratch_size) contiguous float64 elements (see ``_reconstruct``)."""
     rows, cols = shape
     h, w = rows + (-rows) % n, cols + (-cols) % n
-    return np.empty((h, w)), np.empty(h * w)
+    return np.empty((h, w)), np.empty(max(h * w, scratch_size))
 
 
 def _forward(image, m, inverse, scratch, coeffs) -> None:
@@ -439,7 +500,7 @@ def _forward(image, m, inverse, scratch, coeffs) -> None:
     inverse[rows:, :cols] = inverse[rows - 1, :cols]
     inverse[:, cols:] = inverse[:, cols - 1 : cols]
     blocks = _blocks(inverse, n)
-    half = scratch.reshape(blocks.shape)
+    half = scratch[: inverse.size].reshape(blocks.shape)
     # forward_2d with out= buffers: M @ A @ M^t.
     np.matmul(m, blocks, out=half)
     np.matmul(half, m.T, out=coeffs.reshape(blocks.shape))
@@ -458,14 +519,15 @@ def _reconstruct(image, m, coeffs, mask, inverse, scratch):
     - ``scratch`` holds the half-inverted blocks M^t (C * mask); once the
       inverse is taken, its first rows x cols elements are PSNR's
       squared-error buffer (see ``_psnr``), and then it is free for the
-      caller, as the SSIM map.
+      caller: ``compress_image`` builds its SSIM map there, a sweep lane
+      its SSIM integral bands.
 
     Each product is the same IEEE operation on the same operands as
     ``retain`` and ``inverse_2d``.  The returned reconstruction is
     overwritten by the next level in the same pair, so copy it to keep it.
     """
     blocks = _blocks(inverse, m.shape[0])
-    masked, half = inverse.reshape(blocks.shape), scratch.reshape(blocks.shape)
+    masked, half = inverse.reshape(blocks.shape), scratch[: inverse.size].reshape(blocks.shape)
     # retain and inverse_2d, with out= buffers: M^t @ (C * mask) @ M.
     np.multiply(coeffs.reshape(blocks.shape), mask, out=masked)
     np.matmul(m.T, masked, out=half)
@@ -506,10 +568,53 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
 
 
 def _lane_count() -> int:
-    """Lanes a sweep may score its levels in: the usable CPUs, at most two."""
+    """The usable CPUs, at most two: the most lanes ``_Lanes`` runs."""
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return min(2, os.cpu_count() or 1)
+
+
+class _Lanes:
+    """Lanes that share out one or more independent items: lane k takes
+    items k, k + L, k + 2L, ..., with L = ``count`` = min(2, usable CPUs,
+    items).  A caller reads ``count`` first, to give each lane buffers of
+    its own, then calls ``run``.
+
+    ``run(step)`` calls step(k, i) for each item i of lane k.  Lane 0 runs
+    in the calling thread and lane 1 in one thread started by the call, in
+    a copy of the caller's context, so that the caller's ``np.errstate``
+    governs both.  The thread is joined before ``run`` returns or raises,
+    and an exception in either lane stops the other at its next item and
+    is raised by ``run``.  With one lane no thread starts.
+    """
+
+    def __init__(self, items: int) -> None:
+        self.count = min(_lane_count(), items)
+        self._items = items
+
+    def run(self, step: Callable[[int, int], None]) -> None:
+        failed: list[BaseException] = []
+
+        def lane(k: int) -> None:
+            try:
+                for i in range(k, self._items, self.count):
+                    if failed:
+                        return
+                    step(k, i)
+            except BaseException as exc:   # raised again by the caller below
+                failed.append(exc)
+
+        workers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, k))
+                   for k in range(1, self.count)]
+        for worker in workers:
+            worker.start()
+        try:
+            lane(0)
+        finally:
+            for worker in workers:
+                worker.join()
+        if failed:
+            raise failed[0]
 
 
 def retention_sweep(
@@ -524,17 +629,16 @@ def retention_sweep(
     The image is forward-transformed once, into one coefficient buffer
     that the levels only read, and its SSIM window means and variances are
     computed once (see ``_SsimReference``).  The levels are then scored in
-    L = min(2, usable CPUs, levels) lanes: lane k scores levels k, k + L,
-    k + 2L, ... and writes each result into its grid-order slot.  Lane 0
-    runs in the calling thread and lane 1 in one thread started for the
-    call, in a copy of the caller's context, so that the caller's
-    ``np.errstate`` governs both; it is joined before the call returns or
-    raises, and an exception in either lane stops the other at its next
-    level and is raised here.  Each lane owns one (inverse, scratch) pair
-    (see ``_reconstruct``), whose scratch holds the level's SSIM map, and
-    one SSIM band set, with half the band budget when there are two lanes.
-    The numpy kernels release the GIL, so the lanes overlap.  The image is
-    read through float64 casts, never copied.
+    ``_Lanes``, up to two, one per usable CPU, each level into its
+    grid-order slot.  Each lane owns one (inverse, scratch) pair (see
+    ``_reconstruct``) and one three-channel SSIM band set hosted in its
+    scratch, which is free once PSNR is taken: the integral images are
+    built there in tall bands, so that numpy releases the GIL for their
+    along-row cumsum and the lanes overlap (see ``_SsimBands``), and the
+    scratch is allocated large enough for them.  The SSIM map is built
+    over the spent reconstruction, in the prefix of the inverse buffer
+    (see ``_SsimReference``).  The image is read through float64 casts,
+    never copied.
 
     Scores equal per-level ``compress_image`` exactly, whatever the lane
     count.
@@ -547,40 +651,24 @@ def retention_sweep(
     if not policies:
         return []
     levels = [(p.r_fraction, p.mask) for p in policies]
-    lanes = min(_lane_count(), len(levels))
-    pairs = [_transform_buffers(image.shape, n) for _ in range(lanes)]
-    bands = [_SsimBands(image.shape, 3, lanes) for _ in range(lanes)]
+    lanes = _Lanes(len(levels))
+    host = _tall_band(image.shape, 3)[1]
+    pairs = [_transform_buffers(image.shape, n, host) for _ in range(lanes.count)]
+    bands = [_SsimBands(image.shape, 3, lanes.count, scratch) for _, scratch in pairs]
     reference = _SsimReference(image, bands[0])
-    coeffs = np.empty(pairs[0][1].size)
+    coeffs = np.empty(pairs[0][0].size)
     _forward(image, m, *pairs[0], coeffs)
     scores: list = [None] * len(levels)
-    failed: list[BaseException] = []
 
-    def lane(k: int) -> None:
+    def score(k: int, i: int) -> None:
         # Private kernels only: no lane calls a public function, which a
         # caller may have wrapped with state that is not thread-safe.
         inverse, scratch = pairs[k]
-        try:
-            for i in range(k, len(levels), lanes):
-                if failed:
-                    return
-                r, mask = levels[i]
-                recon, psnr_db = _reconstruct(image, m, coeffs, mask, inverse, scratch)
-                scores[i] = (r, psnr_db, reference(recon, bands[k], scratch))
-        except BaseException as exc:   # raised again by the caller below
-            failed.append(exc)
+        r, mask = levels[i]
+        recon, psnr_db = _reconstruct(image, m, coeffs, mask, inverse, scratch)
+        scores[i] = (r, psnr_db, reference(recon, bands[k], inverse.reshape(-1)))
 
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, k))
-               for k in range(1, lanes)]
-    for worker in workers:
-        worker.start()
-    try:
-        lane(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    if failed:
-        raise failed[0]
+    lanes.run(score)
     return scores
 
 

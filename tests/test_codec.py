@@ -46,13 +46,21 @@ from helpers import (
 )
 
 
-def _one_lane_reference(a):
-    """The SSIM scorer of a one-lane sweep of image a: (score, band set),
-    where score(b) builds its map in a buffer of its own."""
-    bands = _SsimBands(a.shape, 3)
+def _one_lane_reference(a, n: int = 8):
+    """The SSIM scorer of a one-lane sweep of image a at n points: (score,
+    band set).  The band set is hosted in the lane's scratch buffer, and
+    score(b) copies b into the crop of the lane's inverse buffer and builds
+    the map over it, as a lane builds it over the spent reconstruction."""
+    inverse, scratch = _transform_buffers(a.shape, n, codec._tall_band(a.shape, 3)[1])
+    bands = _SsimBands(a.shape, 3, 1, scratch)
     reference = _SsimReference(a, bands)
-    buf = np.empty(a.size)
-    return (lambda b: reference(b, bands, buf)), bands
+    recon = inverse[: a.shape[0], : a.shape[1]]
+
+    def score(b):
+        np.copyto(recon, b)
+        return reference(recon, bands, inverse.reshape(-1))
+
+    return score, bands
 
 
 def _force_lanes(monkeypatch, lanes: int) -> None:
@@ -194,21 +202,49 @@ class TestQualityMetrics:
 
 
 def _band_rows(width: int, channels: int = 3) -> int:
+    """Rows of a one-lane SSIM band of a small band set: the whole band of
+    ``ssim``, a means sub-band of a sweep lane."""
     return codec._SSIM_BAND_ELEMENTS // (channels * (width + 1))
+
+
+# Window rows of a sweep lane's tall integral band: 3 channels x 167 rows
+# is the fewest over numpy's 500-row GIL threshold.
+_TALL = codec._GIL_FREE_ROWS // 3 + 1
+
+
+def _sub_bands(bands: _SsimBands) -> int:
+    """The means sub-bands of one three-channel pass."""
+    zero = np.zeros((bands._window[0] + 7, bands._window[1] + 7))
+    return sum(1 for _ in bands._window_means((zero,), (zero,), (zero,)))
+
+
+# Band-seam cases of a one-lane sweep: (shape, integral bands, sub-bands,
+# host), where host says whether the lane's scratch, padded to whole 8 x 8
+# blocks, holds the tall band unaided or is allocated larger for it.
+_SEAMS = [
+    # The last band ends on its band edge, each band with a means sub-band
+    # seam inside it.
+    ((3 * _TALL + 7, 203), 3, 6, "smaller"),
+    ((3 * _TALL + 8, 203), 4, 7, "smaller"),   # one window row past it
+    ((500, 524), 3, 9, "smaller"),   # the benchmark's shape
+    ((_TALL + 7, 203), 1, 2, "smaller"),   # the whole image in one band
+    ((9, 700), 1, 1, "smaller"),
+    ((1200, 9), 8, 8, "larger"),   # tall and narrow: a sub-band is a band
+    ((524, 500), 4, 10, "larger"),   # the benchmark's transposed shape
+    ((14, 9000), 1, 3, "smaller"),   # sub-bands shorter than the halo
+    # The width a multiple of 32, so the padded width is the width at every
+    # block size: the map's row r ends closest to the first unread row of
+    # the reconstruction it is built over.
+    ((400, 256), 3, 5, "smaller"),
+]
 
 
 class TestSsimBands:
     """The banded integral images give the whole-image oracle's scores
-    exactly, across band seams and at the extremes of the band height."""
+    exactly, across band and sub-band seams and at the extremes of the band
+    height."""
 
-    @pytest.mark.parametrize("shape, bands", [
-        ((3 * _band_rows(40) + 7, 40), 3),    # the last band ends on a band edge
-        ((3 * _band_rows(40) + 8, 40), 4),    # one window row past it
-        ((2 * _band_rows(9000) + 8, 9000), 3),   # bands shorter than the halo
-        ((700, 9), 1),
-        ((9, 700), 1),
-        ((524, 500), 8),   # the benchmark's transposed shape: 65-row bands
-    ])
+    @pytest.mark.parametrize("shape, bands", [case[:2] for case in _SEAMS])
     def test_scores_equal_the_oracle(self, shape, bands):
         g = rng(shape[0] * shape[1])
         a = g.integers(0, 256, size=shape).astype(np.float64)
@@ -218,6 +254,14 @@ class TestSsimBands:
         for b in [noisy, a, np.full(shape, 17.0), noisy]:
             assert score(b) == ssim_reference(a, b)
         assert ssim(noisy, a) == ssim_reference(noisy, a)
+
+    @pytest.mark.parametrize("shape, bands, subs, host", _SEAMS)
+    def test_seam_cases_have_their_geometry(self, shape, bands, subs, host):
+        tall = codec._tall_band(shape, 3)[1]
+        band_set = _SsimBands(shape, 3, 1, np.empty(tall))
+        assert math.ceil((shape[0] - 7) / band_set._band) == bands
+        assert _sub_bands(band_set) == subs
+        assert (tall <= _transform_buffers(shape, 8)[1].size) == (host == "larger")
 
     @pytest.mark.parametrize("shape, bands", [
         ((3 * _band_rows(40, 5) + 7, 40), 3),    # the last band ends on a band edge
@@ -237,14 +281,15 @@ class TestSsimBands:
             assert ssim(b, a) == ssim_reference(b, a)
 
     @pytest.mark.parametrize("scale, shape", [
-        (1.0, (2 * _band_rows(60) + 11, 60)),
+        (1.0, (2 * _TALL + 11, 203)),   # band and sub-band seams
         (1e-310, (16, 40)),   # integral entries below 2**-1021, so exact
     ])
     def test_reference_means_equal_the_oracle(self, scale, shape):
         a = scale * rng(23).random(shape)
         mu = _box_means(a, 8)
         for lanes in (1, 2):
-            score = _SsimReference(a, _SsimBands(shape, 3, lanes))
+            host = np.full(codec._tall_band(shape, 3)[1], np.nan)
+            score = _SsimReference(a, _SsimBands(shape, 3, lanes, host))
             assert np.array_equal(score._mu_a, mu)
             assert np.array_equal(score._var_a, _box_means(a * a, 8) - mu * mu)
             assert not (score._mu_a.flags.writeable or score._var_a.flags.writeable)
@@ -276,6 +321,64 @@ class TestSsimBands:
             tracemalloc.stop()
         assert peak < 0.1 * img.nbytes
 
+    @pytest.mark.parametrize("fill", [np.nan, 1e308])
+    def test_a_lane_clears_what_its_host_held(self, fill, monkeypatch):
+        # A lane's scratch hosts its integral bands after the half-inverse
+        # and PSNR's squared error.  Filled before each SSIM pass with NaN,
+        # or with values whose column sums overflow, it must still give the
+        # oracle's scores, and raise no warning: each pass zeroes the
+        # integral's zero-border column and its padding column (the width
+        # is even, so there is one) afresh.  The inverse buffer's padding
+        # is filled too; the map is built over it.
+        def spoiling(image, m, coeffs, mask, inverse, scratch):
+            out = _reconstruct(image, m, coeffs, mask, inverse, scratch)
+            scratch.fill(fill)
+            inverse[image.shape[0] :] = fill
+            inverse[:, image.shape[1] :] = fill
+            return out
+
+        img = ar1_test_image(2 * _TALL + 20, 86, seed=33)
+        ref = img.astype(np.float64)
+        t = exact_dct_matrix(8)
+        monkeypatch.setattr(codec, "_reconstruct", spoiling)
+        for lanes in (1, 2):
+            _force_lanes(monkeypatch, lanes)
+            for r, _, s in retention_sweep(img, t, default_r_grid()[:4]):
+                rec = reconstruction_reference(ref, t, RetentionPolicy(n=8, r_fraction=r))
+                assert s == ssim_reference(ref, rec)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("shape", [(500, 524), (524, 500)])
+    def test_a_lanes_cumsums_run_over_more_than_500_rows(self, shape, lanes, monkeypatch):
+        # numpy releases the GIL for an accumulate only over more than 500
+        # independent rows (NPY_BEGIN_THREADS_THRESHOLDED in
+        # numpy/_core/include/numpy/ndarraytypes.h), so two lanes' SSIM
+        # passes overlap only if each band of a lane's pass but the last,
+        # which may be short, runs its along-row cumsum over channels x
+        # fresh rows > 500 rows.  The column cumsum runs over channels x
+        # column pairs.  Structure only: nothing here is timed.
+        cumsum = np.cumsum
+        calls = {}
+
+        def recording(x, axis=None, **kwargs):
+            if x.shape[0] == 3:   # a lane's channels; the reference has two
+                calls.setdefault(threading.get_ident(), []).append((x.dtype, axis, x.shape))
+            return cumsum(x, axis=axis, **kwargs)
+
+        img = ar1_test_image(*shape, seed=34)
+        _force_lanes(monkeypatch, lanes)
+        monkeypatch.setattr(np, "cumsum", recording)
+        retention_sweep(img, exact_dct_matrix(8), default_r_grid()[:lanes])
+        assert len(calls) == lanes   # one pass in each lane
+        for lane in calls.values():
+            along = [rows for _, axis, (_, rows, _) in lane if axis == 2]
+            down = [c * pairs for _, axis, (c, _, pairs) in lane if axis == 1]
+            assert all(dtype == np.float64 for dtype, axis, _ in lane if axis == 2)
+            assert sum(along) == shape[0]   # rows 1 .. height of the integral
+            assert len(along) == len(down) > 1
+            assert all(3 * rows > 500 for rows in along[:-1])
+            assert all(chains > 500 for chains in down)
+
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_sweep_equals_the_oracles_at_every_level(self, n):
         # 500 x 524 pads at every size, so PSNR's error buffer is a prefix
@@ -298,11 +401,15 @@ class TestSsimBands:
         # Peak traced allocation of a sweep, in image-sized float64 arrays,
         # under one and two lanes: the transform coefficients and the SSIM
         # reference's means and variances, shared by the lanes; per lane,
-        # its band buffers and one (inverse, scratch) pair, each padded to
-        # whole blocks: the masked coefficients, then the inverse, whose
-        # crop is the reconstruction; the half-inverse, then the PSNR
-        # error, then the SSIM map.  Two lanes split one band budget.  The
-        # uint8 image is read through float64 casts, never copied.
+        # its means sub-band buffers and one (inverse, scratch) pair, each
+        # padded to whole blocks: the masked coefficients, then the
+        # inverse, whose crop is the reconstruction, then the SSIM map over
+        # it; the half-inverse, then the PSNR error, then the tall SSIM
+        # integral bands, for which the scratch is allocated 1.054 image
+        # sizes here, past its 1.016 of padded image at 8 points.  Two
+        # lanes split one sub-band budget.  The uint8 image is read through
+        # float64 casts, never copied.  Measured: 5.62-5.74 in one lane and
+        # 7.76-7.92 in two, at 8, 16 and 32 points.
         img = ar1_test_image(500, 524, seed=20)
         t = exact_dct_matrix(n)
         retention_sweep(img, t, (0.5,))   # fill the module's mask caches
