@@ -11,8 +11,7 @@ inverse buffer (the padded image, then the coefficients, masked in place,
 then the inverse, whose crop is returned) and a scratch buffer (the forward
 stage's intermediate, the half-inverse, PSNR's squared error, then the SSIM
 map); the caller's image is read through float64 casts, never copied, and
-SSIM makes one band pass over five channels (see ``_ssim``).  Its traced
-peak on a 500x524 image is about 3.1 image-sized float64 arrays.
+SSIM makes one band pass over five channels (see ``_ssim``).
 
 A retention sweep forward-transforms the image once, into one coefficient
 buffer that every level only reads, and computes the image's SSIM window
@@ -22,17 +21,21 @@ and lane 1 in one thread started and joined by the call, each scoring every
 other level into its grid-order slot (see ``_Lanes``).  Each lane owns one
 (inverse, scratch) buffer pair, in which retain, inverse, crop, clamp and
 PSNR run (see ``_reconstruct``), and one SSIM band set.  Once PSNR is
-taken, the scratch hosts the band set's integral images, in bands tall
-enough that numpy runs their along-row cumsum without the GIL, and the
-level's SSIM map is built over the spent reconstruction, in the prefix of
-the inverse buffer; the window means stay in small sub-band buffers (see
+taken, the scratch hosts the band set's integral images, in bands as tall
+as it holds, and it is allocated to hold bands tall enough that numpy runs
+their along-row cumsum without the GIL, so the lanes overlap; the level's
+SSIM map is built over the spent reconstruction, in the prefix of the
+inverse buffer, and the window means stay in small sub-band buffers (see
 ``_SsimBands``).  The image is read through float64 casts, never copied.
-With the coefficients, the shared means and variances, and two lanes, a
-sweep of a 500x524 image peaks at about 7.8-7.9 image-sized float64 arrays
-traced, and a one-lane sweep at about 5.6-5.7.  On two cores the lanes
-overlap: a 38-level sweep of a 500x524 image took a median 0.32 s, against
-0.42 s with bands too short to release the GIL (2-vCPU Xeon, numpy 2.4.6,
-BLAS threads 1).
+
+Traced peaks on a 500x524 image, in image-sized float64 arrays at 8, 16
+and 32 points: a warm ``compress_image`` call 2.9-3.0, a one-lane sweep
+5.4-5.5 and a two-lane sweep 7.7-8.0, the shared coefficients, means and
+variances included.  A two-lane sweep of an image under 174 rows peaks
+higher, about 12.5 at 8 points on 100x1000 and 60x2000 images, as each
+lane's scratch holds the whole image's band set (see ``retention_sweep``).
+A 38-level sweep of a 500x524 image takes about 0.4 s in two lanes and
+0.58 s in one (2-vCPU Xeon, numpy 2.4.6, BLAS threads 1).
 
 SSIM builds its integral images one band of window rows at a time, in a
 small buffer that stays in cache or in a sweep lane's scratch, so no
@@ -78,9 +81,9 @@ _SSIM_WINDOW = 8
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_L = 255.0
-# SSIM band size in elements over all its channels and lanes; its height is
-# this over the lane count, the channel count and the width.
-_SSIM_BAND_ELEMENTS = 98_304
+# SSIM sub-band size in elements per channel: its height is this over the
+# width + 1 integral columns, so its means buffers stay in cache.
+_SSIM_SUB_ELEMENTS = 16_384
 # numpy runs an accumulate such as np.cumsum without the GIL only over more
 # than this many independent rows (NPY_BEGIN_THREADS_THRESHOLDED in
 # numpy/_core/include/numpy/ndarraytypes.h).
@@ -212,13 +215,11 @@ def _ssim_window(shape: tuple[int, ...]) -> tuple[int, int]:
     return shape[0] - _SSIM_WINDOW + 1, shape[1] - _SSIM_WINDOW + 1
 
 
-def _tall_band(shape: tuple[int, ...], channels: int) -> tuple[int, int]:
-    """(band, size) of a hosted SSIM band set (see ``_SsimBands``): the
-    window rows per band, the fewest over _GIL_FREE_ROWS / channels or the
-    whole image, and the float64 elements its integral buffer takes."""
-    band = min(_ssim_window(shape)[0], _GIL_FREE_ROWS // channels + 1)
+def _band_size(shape: tuple[int, ...], channels: int, rows: int) -> int:
+    """Float64 elements of an SSIM integral buffer whose bands are ``rows``
+    window rows tall (see ``_SsimBands``)."""
     pairs = (shape[1] + 2) // 2   # width + 1 columns, padded to an even count
-    return band, 2 * channels * (band + _SSIM_WINDOW) * pairs
+    return 2 * channels * (rows + _SSIM_WINDOW) * pairs
 
 
 class _SsimBands:
@@ -237,21 +238,21 @@ class _SsimBands:
     the real and imaginary parts on their own, so each column gets the
     same additions.
 
-    A band set has one of two geometries:
-
-    - Without a host, it owns a small integral buffer that stays in cache,
-      and a band is one sub-band: ``_SSIM_BAND_ELEMENTS`` over the lane
-      count, the channel count and the width.  ``_ssim`` scores one image
-      this way.
-    - With a host, a caller's float64 buffer of at least
-      ``_tall_band(shape, channels)[1]`` elements, the integral buffer is
-      the host's prefix and a band is tall: more than 500 / channels window
-      rows, so the along-row cumsum of every band but a short last one
-      runs over more than 500 rows.  Only then does numpy release the GIL
-      for it (``NPY_BEGIN_THREADS_THRESHOLDED`` in numpy's
-      ``ndarraytypes.h``), so that two lanes' passes overlap.  The
-      sub-bands keep the small geometry, so the means buffers do not grow.
-      A sweep lane hosts its bands in its scratch buffer.
+    A band is as many window rows as the integral buffer holds, at most the
+    whole image: ``min(window rows, size // (2 * channels * pairs) - 8)``
+    for a buffer of ``size`` float64 elements and ``pairs`` complex column
+    pairs (see ``_band_size``).  With no host, the band set allocates a
+    buffer of one sub-band, small enough to stay in cache; ``_ssim`` scores
+    one image this way.  With a host, a caller's float64 buffer, the
+    integral buffer is its prefix of whole bands.  A sweep lane hosts its
+    band set in its scratch, which ``retention_sweep`` allocates to hold
+    bands of more than 500 / channels window rows, or of the whole image:
+    the along-row cumsum of every band but a short last one then runs over
+    more than 500 rows, and only then does numpy release the GIL for it
+    (``NPY_BEGIN_THREADS_THRESHOLDED`` in numpy's ``ndarraytypes.h``), so
+    that two lanes' passes overlap.  A sub-band is ``_SSIM_SUB_ELEMENTS``
+    per channel over the width + 1 integral columns, at most one band, so
+    the means buffers do not grow with the host.
 
     The window step copies the lower-right corner view into the sub-band's
     means buffer, subtracts the upper-right and lower-left views from it
@@ -277,32 +278,28 @@ class _SsimBands:
 
     Column 0 of the buffer is the integral image's zero border, and the
     last column pads the column count to even; the fills never write
-    either, and each pass zeroes both afresh, since a host holds earlier
-    contents there.  Row 0 is zeroed for the first band, since halos
+    either, and each pass zeroes both afresh, since the buffer, allocated
+    uncleared or hosted, holds earlier contents there.  Row 0 is zeroed for the first band, since halos
     overwrite it.
     """
 
-    def __init__(self, shape: tuple[int, ...], channels: int, lanes: int = 1,
+    def __init__(self, shape: tuple[int, ...], channels: int,
                  host: np.ndarray | None = None) -> None:
         w = _SSIM_WINDOW
         window = _ssim_window(shape)
-        width = shape[1]
-        budget = _SSIM_BAND_ELEMENTS // lanes
-        sub = max(1, min(window[0], budget // (channels * (width + 1))))
-        # width + 1 columns, padded to an even count, in complex pairs.
-        pairs = (width + 2) // 2
+        sub = max(1, min(window[0], _SSIM_SUB_ELEMENTS // (shape[1] + 1)))
         if host is None:
-            band = sub
-            self._pairs = np.zeros((channels, band + w, pairs), dtype=np.complex128)
-        else:
-            band, size = _tall_band(shape, channels)
-            sub = min(sub, band)
-            self._pairs = host[:size].view(np.complex128).reshape(channels, band + w, pairs)
+            host = np.empty(_band_size(shape, channels, sub))
+        pairs = (shape[1] + 2) // 2   # the complex column pairs of _band_size
+        band = min(window[0], host.size // (2 * channels * pairs) - w)
+        sub = min(sub, band)
+        size = _band_size(shape, channels, band)
+        self._pairs = host[:size].view(np.complex128).reshape(channels, band + w, pairs)
         self._window = window
         self._band = band
         self._sub = sub
         self._flat = self._pairs.view(np.float64)
-        self._s = self._flat[..., : width + 1]
+        self._s = self._flat[..., : shape[1] + 1]
         self._carry = np.empty((channels, pairs), dtype=np.complex128)
         self._means = np.empty((channels, sub, window[1]))
         self._tmp = np.empty((sub, window[1]))
@@ -552,9 +549,7 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
     scratch buffer, which holds the forward stage's intermediate, the
     half-inverse, PSNR's squared error and then the SSIM map.  SSIM runs
     in one band pass over five channels (see ``_ssim``).  The image is read
-    through float64 casts, never copied; the traced peak of a warm call on
-    a 500x524 image is about 3.1 image-sized float64 arrays at 8, 16 and
-    32 points.
+    through float64 casts, never copied.
     """
     m = _as_matrix(transform)
     image = np.asarray(image)
@@ -632,13 +627,18 @@ def retention_sweep(
     ``_Lanes``, up to two, one per usable CPU, each level into its
     grid-order slot.  Each lane owns one (inverse, scratch) pair (see
     ``_reconstruct``) and one three-channel SSIM band set hosted in its
-    scratch, which is free once PSNR is taken: the integral images are
-    built there in tall bands, so that numpy releases the GIL for their
-    along-row cumsum and the lanes overlap (see ``_SsimBands``), and the
-    scratch is allocated large enough for them.  The SSIM map is built
-    over the spent reconstruction, in the prefix of the inverse buffer
-    (see ``_SsimReference``).  The image is read through float64 casts,
-    never copied.
+    scratch, which is free once PSNR is taken.  The scratch is allocated as
+    the larger of the padded image and a band of min(window rows, 167)
+    window rows, and the bands are as tall as it holds, so that numpy
+    releases the GIL for their along-row cumsum and the lanes overlap (see
+    ``_SsimBands``).  On an image under 174 rows that band is the whole
+    image's, about three image sizes per lane.  An image-sized scratch with
+    shorter bands would cut a two-lane 100x1000 sweep's traced peak from
+    12.6 to 8.7 image-sized arrays, but ran 8-10% slower, so the scratch
+    holds the whole band.  The SSIM map is built over the spent
+    reconstruction, in the prefix of the inverse buffer (see
+    ``_SsimReference``).  The image is read through float64 casts, never
+    copied.
 
     Scores equal per-level ``compress_image`` exactly, whatever the lane
     count.
@@ -646,15 +646,15 @@ def retention_sweep(
     m = _as_matrix(transform)
     n = m.shape[0]
     image = np.asarray(image)
-    _ssim_window(image.shape)
+    window = _ssim_window(image.shape)
     policies = [RetentionPolicy(n=n, r_fraction=r) for r in r_values]
     if not policies:
         return []
     levels = [(p.r_fraction, p.mask) for p in policies]
     lanes = _Lanes(len(levels))
-    host = _tall_band(image.shape, 3)[1]
-    pairs = [_transform_buffers(image.shape, n, host) for _ in range(lanes.count)]
-    bands = [_SsimBands(image.shape, 3, lanes.count, scratch) for _, scratch in pairs]
+    tall = _band_size(image.shape, 3, min(window[0], _GIL_FREE_ROWS // 3 + 1))
+    pairs = [_transform_buffers(image.shape, n, tall) for _ in range(lanes.count)]
+    bands = [_SsimBands(image.shape, 3, scratch) for _, scratch in pairs]
     reference = _SsimReference(image, bands[0])
     coeffs = np.empty(pairs[0][0].size)
     _forward(image, m, *pairs[0], coeffs)

@@ -51,8 +51,8 @@ def _one_lane_reference(a, n: int = 8):
     band set).  The band set is hosted in the lane's scratch buffer, and
     score(b) copies b into the crop of the lane's inverse buffer and builds
     the map over it, as a lane builds it over the spent reconstruction."""
-    inverse, scratch = _transform_buffers(a.shape, n, codec._tall_band(a.shape, 3)[1])
-    bands = _SsimBands(a.shape, 3, 1, scratch)
+    inverse, scratch = _transform_buffers(a.shape, n, _lane_host(a.shape))
+    bands = _SsimBands(a.shape, 3, scratch)
     reference = _SsimReference(a, bands)
     recon = inverse[: a.shape[0], : a.shape[1]]
 
@@ -61,6 +61,17 @@ def _one_lane_reference(a, n: int = 8):
         return reference(recon, bands, inverse.reshape(-1))
 
     return score, bands
+
+
+# Window rows of a sweep lane's shortest tall integral band: 3 channels x
+# 167 rows is the fewest over numpy's 500-row GIL threshold.
+_TALL = codec._GIL_FREE_ROWS // 3 + 1
+
+
+def _lane_host(shape) -> int:
+    """The fewest elements of a sweep lane's scratch: a three-channel band
+    of 500 / 3 + 1 window rows, or of the whole image if it has fewer."""
+    return codec._band_size(shape, 3, min(shape[0] - 7, _TALL))
 
 
 def _force_lanes(monkeypatch, lanes: int) -> None:
@@ -201,15 +212,10 @@ class TestQualityMetrics:
             ape(1.0, 0.0)
 
 
-def _band_rows(width: int, channels: int = 3) -> int:
-    """Rows of a one-lane SSIM band of a small band set: the whole band of
-    ``ssim``, a means sub-band of a sweep lane."""
-    return codec._SSIM_BAND_ELEMENTS // (channels * (width + 1))
-
-
-# Window rows of a sweep lane's tall integral band: 3 channels x 167 rows
-# is the fewest over numpy's 500-row GIL threshold.
-_TALL = codec._GIL_FREE_ROWS // 3 + 1
+def _sub_rows(width: int) -> int:
+    """Window rows of an SSIM means sub-band: the whole band of a band set
+    with no host, as ``ssim`` makes."""
+    return codec._SSIM_SUB_ELEMENTS // (width + 1)
 
 
 def _sub_bands(bands: _SsimBands) -> int:
@@ -218,24 +224,26 @@ def _sub_bands(bands: _SsimBands) -> int:
     return sum(1 for _ in bands._window_means((zero,), (zero,), (zero,)))
 
 
-# Band-seam cases of a one-lane sweep: (shape, integral bands, sub-bands,
-# host), where host says whether the lane's scratch, padded to whole 8 x 8
-# blocks, holds the tall band unaided or is allocated larger for it.
+# Band-seam cases of a one-lane sweep at 8 points: (shape, integral bands,
+# sub-bands, host), where host says whether the lane's scratch, padded to
+# whole 8 x 8 blocks, holds a 167-row band unaided ("larger"), so that its
+# bands are as tall as it holds, or is allocated larger for it ("smaller").
 _SEAMS = [
     # The last band ends on its band edge, each band with a means sub-band
     # seam inside it.
-    ((3 * _TALL + 7, 203), 3, 6, "smaller"),
-    ((3 * _TALL + 8, 203), 4, 7, "smaller"),   # one window row past it
-    ((500, 524), 3, 9, "smaller"),   # the benchmark's shape
-    ((_TALL + 7, 203), 1, 2, "smaller"),   # the whole image in one band
+    ((3 * _TALL + 7, 150), 3, 6, "smaller"),
+    ((3 * _TALL + 8, 150), 4, 7, "smaller"),   # a one-row last band
+    ((500, 524), 3, 18, "smaller"),   # the benchmark's shape
+    ((_TALL + 7, 150), 1, 2, "smaller"),   # the whole image in one band
     ((9, 700), 1, 1, "smaller"),
-    ((1200, 9), 8, 8, "larger"),   # tall and narrow: a sub-band is a band
-    ((524, 500), 4, 10, "larger"),   # the benchmark's transposed shape
-    ((14, 9000), 1, 3, "smaller"),   # sub-bands shorter than the halo
+    ((1200, 9), 2, 2, "larger"),   # tall and narrow: a sub-band is a band
+    ((524, 500), 4, 19, "larger"),   # the benchmark's transposed shape
+    ((14, 5000), 1, 3, "smaller"),   # sub-bands shorter than the halo
     # The width a multiple of 32, so the padded width is the width at every
     # block size: the map's row r ends closest to the first unread row of
     # the reconstruction it is built over.
-    ((400, 256), 3, 5, "smaller"),
+    ((400, 192), 3, 5, "smaller"),
+    ((720, 203), 4, 10, "larger"),   # 236-row bands with sub-band seams
 ]
 
 
@@ -257,15 +265,22 @@ class TestSsimBands:
 
     @pytest.mark.parametrize("shape, bands, subs, host", _SEAMS)
     def test_seam_cases_have_their_geometry(self, shape, bands, subs, host):
-        tall = codec._tall_band(shape, 3)[1]
-        band_set = _SsimBands(shape, 3, 1, np.empty(tall))
+        # A band is as many window rows as the lane's scratch holds, at most
+        # the whole image; a sub-band is 16,384 elements per channel.
+        scratch = _transform_buffers(shape, 8, _lane_host(shape))[1]
+        band_set = _SsimBands(shape, 3, scratch)
+        held = scratch.size // (2 * 3 * ((shape[1] + 2) // 2)) - 8
+        assert band_set._band == min(shape[0] - 7, held)
+        assert band_set._sub == min(band_set._band, _sub_rows(shape[1]))
         assert math.ceil((shape[0] - 7) / band_set._band) == bands
         assert _sub_bands(band_set) == subs
-        assert (tall <= _transform_buffers(shape, 8)[1].size) == (host == "larger")
+        larger = _lane_host(shape) <= _transform_buffers(shape, 8)[1].size
+        assert larger == (host == "larger")
+        assert (band_set._band > _TALL) == (larger and shape[0] - 7 > _TALL)
 
     @pytest.mark.parametrize("shape, bands", [
-        ((3 * _band_rows(40, 5) + 7, 40), 3),    # the last band ends on a band edge
-        ((3 * _band_rows(40, 5) + 8, 40), 4),    # one window row past it
+        ((3 * _sub_rows(40) + 7, 40), 3),    # the last band ends on a band edge
+        ((3 * _sub_rows(40) + 8, 40), 4),    # one window row past it
         ((700, 9), 1),
         ((9, 700), 1),
     ])
@@ -287,9 +302,9 @@ class TestSsimBands:
     def test_reference_means_equal_the_oracle(self, scale, shape):
         a = scale * rng(23).random(shape)
         mu = _box_means(a, 8)
-        for lanes in (1, 2):
-            host = np.full(codec._tall_band(shape, 3)[1], np.nan)
-            score = _SsimReference(a, _SsimBands(shape, 3, lanes, host))
+        # Bands of one sub-band, and bands as tall as a lane's scratch holds.
+        for host in (None, np.full(_lane_host(shape), np.nan)):
+            score = _SsimReference(a, _SsimBands(shape, 3, host))
             assert np.array_equal(score._mu_a, mu)
             assert np.array_equal(score._var_a, _box_means(a * a, 8) - mu * mu)
             assert not (score._mu_a.flags.writeable or score._var_a.flags.writeable)
@@ -306,9 +321,10 @@ class TestSsimBands:
         # still allocates does not grow with the image height: numpy's
         # 8192-element iterator buffers for ufuncs over strided band views,
         # and the temporary through which it copies the 3 x 8-row halo
-        # between views of one buffer.  Together they peak near 6% of the
-        # image here; one band-sized channel would add 13%.  The map is
-        # built in a buffer that the caller passes in.
+        # between views of one buffer.  Together they peak near 9% of the
+        # image here; one more means sub-band channel would add 6%, and one
+        # integral band channel 35%.  The map is built in a buffer that the
+        # caller passes in.
         img = ar1_test_image(500, 524, seed=22).astype(np.float64)
         score, _ = _one_lane_reference(img)
         b = np.clip(img + rng(22).normal(0.0, 9.0, size=img.shape), 0.0, 255.0)
@@ -404,12 +420,12 @@ class TestSsimBands:
         # its means sub-band buffers and one (inverse, scratch) pair, each
         # padded to whole blocks: the masked coefficients, then the
         # inverse, whose crop is the reconstruction, then the SSIM map over
-        # it; the half-inverse, then the PSNR error, then the tall SSIM
-        # integral bands, for which the scratch is allocated 1.054 image
-        # sizes here, past its 1.016 of padded image at 8 points.  Two
-        # lanes split one sub-band budget.  The uint8 image is read through
-        # float64 casts, never copied.  Measured: 5.62-5.74 in one lane and
-        # 7.76-7.92 in two, at 8, 16 and 32 points.
+        # it; the half-inverse, then the PSNR error, then the SSIM integral
+        # bands, for which the scratch is allocated 1.054 image sizes here,
+        # past its 1.016 of padded image at 8 points.  Each lane's means
+        # sub-bands take 16,384 elements per channel.  The uint8 image is
+        # read through float64 casts, never copied.  The measured peaks are
+        # in the codec module docstring.
         img = ar1_test_image(500, 524, seed=20)
         t = exact_dct_matrix(n)
         retention_sweep(img, t, (0.5,))   # fill the module's mask caches
@@ -423,6 +439,27 @@ class TestSsimBands:
                 tracemalloc.stop()
             assert peak / (img.size * 8) < 8.5, lanes
 
+    @pytest.mark.parametrize("shape", [(100, 1000), (60, 2000)])
+    def test_short_image_sweep_peak_memory(self, shape, monkeypatch):
+        # A short image's band set is one band of the whole image, and each
+        # lane's scratch is allocated for it: 3 channels x (window rows + 8)
+        # rows, about three image sizes, against one padded image.  Two
+        # lanes then peak near 12.5 image-sized arrays at 8 points (see the
+        # codec module docstring, and ``retention_sweep`` for why the
+        # scratch is not cut to the image).  The bound keeps the peak from
+        # growing unseen.
+        img = ar1_test_image(*shape, seed=35)
+        t = exact_dct_matrix(8)
+        retention_sweep(img, t, (0.5,))   # fill the module's mask caches
+        _force_lanes(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            retention_sweep(img, t, (0.25, 0.5, 0.75, 0.99))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (img.size * 8) < 13.0
+
 
 class TestSweepLanes:
     """A sweep scores its levels in one or two lanes with the same bytes,
@@ -430,25 +467,28 @@ class TestSweepLanes:
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_one_and_two_lanes_equal_the_oracles(self, n, monkeypatch):
-        # Two lanes' bands are half as tall: two bands each, the last one
-        # short, and every size pads.
-        shape = (2 * _band_rows(203, 6) + 12, 203)
-        img = ar1_test_image(*shape, seed=28 + n)
-        ref = img.astype(np.float64)
+        # Every size pads each shape.  (172, 203): one band with two
+        # sub-band seams and a short last sub-band.  (100, 1000): a short,
+        # wide image, one band of the whole image in a scratch allocated
+        # for it.  (1200, 9): a tall image whose image-sized scratch holds
+        # bands of 632 rows at 8 points.
         t = build_scaled(CATALOG[9], n)
         grid = default_r_grid()
-        for levels in (0, 1, 2, 3, 38):
-            rs = grid[:levels]
-            swept = []
-            for lanes in (1, 2):
-                _force_lanes(monkeypatch, lanes)
-                swept.append(retention_sweep(img, t, (r for r in rs)))
-            expected = []
-            for r in rs:
-                rec = reconstruction_reference(ref, t, RetentionPolicy(n=n, r_fraction=r))
-                db = 10.0 * np.log10(255.0**2 / np.mean((ref - rec) ** 2))
-                expected.append((r, db, ssim_reference(ref, rec)))
-            assert swept[0] == swept[1] == expected, levels
+        for shape in [(2 * _sub_rows(203) + 12, 203), (100, 1000), (1200, 9)]:
+            img = ar1_test_image(*shape, seed=28 + n)
+            ref = img.astype(np.float64)
+            for levels in (0, 1, 2, 3, 38):
+                rs = grid[:levels]
+                swept = []
+                for lanes in (1, 2):
+                    _force_lanes(monkeypatch, lanes)
+                    swept.append(retention_sweep(img, t, (r for r in rs)))
+                expected = []
+                for r in rs:
+                    rec = reconstruction_reference(ref, t, RetentionPolicy(n=n, r_fraction=r))
+                    db = 10.0 * np.log10(255.0**2 / np.mean((ref - rec) ** 2))
+                    expected.append((r, db, ssim_reference(ref, rec)))
+                assert swept[0] == swept[1] == expected, (shape, levels)
 
     def test_concurrent_sweeps_fill_their_own_slots(self, monkeypatch):
         # Four callers of two-lane sweeps at once, eight threads on fewer
@@ -669,7 +709,7 @@ class TestCompressImage:
     def test_compress_equals_the_oracles(self, n):
         # Padded shapes: a few blocks, and five-channel SSIM bands whose
         # last one ends on its band edge.
-        shapes = [(2 * n + 3, 3 * n - 5), (3 * _band_rows(203, 5) + 7, 203)]
+        shapes = [(2 * n + 3, 3 * n - 5), (3 * _sub_rows(203) + 7, 203)]
         for shape in shapes:
             img = ar1_test_image(*shape, seed=n + shape[1]).astype(np.float64)
             for t in (exact_dct_matrix(n), build_scaled(CATALOG[9], n)):
@@ -716,8 +756,10 @@ class TestCompressImage:
         #   coefficients, then the inverse, whose crop is returned;
         # - the scratch buffer: the forward stage's M @ A, the half-inverse,
         #   PSNR's squared error, then the SSIM map;
-        # - the five-channel SSIM band buffers, under one array.
-        # The uint8 image is read through float64 casts, never copied.
+        # - the five-channel SSIM band buffers, one sub-band of 16,384
+        #   elements per channel, under one array.
+        # The uint8 image is read through float64 casts, never copied.  The
+        # measured peaks are in the codec module docstring.
         img = ar1_test_image(500, 524, seed=24)
         t = exact_dct_matrix(n)
         policy = RetentionPolicy(n=n, r_fraction=0.45)
