@@ -8,12 +8,15 @@ which needs all three sizes, through `build_scaled_sizes`, the same path):
 ``gen`` is ``scale`` at size 8, and ``eval`` takes its metric and
 complexity rows at ``--size`` from the same transform.  Exit codes:
 0 success, 2 usage error, 3 infeasible transform, 4 I/O error.  The environment variable
-DCTAPPROX_RHO overrides the default correlation coefficient of 0.95.
+DCTAPPROX_RHO overrides the default correlation coefficient of 0.95.  Every
+CSV is written as UTF-8 by one `csv.writer`, which quotes a cell only when
+it holds a comma, a double quote or a newline.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import math
 import os
@@ -31,18 +34,19 @@ from .codec import (
     retention_sweep,
 )
 from .core import SIZES, FeasibilityError, ParamVector, Transform, _read_json, exact_dct_matrix
-from .metrics import DEFAULT_RHO, MetricsReport, SignalModel, evaluate, evaluate_matrix
+from .metrics import DEFAULT_RHO, MetricsReport, SignalModel, _reports, evaluate, evaluate_matrix
 from .pgm import read_pgm, write_pgm
 from .scaling import build_scaled, build_scaled_sizes
 from .search import SearchResult, run_search
 
 __all__ = ["parse_params", "write_front_csv", "report_tables", "main"]
 
-EVAL_HEADER = "a1,a2,a3,a4,a5,a6,a7,a8,epsilon,mse,cg,eta,adds,shifts"
-COMPLEXITY_HEADER = "a1,a2,a3,a4,a5,a6,a7,a8,adds,shifts,rule"
-FRONT_HEADER = "rank," + EVAL_HEADER
-CURVES_HEADER = "transform_id,r,psnr,ssim,ape_psnr,ape_ssim"
-PER_IMAGE_HEADER = "transform_id,r,image,psnr,ssim"
+PARAM_HEADER = [f"a{i}" for i in range(1, 9)]
+EVAL_HEADER = PARAM_HEADER + ["epsilon", "mse", "cg", "eta", "adds", "shifts"]
+COMPLEXITY_HEADER = PARAM_HEADER + ["adds", "shifts", "rule"]
+FRONT_HEADER = ["rank"] + EVAL_HEADER
+CURVES_HEADER = ["transform_id", "r", "psnr", "ssim", "ape_psnr", "ape_ssim"]
+PER_IMAGE_HEADER = ["transform_id", "r", "image", "psnr", "ssim"]
 _MAX_R_LEVELS = 10_000  # largest (stop - start) / step that --r-grid accepts
 
 
@@ -87,26 +91,30 @@ def _resolve_rho(args) -> float:
 
 # --- CSV / markdown rendering -----------------------------------------------
 
+def _write_csv(path, rows) -> None:
+    """Write rows of cells as UTF-8 CSV; a comment line is a one-cell row."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
 def write_front_csv(result: SearchResult, path) -> None:
-    lines = [
-        f"# rho={result.model.rho!r}",
-        f"# candidates={result.n_candidates}",
-        f"# feasible={'' if result.n_feasible is None else result.n_feasible}",
-        f"# front={len(result.canonical)}",
+    rows = [
+        [f"# rho={result.model.rho!r}"],
+        [f"# candidates={result.n_candidates}"],
+        [f"# feasible={'' if result.n_feasible is None else result.n_feasible}"],
+        [f"# front={len(result.canonical)}"],
         FRONT_HEADER,
     ]
     for rank, entry in enumerate(result.canonical, start=1):
-        lines.append(
-            ",".join([str(rank)] + _param_cols(entry.params) + _report_cols(entry.report, _fmt))
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        rows.append([str(rank)] + _param_cols(entry.params) + _report_cols(entry.report, _fmt))
+    _write_csv(path, rows)
 
 
 def _parse_front_csv(path) -> tuple[dict[str, str], list[dict]]:
     meta: dict[str, str] = {}
     rows: list[dict] = []
     header: list[str] | None = None
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -118,7 +126,7 @@ def _parse_front_csv(path) -> tuple[dict[str, str], list[dict]]:
         cells = line.split(",")
         if header is None:
             header = cells
-            if header != FRONT_HEADER.split(","):
+            if header != FRONT_HEADER:
                 raise ValueError(f"unexpected front CSV header in {path}")
             continue
         if len(cells) != len(header):
@@ -129,23 +137,12 @@ def _parse_front_csv(path) -> tuple[dict[str, str], list[dict]]:
     return meta, rows
 
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---:" for _ in headers) + "|",
-    ]
-    lines.extend("| " + " | ".join(r) + " |" for r in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _write_pair(out_dir: Path, stem: str, headers: list[str], rows: list[list[str]]) -> list[Path]:
-    csv_path = out_dir / f"{stem}.csv"
-    md_path = out_dir / f"{stem}.md"
-    csv_path.write_text(
-        ",".join(headers) + "\n" + "".join(",".join(r) + "\n" for r in rows),
-        encoding="ascii",
-    )
-    md_path.write_text(_md_table(headers, rows), encoding="ascii")
+    csv_path, md_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.md"
+    _write_csv(csv_path, [headers, *rows])
+    md = ["| " + " | ".join(r) + " |" for r in [headers, *rows]]
+    md.insert(1, "|" + "---:|" * len(headers))
+    md_path.write_text("\n".join(md) + "\n", encoding="utf-8")
     return [csv_path, md_path]
 
 
@@ -165,23 +162,15 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     if rho is None:
         rho = float(meta["rho"]) if "rho" in meta else _default_rho()
 
-    params_headers = ["j"] + [f"a{i}" for i in range(1, 9)]
-    params_rows = [[r["rank"]] + [r[f"a{i}"] for i in range(1, 9)] for r in rows]
-    tables = [("table1", params_headers, params_rows)]
+    params_rows = [[r["rank"]] + [r[a] for a in PARAM_HEADER] for r in rows]
+    tables = [("table1", ["j"] + PARAM_HEADER, params_rows)]
     seeds = [parse_params(",".join(row[1:])) for row in params_rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
     grown = [build_scaled_sizes(pv, SIZES) for pv in seeds]
     for k, (stem, size) in enumerate(zip(("table2", "table4", "table6"), SIZES)):
-        model = SignalModel(rho=rho, n=size)
-        scaled = [g[k] for g in grown]
-        # reshape, unlike np.stack, also takes an empty front
-        stack = np.reshape([st.transform.matrix for st in scaled], (-1, size, size))
-        metric_rows = []
-        for r, st, values in zip(rows, scaled, zip(*evaluate_matrix(stack, model))):
-            c = st.complexity
-            rep = MetricsReport(*map(float, values), c.additions, c.shifts)
-            metric_rows.append([r["rank"]] + _report_cols(rep, _fmt2))
+        reports = _reports([g[k] for g in grown], SignalModel(rho=rho, n=size))
+        metric_rows = [[r["rank"]] + _report_cols(rep, _fmt2) for r, rep in zip(rows, reports)]
         tables.append((stem, metric_headers, metric_rows))
 
     out_dir = Path(out_dir)
@@ -258,29 +247,26 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _eval_lines(args) -> list[str]:
+def _eval_rows(args) -> list[list[str]]:
     model = SignalModel(rho=_resolve_rho(args), n=args.size)
     if args.dct:
         if args.complexity:
             raise ValueError("--complexity needs --params; --dct has no addition/shift count")
         eps, m, cg, eta = evaluate_matrix(exact_dct_matrix(args.size), model)
-        row = [""] * 8 + [_fmt(eps), _fmt(m), _fmt(cg), _fmt(eta), "", ""]
-        return [EVAL_HEADER, ",".join(row)]
+        return [EVAL_HEADER, [""] * 8 + [_fmt(eps), _fmt(m), _fmt(cg), _fmt(eta), "", ""]]
     pv = parse_params(args.params)
     if args.complexity:
         c = build_scaled(pv, args.size).complexity
-        row = _param_cols(pv) + [str(c.additions), str(c.shifts), c.rule]
-        return [COMPLEXITY_HEADER, ",".join(row)]
-    rep = evaluate(pv, model)
-    return [EVAL_HEADER, ",".join(_param_cols(pv) + _report_cols(rep, _fmt))]
+        return [COMPLEXITY_HEADER, _param_cols(pv) + [str(c.additions), str(c.shifts), c.rule]]
+    return [EVAL_HEADER, _param_cols(pv) + _report_cols(evaluate(pv, model), _fmt)]
 
 
 def _cmd_eval(args) -> int:
-    text = "\n".join(_eval_lines(args)) + "\n"
+    rows = _eval_rows(args)
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        _write_csv(args.out, rows)
     else:
-        sys.stdout.write(text)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return 0
 
 
@@ -327,11 +313,10 @@ def _cmd_compress(args) -> int:
         # recon is a fresh buffer that this command owns: round it in place.
         write_pgm(args.out, np.rint(recon, out=recon).astype(np.uint8))
     if args.metrics:
-        Path(args.metrics).write_text(
-            "input,transform,r,psnr,ssim\n"
-            f"{args.infile},{ident},{_fmt(args.r)},{_fmt(scores.psnr_db)},{_fmt(scores.ssim)}\n",
-            encoding="ascii",
-        )
+        _write_csv(args.metrics, [
+            ["input", "transform", "r", "psnr", "ssim"],
+            [args.infile, ident, _fmt(args.r), _fmt(scores.psnr_db), _fmt(scores.ssim)],
+        ])
     print(f"{ident} r={_fmt(args.r)} psnr={_fmt(scores.psnr_db)} ssim={_fmt(scores.ssim)}")
     return 0
 
@@ -399,20 +384,18 @@ def _cmd_sweep(args) -> int:
     swept = [(ident, baselines[size] if isinstance(t, np.ndarray) else scores(t), size)
              for ident, t, size in transforms]
 
-    lines = [f"# psnr aggregate: {args.agg}", CURVES_HEADER]
-    for ident, sc, size in swept:
-        for r, (p, s), (bp, bs) in zip(grid, curve(sc), base_curves[size]):
-            lines.append(",".join([ident, _fmt(r), _fmt(p), _fmt(s),
-                                   _fmt(ape(p, bp)), _fmt(ape(s, bs))]))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
-
+    _write_csv(args.out, [[f"# psnr aggregate: {args.agg}"], CURVES_HEADER] + [
+        [ident, _fmt(r), _fmt(p), _fmt(s), _fmt(ape(p, bp)), _fmt(ape(s, bs))]
+        for ident, sc, size in swept
+        for r, (p, s), (bp, bs) in zip(grid, curve(sc), base_curves[size])
+    ])
     if args.per_image:
-        rows = [PER_IMAGE_HEADER]
-        for ident, sc, _size in swept:
-            for (name, _img), image_scores in zip(images, sc):
-                for r, (p, s) in zip(grid, image_scores):
-                    rows.append(f"{ident},{_fmt(r)},{name},{_fmt(p)},{_fmt(s)}")
-        Path(args.per_image).write_text("\n".join(rows) + "\n", encoding="ascii")
+        _write_csv(args.per_image, [PER_IMAGE_HEADER] + [
+            [ident, _fmt(r), name, _fmt(p), _fmt(s)]
+            for ident, sc, _size in swept
+            for (name, _img), image_scores in zip(images, sc)
+            for r, (p, s) in zip(grid, image_scores)
+        ])
     print(f"wrote {args.out}: {len(transforms)} transforms x {len(grid)} retention levels")
     return 0
 

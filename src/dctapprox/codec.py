@@ -157,22 +157,24 @@ def _as_matrix(transform) -> np.ndarray:
     return m
 
 
-def forward_2d(transform, block: np.ndarray) -> np.ndarray:
-    """Separable 2-d forward transform of a block, or of each block in a
-    (..., n, n) stack: M @ A @ M^t."""
+def _matrix_and_block(transform, block) -> tuple[np.ndarray, np.ndarray]:
     m = _as_matrix(transform)
     block = np.asarray(block, dtype=np.float64)
     if block.shape[-2:] != m.shape:
         raise ValueError(f"block shape {block.shape} != transform size {m.shape}")
+    return m, block
+
+
+def forward_2d(transform, block: np.ndarray) -> np.ndarray:
+    """Separable 2-d forward transform of a block, or of each block in a
+    (..., n, n) stack: M @ A @ M^t."""
+    m, block = _matrix_and_block(transform, block)
     return m @ block @ m.T
 
 
 def inverse_2d(transform, block: np.ndarray) -> np.ndarray:
     """Inverse of forward_2d for orthonormal transforms: M^t @ B @ M."""
-    m = _as_matrix(transform)
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape[-2:] != m.shape:
-        raise ValueError(f"block shape {block.shape} != transform size {m.shape}")
+    m, block = _matrix_and_block(transform, block)
     return m.T @ block @ m
 
 

@@ -306,9 +306,9 @@ class Transform:
 
 
 def _read_json(path):
-    """The JSON document in a file.  A malformed one raises ValueError, one
-    nested too deeply for the parser included."""
-    with open(path, "r", encoding="ascii") as f:
+    """The JSON document in a UTF-8 file (RFC 8259).  A malformed one raises
+    ValueError, one nested too deeply for the parser included."""
+    with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
         except RecursionError:

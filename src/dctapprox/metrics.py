@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ParamVector, exact_dct_matrix
-from .scaling import build_scaled
+from .scaling import ScaledTransform, build_scaled
 
 __all__ = [
     "DEFAULT_RHO",
@@ -173,18 +173,17 @@ def evaluate_matrix(c_hat: np.ndarray, model: SignalModel) -> tuple:
     return tuple(_float_or_array(v) for v in (eps, m, cg, numerator / total))
 
 
+def _reports(scaled: list[ScaledTransform], model: SignalModel) -> list[MetricsReport]:
+    """Full reports of scaled transforms at the model's size, scored as one
+    stack by one `evaluate_matrix` call."""
+    # reshape, unlike np.stack, also takes an empty list
+    stack = np.reshape([st.transform.matrix for st in scaled], (-1, model.n, model.n))
+    return [MetricsReport(*map(float, values), st.complexity.additions, st.complexity.shifts)
+            for st, values in zip(scaled, zip(*evaluate_matrix(stack, model)))]
+
+
 def evaluate(params: ParamVector, model: SignalModel) -> MetricsReport:
     """Full report for a feasible parameter vector, grown by `build_scaled`
     to the model's size (8, 16 or 32; 8 is the seed itself).  Raises
     FeasibilityError for an infeasible vector, ValueError for another size."""
-    st = build_scaled(params, model.n)
-    eps, m, cg, eta = evaluate_matrix(st.transform.matrix, model)
-    c = st.complexity
-    return MetricsReport(
-        epsilon=eps,
-        mse=m,
-        coding_gain_db=cg,
-        efficiency_pct=eta,
-        additions=c.additions,
-        shifts=c.shifts,
-    )
+    return _reports([build_scaled(params, model.n)], model)[0]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -357,6 +358,13 @@ class TestTransformFile:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert field in capsys.readouterr().err
 
+    def test_utf8_transform_list_loads(self, tmp_path):
+        # JSON text is UTF-8 (RFC 8259); a raw non-ASCII id is read as it is.
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "é", "dct": 8}]', encoding="utf-8")
+        [(ident, _t, size)] = _load_transform_list(tlist)
+        assert (ident, size) == ("é", 8)
+
     def test_deeply_nested_json(self, tmp_path, image, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200_000)
@@ -693,6 +701,41 @@ class TestCompressAndSweep:
         assert main(["sweep", "--corpus", str(tmp_path / "empty"),
                      "--transforms", str(tlist), "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_sweep_cells_with_commas_or_outside_ascii(self, tmp_path, capsys):
+        # Ids and file names are cells like any other: a comma is quoted,
+        # a non-ASCII character written as UTF-8, and every row keeps the
+        # header's width.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_pgm(corpus / "x,é.pgm", ar1_test_image(24, 24, seed=23))
+        tlist = tmp_path / "t.json"
+        tlist.write_text(json.dumps([{"id": "dct8é", "dct": 8}, {"id": "a,b", "dct": 8}]))
+        out, per_image = tmp_path / "o.csv", tmp_path / "p.csv"
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(out), "--per-image", str(per_image),
+                     "--r-grid", "0.3:0.5:0.1"]) == 0
+        ids = ["dct8é"] * 3 + ["a,b"] * 3
+        with open(out, encoding="utf-8", newline="") as f:
+            comment, header, *rows = csv.reader(f)
+        assert comment == ["# psnr aggregate: mean-db"]
+        assert [len(row) for row in rows] == [len(header)] * 6
+        assert [row[0] for row in rows] == ids
+        with open(per_image, encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert [len(row) for row in rows] == [len(header)] * 6
+        assert [(row[0], row[2]) for row in rows] == [(i, "x,é.pgm") for i in ids]
+
+    def test_compress_metrics_keep_the_input_path(self, tmp_path, capsys):
+        image = tmp_path / "é,1.pgm"
+        write_pgm(image, ar1_test_image(24, 24, seed=24))
+        metrics = tmp_path / "m.csv"
+        assert main(["compress", "--in", str(image), "--dct", "--r", "0.5",
+                     "--metrics", str(metrics)]) == 0
+        with open(metrics, encoding="utf-8", newline="") as f:
+            header, row = csv.reader(f)
+        assert len(header) == len(row) == 5
+        assert row[:2] == [str(image), "dct8"]
+
 
 # The golden sweep: ten small AR(1) images whose sides are not multiples of
 # 8, so every block size pads, and ten values per level, so numpy's 8-way
@@ -866,6 +909,14 @@ class TestReport:
         written = report_tables(src, tmp_path / "out")
         table1 = (tmp_path / "out" / "table1.csv").read_text().splitlines()
         assert table1 == ["j,a1,a2,a3,a4,a5,a6,a7,a8"]
+
+    def test_front_csv_read_as_utf8(self, tmp_path):
+        front = tmp_path / "front.csv"
+        text = (DATA / "golden_front.csv").read_text(encoding="utf-8")
+        front.write_text("# note=é\n" + text, encoding="utf-8")
+        meta, rows = _parse_front_csv(front)
+        assert meta["note"] == "é"
+        assert rows == _parse_front_csv(DATA / "golden_front.csv")[1]
 
     def test_malformed_csv_rejected(self, tmp_path):
         src = tmp_path / "bad.csv"
