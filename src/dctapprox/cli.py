@@ -10,7 +10,9 @@ complexity rows at ``--size`` from the same transform.  Exit codes:
 0 success, 2 usage error, 3 infeasible transform, 4 I/O error.  The environment variable
 DCTAPPROX_RHO overrides the default correlation coefficient of 0.95.  Every
 CSV is written as UTF-8 by one `csv.writer`, which quotes a cell only when
-it holds a comma, a double quote or a newline.
+it holds a comma, a double quote or a newline, and ``report`` reads a front
+CSV in that dialect: quoted cells, ``\\r\\n`` and one-cell ``#`` comments.
+Ids and names that a CSV will hold must be printable.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _fmt2(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def _param_cols(pv: ParamVector) -> list[str]:
     return [format(v, "g") for v in pv.values]
 
@@ -110,31 +108,28 @@ def write_front_csv(result: SearchResult, path) -> None:
     _write_csv(path, rows)
 
 
-def _parse_front_csv(path) -> tuple[dict[str, str], list[dict]]:
+def _parse_front_csv(path) -> tuple[dict[str, str], list[list[str]]]:
+    """(meta, rows) of a front CSV, read by `csv.reader` in the dialect of
+    `_write_csv`, quoted cells and ``\\r\\n`` too: a one-cell ``#`` row is a
+    comment whose ``key=value`` fills meta, and blank rows are skipped."""
     meta: dict[str, str] = {}
-    rows: list[dict] = []
-    header: list[str] | None = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "=" in line:
-                key, _, val = line.lstrip("# ").partition("=")
-                meta[key.strip()] = val.strip()
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-            if header != FRONT_HEADER:
-                raise ValueError(f"unexpected front CSV header in {path}")
-            continue
-        if len(cells) != len(header):
-            raise ValueError(f"malformed front CSV row: {line!r}")
-        rows.append(dict(zip(header, cells)))
-    if header is None:
+    rows: list[list[str]] = []
+    with open(path, encoding="utf-8", newline="") as f:
+        for cells in csv.reader(f):
+            if len(cells) == 1 and cells[0].lstrip().startswith("#"):
+                key, eq, val = cells[0].lstrip("# ").partition("=")
+                if eq:
+                    meta[key.strip()] = val.strip()
+            elif "".join(cells).strip():
+                rows.append(cells)
+    if not rows:
         raise ValueError(f"no header row in {path}")
-    return meta, rows
+    if rows[0] != FRONT_HEADER:
+        raise ValueError(f"unexpected front CSV header in {path}")
+    for cells in rows[1:]:
+        if len(cells) != len(FRONT_HEADER):
+            raise ValueError(f"malformed front CSV row: {cells!r}")
+    return meta, rows[1:]
 
 
 def _write_pair(out_dir: Path, stem: str, headers: list[str], rows: list[list[str]]) -> list[Path]:
@@ -162,15 +157,15 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     if rho is None:
         rho = float(meta["rho"]) if "rho" in meta else _default_rho()
 
-    params_rows = [[r["rank"]] + [r[a] for a in PARAM_HEADER] for r in rows]
-    tables = [("table1", ["j"] + PARAM_HEADER, params_rows)]
-    seeds = [parse_params(",".join(row[1:])) for row in params_rows]
+    tables = [("table1", ["j"] + PARAM_HEADER, [row[:9] for row in rows])]
+    seeds = [ParamVector.from_values(row[1:9]) for row in rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
     grown = [build_scaled_sizes(pv, SIZES) for pv in seeds]
     for k, (stem, size) in enumerate(zip(("table2", "table4", "table6"), SIZES)):
         reports = _reports([g[k] for g in grown], SignalModel(rho=rho, n=size))
-        metric_rows = [[r["rank"]] + _report_cols(rep, _fmt2) for r, rep in zip(rows, reports)]
+        metric_rows = [[row[0]] + _report_cols(rep, "{:.2f}".format)
+                       for row, rep in zip(rows, reports)]
         tables.append((stem, metric_headers, metric_rows))
 
     out_dir = Path(out_dir)
@@ -214,10 +209,9 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
         if not isinstance(item, dict):
             raise ValueError(f"transform list entries must be objects, got {item!r}")
         ident = item.get("id")
-        if not isinstance(ident, str) or not ident or ident in seen:
-            raise ValueError(
-                f"transform list entries need a unique nonempty string 'id' (got {ident!r})"
-            )
+        if not isinstance(ident, str) or not ident or not ident.isprintable() or ident in seen:
+            raise ValueError(f"transform list entries need a unique nonempty printable "
+                             f"string 'id' (got {ident!r})")
         seen.add(ident)
         kinds = [key for key in ("dct", "params", "file") if key in item]
         if len(kinds) != 1 or ("size" in item and kinds != ["params"]):
@@ -306,6 +300,8 @@ def _cmd_search(args) -> int:
 def _cmd_compress(args) -> int:
     _check_outputs(args.out, args.metrics)
     ident, transform, size = _transform_for(args)
+    if args.metrics and not all(name.isprintable() for name in (args.infile, ident)):
+        raise ValueError(f"--metrics cannot hold {args.infile!r} and {ident!r}: not printable")
     policy = RetentionPolicy(n=size, r_fraction=args.r)
     image = read_pgm(args.infile)
     recon, scores = compress_image(image, transform, policy)
@@ -354,6 +350,9 @@ def _cmd_sweep(args) -> int:
     corpus = sorted(folder.glob("*.pgm"))
     if not corpus:
         raise ValueError(f"no .pgm files in {args.corpus}")
+    unprintable = [p.name for p in corpus if not p.name.isprintable()]
+    if args.per_image and unprintable:
+        raise ValueError(f"--per-image cannot hold the file names {unprintable}: not printable")
     transforms = _load_transform_list(args.transforms)
     grid = _parse_r_grid(args.r_grid) if args.r_grid else default_r_grid()
     images = [(p.name, read_pgm(p)) for p in corpus]

@@ -34,8 +34,6 @@ and 32 points: a warm ``compress_image`` call 2.9-3.0, a one-lane sweep
 variances included.  A two-lane sweep of an image under 174 rows peaks
 higher, about 12.5 at 8 points on 100x1000 and 60x2000 images, as each
 lane's scratch holds the whole image's band set (see ``retention_sweep``).
-A 38-level sweep of a 500x524 image takes about 0.4 s in two lanes and
-0.58 s in one (2-vCPU Xeon, numpy 2.4.6, BLAS threads 1).
 
 SSIM builds its integral images one band of window rows at a time, in a
 small buffer that stays in cache or in a sweep lane's scratch, so no

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,13 @@ from dctapprox import (
     write_pgm,
 )
 from dctapprox.cli import (
+    FRONT_HEADER,
     _fmt,
     _load_transform_list,
     _parse_front_csv,
     _parse_r_grid,
     _parser,
+    _write_csv,
     main,
     parse_params,
     report_tables,
@@ -725,6 +728,64 @@ class TestCompressAndSweep:
         assert [len(row) for row in rows] == [len(header)] * 6
         assert [(row[0], row[2]) for row in rows] == [(i, "x,é.pgm") for i in ids]
 
+    def test_list_id_that_is_not_printable_sweeps_nothing(self, tmp_path, corpus, capsys,
+                                                          monkeypatch):
+        # csv.writer leaves a lone \r unquoted, and a reader splits the row
+        # there, so such an id is refused before the sweep.
+        def swept(*args):
+            raise AssertionError("the corpus was swept")
+
+        monkeypatch.setattr("dctapprox.cli.retention_sweep", swept)
+        tlist = tmp_path / "t.json"
+        tlist.write_text(json.dumps([{"id": "a\rb", "dct": 8}]))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(out)]) == 2
+        assert "printable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("per_image", [True, False])
+    def test_undecodable_file_name_checked_before_the_sweep(self, tmp_path, capsys,
+                                                            monkeypatch, per_image):
+        # The byte 0xff reaches Python as a surrogate escape, which UTF-8
+        # cannot encode: with --per-image the sweep is refused before any
+        # work, and without it the name is never written and works.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_pgm(corpus / os.fsdecode(b"x\xff.pgm"), ar1_test_image(24, 24, seed=25))
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        out, extra = tmp_path / "o.csv", []
+        if per_image:
+            def swept(*args):
+                raise AssertionError("the corpus was swept")
+
+            monkeypatch.setattr("dctapprox.cli.retention_sweep", swept)
+            extra = ["--per-image", str(tmp_path / "p.csv")]
+        code = main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(out), "--r-grid", "0.3:0.5:0.1", *extra])
+        if per_image:
+            assert code == 2
+            assert "not printable" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "t.json"]
+        else:
+            assert code == 0
+            assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+
+    @pytest.mark.parametrize("metrics", [True, False])
+    def test_undecodable_input_path_checked_before_compress(self, tmp_path, capsys, metrics):
+        image = tmp_path / os.fsdecode(b"x\xff.pgm")
+        write_pgm(image, ar1_test_image(24, 24, seed=26))
+        recon, table = tmp_path / "recon.pgm", tmp_path / "m.csv"
+        argv = ["compress", "--in", str(image), "--dct", "--r", "0.5", "--out", str(recon)]
+        if metrics:
+            assert main(argv + ["--metrics", str(table)]) == 2
+            assert "not printable" in capsys.readouterr().err
+            assert not recon.exists() and not table.exists()
+        else:
+            assert main(argv) == 0
+            assert recon.exists()
+
     def test_compress_metrics_keep_the_input_path(self, tmp_path, capsys):
         image = tmp_path / "é,1.pgm"
         write_pgm(image, ar1_test_image(24, 24, seed=24))
@@ -917,6 +978,29 @@ class TestReport:
         meta, rows = _parse_front_csv(front)
         assert meta["note"] == "é"
         assert rows == _parse_front_csv(DATA / "golden_front.csv")[1]
+
+    def test_quoted_crlf_front_renders_the_golden_tables(self, tmp_path):
+        # The golden front as spreadsheet tools re-save it: every cell
+        # quoted, \r\n line ends.
+        with open(DATA / "golden_front.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        front = tmp_path / "front.csv"
+        with open(front, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        assert front.read_bytes().startswith(b'"# rho=0.95"\r\n"# candidates=')
+        written = report_tables(front, tmp_path / "out")
+        assert len(written) == 8
+        for path in written:
+            golden = DATA / "golden_tables" / path.name
+            assert path.read_bytes() == golden.read_bytes(), path.name
+
+    def test_comment_with_a_comma_reads_back(self, tmp_path):
+        front = tmp_path / "front.csv"
+        _write_csv(front, [["# note=a,b"], FRONT_HEADER])
+        assert front.read_text(encoding="utf-8").startswith('"# note=a,b"\n')
+        meta, rows = _parse_front_csv(front)
+        assert meta["note"] == "a,b"
+        assert rows == []
 
     def test_malformed_csv_rejected(self, tmp_path):
         src = tmp_path / "bad.csv"
