@@ -7,12 +7,14 @@ transform at 8, 16 or 32 points through `build_scaled` alone (``report``,
 which needs all three sizes, through `build_scaled_sizes`, the same path):
 ``gen`` is ``scale`` at size 8, and ``eval`` takes its metric and
 complexity rows at ``--size`` from the same transform.  Exit codes:
-0 success, 2 usage error, 3 infeasible transform, 4 I/O error.  The environment variable
-DCTAPPROX_RHO overrides the default correlation coefficient of 0.95.  Every
-CSV is written as UTF-8 by one `csv.writer`, which quotes a cell only when
-it holds a comma, a double quote or a newline, and ``report`` reads a front
-CSV in that dialect: quoted cells, ``\\r\\n`` and one-cell ``#`` comments.
-Ids and names that a CSV will hold must be printable.
+0 success, 2 usage error, 3 infeasible transform, 4 I/O error.  Rho is
+``--rho``, else (for ``report``) the front's ``# rho=``, else
+DCTAPPROX_RHO, else 0.95.  Every CSV is written as UTF-8 by one
+`csv.writer`, which quotes a cell only when it holds a comma, a double
+quote or a newline; ``eval`` writes its stdout rows in that dialect, and
+``report`` reads a front CSV in it: quoted cells, ``\\r\\n``, a UTF-8
+byte-order mark and one-cell ``#`` comments.  Ids and names that a CSV will
+hold must be printable.
 """
 
 from __future__ import annotations
@@ -73,7 +75,12 @@ def _report_cols(rep: MetricsReport, fmt) -> list[str]:
             fmt(rep.efficiency_pct), str(rep.additions), str(rep.shifts)]
 
 
-def _default_rho() -> float:
+def _rho(flag: float | None, front: str | None = None) -> float:
+    """--rho, else a front CSV's ``# rho=``, else a nonempty DCTAPPROX_RHO, else 0.95."""
+    if flag is not None:
+        return flag
+    if front is not None:
+        return float(front)
     env = os.environ.get("DCTAPPROX_RHO")
     if not env:
         return DEFAULT_RHO
@@ -81,10 +88,6 @@ def _default_rho() -> float:
         return float(env)
     except ValueError:
         raise ValueError(f"DCTAPPROX_RHO must be a number, got {env!r}") from None
-
-
-def _resolve_rho(args) -> float:
-    return args.rho if args.rho is not None else _default_rho()
 
 
 # --- CSV / markdown rendering -----------------------------------------------
@@ -110,11 +113,12 @@ def write_front_csv(result: SearchResult, path) -> None:
 
 def _parse_front_csv(path) -> tuple[dict[str, str], list[list[str]]]:
     """(meta, rows) of a front CSV, read by `csv.reader` in the dialect of
-    `_write_csv`, quoted cells and ``\\r\\n`` too: a one-cell ``#`` row is a
-    comment whose ``key=value`` fills meta, and blank rows are skipped."""
+    `_write_csv`, quoted cells, ``\\r\\n`` and a UTF-8 byte-order mark too: a
+    one-cell ``#`` row is a comment whose ``key=value`` fills meta, and
+    blank rows are skipped."""
     meta: dict[str, str] = {}
     rows: list[list[str]] = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         for cells in csv.reader(f):
             if len(cells) == 1 and cells[0].lstrip().startswith("#"):
                 key, eq, val = cells[0].lstrip("# ").partition("=")
@@ -154,8 +158,7 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     before the directory is created, so a bad rho or seed writes nothing.
     """
     meta, rows = _parse_front_csv(front_csv)
-    if rho is None:
-        rho = float(meta["rho"]) if "rho" in meta else _default_rho()
+    rho = _rho(rho, meta.get("rho"))
 
     tables = [("table1", ["j"] + PARAM_HEADER, [row[:9] for row in rows])]
     seeds = [ParamVector.from_values(row[1:9]) for row in rows]
@@ -175,15 +178,14 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
 
 # --- transform selection -----------------------------------------------------
 
-def _transform_for(args) -> tuple[str, object, int]:
-    """(identifier, transform object, size) from --transform/--dct flags."""
-    if args.dct:
-        size = args.size or 8
-        return f"dct{size}", exact_dct_matrix(size), size
-    if args.size is not None:
-        raise ValueError("--size applies only to --dct; a --transform file sets its own size")
-    t = Transform.load(args.transform)
-    return Path(args.transform).stem, t, t.n
+def _transform(kind: str, value, size: int = 8) -> tuple[object, int]:
+    """(transform, size) of a 'dct' size, a 'params' vector at `size` or a 'file' path."""
+    if kind == "dct":
+        return exact_dct_matrix(value), value
+    if kind == "params":
+        return build_scaled(value, size).transform, size
+    t = Transform.load(value)
+    return t, t.n
 
 
 def _entry_field(item: dict, key: str, default=None):
@@ -217,16 +219,13 @@ def _load_transform_list(path) -> list[tuple[str, object, int]]:
         if len(kinds) != 1 or ("size" in item and kinds != ["params"]):
             raise ValueError(f"transform {ident!r} needs exactly one of 'dct', 'params' and "
                              f"'file', and 'size' only beside 'params', got {sorted(item)}")
-        if "dct" in item:
-            size = _entry_field(item, "dct")
-            out.append((ident, exact_dct_matrix(size), size))
-        elif "params" in item:
-            pv = parse_params(_entry_field(item, "params"))
-            size = _entry_field(item, "size", 8)
-            out.append((ident, build_scaled(pv, size).transform, size))
-        else:
-            t = Transform.load(Path(path).parent / _entry_field(item, "file"))
-            out.append((ident, t, t.n))
+        [kind] = kinds
+        value = _entry_field(item, kind)
+        if kind == "params":
+            value = parse_params(value)  # a malformed vector is named before a bad size
+        elif kind == "file":
+            value = Path(path).parent / value
+        out.append((ident, *_transform(kind, value, _entry_field(item, "size", 8))))
     return out
 
 
@@ -242,7 +241,7 @@ def _cmd_build(args) -> int:
 
 
 def _eval_rows(args) -> list[list[str]]:
-    model = SignalModel(rho=_resolve_rho(args), n=args.size)
+    model = SignalModel(rho=_rho(args.rho), n=args.size)
     if args.dct:
         if args.complexity:
             raise ValueError("--complexity needs --params; --dct has no addition/shift count")
@@ -275,8 +274,7 @@ def _check_outputs(*paths) -> None:
 
 def _cmd_search(args) -> int:
     _check_outputs(args.out)
-    rho = _resolve_rho(args)
-    model = SignalModel(rho=rho, n=8)
+    model = SignalModel(rho=_rho(args.rho), n=8)
     start = time.perf_counter()
     result = run_search(
         model,
@@ -299,7 +297,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_compress(args) -> int:
     _check_outputs(args.out, args.metrics)
-    ident, transform, size = _transform_for(args)
+    if args.size is not None and not args.dct:
+        raise ValueError("--size applies only to --dct; a --transform file sets its own size")
+    kind, value = ("dct", args.size or 8) if args.dct else ("file", args.transform)
+    transform, size = _transform(kind, value)
+    ident = f"dct{size}" if args.dct else Path(args.transform).stem
     if args.metrics and not all(name.isprintable() for name in (args.infile, ident)):
         raise ValueError(f"--metrics cannot hold {args.infile!r} and {ident!r}: not printable")
     policy = RetentionPolicy(n=size, r_fraction=args.r)
@@ -491,15 +493,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except FeasibilityError as e:
+    except (OSError, ValueError) as e:  # FeasibilityError is a ValueError
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, FeasibilityError) else 4 if isinstance(e, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -186,11 +186,13 @@ def retain(block: np.ndarray, policy: RetentionPolicy) -> np.ndarray:
 
 def psnr(reference: np.ndarray, test: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB against an 8-bit peak of 255.
-    Identical inputs report the 999 dB sentinel instead of infinity."""
+    Identical inputs report 999 dB, not infinity; empty ones raise ValueError."""
     reference = np.asarray(reference)
     test = np.asarray(test)
     if reference.shape != test.shape:
         raise ValueError(f"shape mismatch {reference.shape} vs {test.shape}")
+    if reference.size == 0:
+        raise ValueError("psnr of empty images")
     return _psnr(reference, test, np.empty(reference.size))
 
 

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -454,6 +455,34 @@ class TestCompressAndSweep:
         assert code == 0
         out = capsys.readouterr().out.strip().splitlines()[-1]
         assert out.startswith("t16 r=0.5 psnr=")
+
+    @pytest.mark.parametrize("flags, entry", [
+        (["--dct", "--size", "16"], {"dct": 16}),
+        (["--transform", "t16.json"], {"file": "t16.json"}),
+    ])
+    def test_compress_and_sweep_name_the_same_transform(self, tmp_path, corpus, capsys,
+                                                        flags, entry):
+        # compress's flags and a sweep list entry resolve one transform, so
+        # compress --metrics scores a.pgm as the sweep's per-image row does.
+        main(["scale", "--seed", "0,0.5,0,1,1,1,1,2", "--size", "16",
+              "--out", str(tmp_path / "t16.json")])
+        tlist = tmp_path / "t.json"
+        tlist.write_text(json.dumps([{"id": "x", **entry}]))
+        per_image = tmp_path / "p.csv"
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "c.csv"), "--r-grid", "0.25:0.95:0.35",
+                     "--per-image", str(per_image)]) == 0
+        rows = [line.split(",") for line in per_image.read_text().splitlines()[1:]]
+        swept = {(r, name): [p, s] for _i, r, name, p, s in rows}
+        assert len(swept) == 3 * 2
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        for r in ("0.25", "0.6", "0.95"):
+            metrics = tmp_path / "m.csv"
+            assert main(["compress", "--in", str(corpus / "a.pgm"), *flags, "--r", r,
+                         "--metrics", str(metrics)]) == 0
+            [_in, _t, r_cell, p, s] = metrics.read_text().splitlines()[1].split(",")
+            assert r_cell == r
+            assert [p, s] == swept[(r, "a.pgm")], r
 
     def test_compress_lossless_sentinel(self, tmp_path, corpus, capsys):
         code = main(["compress", "--in", str(corpus / "a.pgm"), "--dct", "--r", "1.0"])
@@ -994,6 +1023,18 @@ class TestReport:
             golden = DATA / "golden_tables" / path.name
             assert path.read_bytes() == golden.read_bytes(), path.name
 
+    def test_front_with_a_byte_order_mark_renders_the_golden_tables(self, tmp_path, capsys):
+        # Spreadsheet tools save "CSV UTF-8" with a UTF-8 byte-order mark.
+        front = tmp_path / "front.csv"
+        front.write_bytes(b"\xef\xbb\xbf" + (DATA / "golden_front.csv").read_bytes())
+        assert _parse_front_csv(front) == _parse_front_csv(DATA / "golden_front.csv")
+        out = tmp_path / "out"
+        assert main(["report", "--in", str(front), "--out-dir", str(out)]) == 0
+        assert len(list(out.iterdir())) == 8
+        for path in out.iterdir():
+            golden = DATA / "golden_tables" / path.name
+            assert path.read_bytes() == golden.read_bytes(), path.name
+
     def test_comment_with_a_comma_reads_back(self, tmp_path):
         front = tmp_path / "front.csv"
         _write_csv(front, [["# note=a,b"], FRONT_HEADER])
@@ -1046,3 +1087,50 @@ class TestReport:
     def test_report_cli_exit_code(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("command", ["eval", "search", "report"])
+def test_rho_precedence(tmp_path, capsys, monkeypatch, command):
+    # --rho wins over DCTAPPROX_RHO, which wins over 0.95; report reads its
+    # front's "# rho=" line between the two.  A malformed variable is read
+    # only when nothing before it decides.
+    golden = (DATA / "golden_front.csv").read_text().splitlines()
+    for name, rho_line in (("none", []), ("0.9", ["# rho=0.9"])):
+        lines = rho_line + [line for line in golden if not line.startswith("# rho=")]
+        (tmp_path / f"front_{name}.csv").write_text("\n".join(lines) + "\n")
+    runs = itertools.count()
+
+    def run(env, *flags, front="none", code=0):
+        """The command's output files or stdout at DCTAPPROX_RHO=env."""
+        if env is None:
+            monkeypatch.delenv("DCTAPPROX_RHO", raising=False)
+        else:
+            monkeypatch.setenv("DCTAPPROX_RHO", env)
+        out = tmp_path / f"run{next(runs)}"
+        argv = {
+            "eval": ["eval", "--params", "0,0.5,0,1,1,1,1,2"],
+            "search": ["search", "--out", str(out)],
+            "report": ["report", "--in", str(tmp_path / f"front_{front}.csv"),
+                       "--out-dir", str(out)],
+        }[command]
+        assert main([*argv, *flags]) == code
+        printed, err = capsys.readouterr()
+        if code:
+            assert "DCTAPPROX_RHO" in err and not out.exists()
+        elif command == "eval":
+            return printed
+        elif command == "search":
+            return out.read_bytes()
+        else:
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    at_default, at_09 = run(None), run(None, "--rho", "0.9")
+    assert at_default != at_09
+    assert run("0.9") == at_09
+    assert run("0.95", "--rho", "0.9") == at_09
+    assert run("abc", "--rho", "0.9") == at_09
+    run("abc", code=2)
+    if command == "report":
+        assert run("0.95", front="0.9") == at_09
+        assert run("abc", front="0.9") == at_09
+        assert run("0.9", "--rho", "0.95", front="0.9") == at_default

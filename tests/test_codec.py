@@ -177,6 +177,12 @@ class TestQualityMetrics:
         img = ar1_test_image(64, 64, seed=5)
         assert psnr(img, img) == 999.0
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 8), (8, 0)])
+    def test_psnr_refuses_empty_images(self, shape):
+        # An empty mean would be nan with a RuntimeWarning; ssim raises too.
+        with pytest.raises(ValueError, match="empty"):
+            psnr(np.zeros(shape), np.zeros(shape))
+
     def test_ssim_identical_is_exactly_one(self):
         img = ar1_test_image(64, 64, seed=6).astype(np.float64)
         assert ssim(img, img) == 1.0
