@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -32,6 +33,7 @@ import numpy as np
 
 from .codec import (
     RetentionPolicy,
+    _ssim_window,
     ape,
     compress_image,
     default_r_grid,
@@ -75,19 +77,17 @@ def _report_cols(rep: MetricsReport, fmt) -> list[str]:
             fmt(rep.efficiency_pct), str(rep.additions), str(rep.shifts)]
 
 
-def _rho(flag: float | None, front: str | None = None) -> float:
-    """--rho, else a front CSV's ``# rho=``, else a nonempty DCTAPPROX_RHO, else 0.95."""
+def _rho(flag: float | None, front: tuple[str, str] | None = None) -> float:
+    """--rho, else a front's (name, ``# rho=`` value), else a nonempty DCTAPPROX_RHO, else 0.95."""
     if flag is not None:
         return flag
-    if front is not None:
-        return float(front)
-    env = os.environ.get("DCTAPPROX_RHO")
-    if not env:
+    name, text = front or ("DCTAPPROX_RHO", os.environ.get("DCTAPPROX_RHO"))
+    if not (front or text):
         return DEFAULT_RHO
     try:
-        return float(env)
+        return float(text)
     except ValueError:
-        raise ValueError(f"DCTAPPROX_RHO must be a number, got {env!r}") from None
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
 
 
 # --- CSV / markdown rendering -----------------------------------------------
@@ -158,7 +158,8 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     before the directory is created, so a bad rho or seed writes nothing.
     """
     meta, rows = _parse_front_csv(front_csv)
-    rho = _rho(rho, meta.get("rho"))
+    front = (f"the '# rho=' line of {front_csv}", meta["rho"]) if "rho" in meta else None
+    rho = _rho(rho, front)
 
     tables = [("table1", ["j"] + PARAM_HEADER, [row[:9] for row in rows])]
     seeds = [ParamVector.from_values(row[1:9]) for row in rows]
@@ -295,6 +296,16 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _read_image(path) -> np.ndarray:
+    """`read_pgm`, refusing an image smaller than the SSIM window by name."""
+    image = read_pgm(path)
+    try:
+        _ssim_window(image.shape)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return image
+
+
 def _cmd_compress(args) -> int:
     _check_outputs(args.out, args.metrics)
     if args.size is not None and not args.dct:
@@ -305,7 +316,7 @@ def _cmd_compress(args) -> int:
     if args.metrics and not all(name.isprintable() for name in (args.infile, ident)):
         raise ValueError(f"--metrics cannot hold {args.infile!r} and {ident!r}: not printable")
     policy = RetentionPolicy(n=size, r_fraction=args.r)
-    image = read_pgm(args.infile)
+    image = _read_image(args.infile)
     recon, scores = compress_image(image, transform, policy)
     if args.out:
         # recon is a fresh buffer that this command owns: round it in place.
@@ -332,16 +343,13 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
             and (stop - start) / step <= _MAX_R_LEVELS):
         raise ValueError(f"bad r grid {text!r}")
     grid = []
-    k = 0
-    while True:
+    for k in itertools.count():
         r = round(start + k * step, 10)
         if r > stop + min(1e-9, step / 2):
-            break
+            return tuple(grid)
         if grid and r == grid[-1]:
             raise ValueError(f"bad r grid {text!r}: level {r} repeats")
         grid.append(r)
-        k += 1
-    return tuple(grid)
 
 
 def _cmd_sweep(args) -> int:
@@ -357,7 +365,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--per-image cannot hold the file names {unprintable}: not printable")
     transforms = _load_transform_list(args.transforms)
     grid = _parse_r_grid(args.r_grid) if args.r_grid else default_r_grid()
-    images = [(p.name, read_pgm(p)) for p in corpus]
+    images = [(p.name, _read_image(p)) for p in corpus]
 
     def scores(transform) -> np.ndarray:
         """(images, levels, 2): PSNR and SSIM of every image at every level."""

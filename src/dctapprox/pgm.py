@@ -1,29 +1,26 @@
-"""Minimal binary PGM (P5, 8-bit, maxval 255) reader and writer."""
+"""Minimal binary PGM (P5, 8-bit, maxval 255) reader and writer.
+
+The header is four tokens (magic, width, height, maxval) separated by
+whitespace (``\\s`` in a bytes pattern, as `bytes.isspace`) and ``#`` comments,
+which start only where a token could start and run to the next ``\\r`` or ``\\n``.
+"""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 __all__ = ["read_pgm", "write_pgm"]
 
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":  # comment runs to end of line
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
         raise ValueError("truncated PGM header")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def read_pgm(path) -> np.ndarray:

@@ -236,6 +236,28 @@ def reconstruction_reference(image: np.ndarray, transform, policy) -> np.ndarray
     return np.clip(whole[:rows, :cols], 0.0, 255.0)
 
 
+def next_token_reference(data: bytes, pos: int) -> tuple[bytes, int]:
+    """A byte-by-byte PGM header scanner, the oracle for `pgm._next_token`:
+    skip whitespace and '#' comments (up to '\\r' or '\\n'), then read up to
+    the next whitespace byte."""
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c == b"#":  # comment runs to end of line
+            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not data[pos : pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise ValueError("truncated PGM header")
+    return data[start:pos], pos
+
+
 def count_calls(monkeypatch, module, names) -> dict[str, int]:
     """Wrap each named function of ``module`` to count its calls; the
     returned dict holds the counts so far."""

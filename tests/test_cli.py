@@ -38,7 +38,7 @@ from dctapprox.cli import (
     parse_params,
     report_tables,
 )
-from dctapprox import scaling
+from dctapprox import cli, scaling
 from dctapprox.codec import ape, retention_sweep
 from helpers import assert_orthonormal_transform, count_calls, json_values
 
@@ -726,6 +726,35 @@ class TestCompressAndSweep:
             assert main(argv) == 2
             assert "image smaller than the 8x8 window" in capsys.readouterr().err
 
+    def test_small_image_named_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # Every image is checked against the SSIM window as it is read, so a
+        # small second image stops the sweep before the first is swept.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_pgm(corpus / "a.pgm", ar1_test_image(64, 64, seed=24))
+        write_pgm(corpus / "b.pgm", ar1_test_image(4, 40, seed=25))
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        calls = count_calls(monkeypatch, cli, ("retention_sweep",))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {corpus / 'b.pgm'}: image smaller than the 8x8 window" in err
+        assert calls == {"retention_sweep": 0}
+        assert not out.exists()
+
+    def test_small_compress_input_named(self, tmp_path, capsys, monkeypatch):
+        img = tmp_path / "s.pgm"
+        write_pgm(img, ar1_test_image(40, 4, seed=26))
+        calls = count_calls(monkeypatch, cli, ("compress_image",))
+        metrics = tmp_path / "m.csv"
+        assert main(["compress", "--in", str(img), "--dct", "--r", "0.5",
+                     "--metrics", str(metrics)]) == 2
+        assert f"error: {img}: image smaller than the 8x8 window" in capsys.readouterr().err
+        assert calls == {"compress_image": 0}
+        assert not metrics.exists()
+
     def test_empty_corpus(self, tmp_path):
         (tmp_path / "empty").mkdir()
         tlist = tmp_path / "t.json"
@@ -1034,6 +1063,27 @@ class TestReport:
         for path in out.iterdir():
             golden = DATA / "golden_tables" / path.name
             assert path.read_bytes() == golden.read_bytes(), path.name
+
+    @pytest.mark.parametrize("value", ["x", ""])
+    def test_front_rho_that_is_not_a_number(self, tmp_path, capsys, monkeypatch, value):
+        # The front's "# rho=" line decides over DCTAPPROX_RHO and is named
+        # when it is not a number; --rho decides without reading it.
+        golden = (DATA / "golden_front.csv").read_text().splitlines()
+        front = tmp_path / "front.csv"
+        front.write_text("\n".join(
+            [f"# rho={value}"] + [line for line in golden if not line.startswith("# rho=")]
+        ) + "\n")
+        monkeypatch.setenv("DCTAPPROX_RHO", "0.95")
+        out = tmp_path / "tables"
+        assert main(["report", "--in", str(front), "--out-dir", str(out)]) == 2
+        assert (f"error: the '# rho=' line of {front} must be a number, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert main(["report", "--in", str(front), "--out-dir", str(out), "--rho", "0.95"]) == 0
+        assert len(list(out.iterdir())) == 8
+        for path in out.iterdir():
+            golden_table = DATA / "golden_tables" / path.name
+            assert path.read_bytes() == golden_table.read_bytes(), path.name
 
     def test_comment_with_a_comma_reads_back(self, tmp_path):
         front = tmp_path / "front.csv"

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from dctapprox import (
     write_pgm,
     zigzag_order,
 )
-from dctapprox import codec
+from dctapprox import codec, pgm
 from dctapprox.codec import (
     _forward,
     _reconstruct,
@@ -40,6 +41,7 @@ from helpers import (
     JPEG_ZIGZAG_8,
     _box_means,
     count_calls,
+    next_token_reference,
     reconstruction_reference,
     rng,
     ssim_reference,
@@ -823,6 +825,44 @@ def _pgm_bytes(draw):
     return data, declared
 
 
+# Bytes that matter to a header scanner: tokens, '#', every byte of
+# bytes.isspace, and bytes that str.isspace accepts but bytes.isspace does not.
+_HEADER_SOUP = st.lists(st.sampled_from([
+    b"P5", b"2", b"255", b"x", b"#", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c",
+    b"\x1c", b"\x85", b"\xa0",
+]), max_size=16).map(b"".join)
+
+
+def _token_or_error(scan, data: bytes, pos: int):
+    try:
+        return scan(data, pos)
+    except ValueError as e:
+        return str(e)
+
+
+def _read_outcome(path):
+    try:
+        image = pgm.read_pgm(path)
+    except ValueError as e:
+        return str(e)
+    return image.dtype, image.shape, image.tobytes()
+
+
+def _assert_same_as_scanner(tmp_path_factory, data: bytes):
+    """`read_pgm` gives the array or the ValueError message it gave with the
+    byte-by-byte scanner, and `_next_token` agrees with it at every offset;
+    returns that outcome."""
+    path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+    path.write_bytes(data)
+    with mock.patch.object(pgm, "_next_token", next_token_reference):
+        expected = _read_outcome(path)
+    assert _read_outcome(path) == expected
+    for pos in range(len(data) + 1):
+        assert (_token_or_error(pgm._next_token, data, pos)
+                == _token_or_error(next_token_reference, data, pos)), pos
+    return expected
+
+
 class TestPgm:
     def test_round_trip(self, tmp_path):
         img = ar1_test_image(40, 56, seed=14)
@@ -873,6 +913,33 @@ class TestPgm:
         assert img.dtype == np.uint8 and img.ndim == 2
         if declared is not None:
             assert img.shape == declared
+
+    @settings(max_examples=300)
+    @given(_pgm_bytes())
+    def test_tokenizer_matches_the_byte_scanner(self, tmp_path_factory, case):
+        _assert_same_as_scanner(tmp_path_factory, case[0])
+
+    @settings(max_examples=300)
+    @given(_HEADER_SOUP)
+    def test_tokenizer_matches_the_byte_scanner_on_separator_soup(self, tmp_path_factory,
+                                                                   data):
+        _assert_same_as_scanner(tmp_path_factory, data)
+
+    @pytest.mark.parametrize("data, outcome", [
+        (b"P5 #c", "truncated PGM header"),
+        (b"P5\n2 2\n255 # c", "truncated PGM raster: expected 4 bytes, got 3"),
+        (b"P5\n2#3 2\n255\n" + bytes(6), "PGM header value b'2#3' is not a decimal number"),
+        (b"P5#c\n2 2\n255\n" + bytes(4), "not a binary PGM (magic b'P5#c', expected b'P5')"),
+        (b"P5\x0c2\x0c1\x0c255\x0c" + bytes(2), (1, 2)),
+        (b"P5\r2\r1\r255\r" + bytes(2), (1, 2)),
+        (b"P5 # c\r2 # d\x0c\n1\r255\n" + bytes(2), (1, 2)),
+    ])
+    def test_tokenizer_cases(self, tmp_path_factory, data, outcome):
+        # A comment at end of file leaves no token, and one after maxval is
+        # raster; '#' inside a token is part of it; \x0c and \r separate
+        # tokens and \r ends a comment.
+        found = _assert_same_as_scanner(tmp_path_factory, data)
+        assert (found if isinstance(outcome, str) else found[1]) == outcome
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "t.pgm"
