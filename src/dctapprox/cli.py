@@ -3,9 +3,9 @@
 Subcommands: gen, eval, search, scale, compress, sweep, report.  Every
 subcommand is deterministic given its flags; search accepts ``--workers``
 but runs in one process whatever its value.  A parameter vector becomes a
-transform at 8, 16 or 32 points through `build_scaled` alone (``report``,
-which needs all three sizes, through `build_scaled_sizes`, the same path):
-``gen`` is ``scale`` at size 8, and ``eval`` takes its metric and
+transform at 8, 16 or 32 points through one growth loop from
+``orthonormal_approx`` (`build_scaled` takes its last size, ``report`` all
+three): ``gen`` is ``scale`` at size 8, and ``eval`` takes its metric and
 complexity rows at ``--size`` from the same transform.  Exit codes:
 0 success, 2 usage error, 3 infeasible transform, 4 I/O error.  Rho is
 ``--rho``, else (for ``report``) the front's ``# rho=``, else
@@ -42,7 +42,7 @@ from .codec import (
 from .core import SIZES, FeasibilityError, ParamVector, Transform, _read_json, exact_dct_matrix
 from .metrics import DEFAULT_RHO, MetricsReport, SignalModel, _reports, evaluate, evaluate_matrix
 from .pgm import read_pgm, write_pgm
-from .scaling import build_scaled, build_scaled_sizes
+from .scaling import _grown, build_scaled
 from .search import SearchResult, run_search
 
 __all__ = ["parse_params", "write_front_csv", "report_tables", "main"]
@@ -165,7 +165,7 @@ def report_tables(front_csv, out_dir, rho: float | None = None) -> list[Path]:
     seeds = [ParamVector.from_values(row[1:9]) for row in rows]
 
     metric_headers = ["j", "epsilon", "mse", "cg", "eta", "adds", "shifts"]
-    grown = [build_scaled_sizes(pv, SIZES) for pv in seeds]
+    grown = [_grown(pv) for pv in seeds]
     for k, (stem, size) in enumerate(zip(("table2", "table4", "table6"), SIZES)):
         reports = _reports([g[k] for g in grown], SignalModel(rho=rho, n=size))
         metric_rows = [[row[0]] + _report_cols(rep, "{:.2f}".format)
@@ -297,9 +297,9 @@ def _cmd_search(args) -> int:
 
 
 def _read_image(path) -> np.ndarray:
-    """`read_pgm`, refusing an image smaller than the SSIM window by name."""
-    image = read_pgm(path)
+    """`read_pgm` and the SSIM window check; every ValueError names the file."""
     try:
+        image = read_pgm(path)
         _ssim_window(image.shape)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -190,21 +190,13 @@ def _row_scale(half_units: np.ndarray) -> np.ndarray:
     return 2.0 / np.sqrt(quarter_norms.astype(np.float64))
 
 
-def _seed_half_units(params: ParamVector) -> np.ndarray:
-    """build_matrix(params) in half units, behind the one feasibility gate
-    of every path from a seed to a transform (FeasibilityError)."""
-    if not is_feasible(params):
-        raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
-    return _half_units(*params.doubled)
-
-
 def scale_factors(params: ParamVector) -> np.ndarray:
     """Diagonal scaling that orthonormalizes the rows: 1/sqrt(row norm^2).
 
     Positions 0 and 4 are always 1/(2*sqrt(2)) because those rows are fixed
     +-1 patterns of squared norm 8.
     """
-    return _row_scale(_seed_half_units(params))
+    return orthonormal_approx(params).scale.copy()
 
 
 def _json_array(d: dict, key: str, shape: tuple, kinds: str) -> np.ndarray:
@@ -302,20 +294,31 @@ class Transform:
 
     @classmethod
     def load(cls, path) -> "Transform":
-        return cls.from_json_dict(_read_json(path))
+        """The transform in a JSON file; an error names the file, keeping its type."""
+        d = _read_json(path)
+        try:
+            return cls.from_json_dict(d)
+        except ValueError as e:  # FeasibilityError included
+            raise type(e)(f"{path}: {e}") from None
 
 
 def _read_json(path):
     """The JSON document in a UTF-8 file (RFC 8259).  A malformed one raises
-    ValueError, one nested too deeply for the parser included."""
+    ValueError naming the file, one nested too deeply for the parser included."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise ValueError(f"{path}: {e}") from None
 
 
 def orthonormal_approx(params: ParamVector) -> Transform:
-    """Orthonormalized transform for a feasible parameter vector."""
-    half = _seed_half_units(params)
+    """Orthonormalized transform for a feasible parameter vector: the one
+    seed gate, so every path from a seed to a transform (scaled sizes,
+    metrics, scale factors, inverse) raises the same FeasibilityError."""
+    if not is_feasible(params):
+        raise FeasibilityError(f"parameters {params} do not give an orthogonal matrix")
+    half = build_matrix(params)
     return Transform(n=8, half_units=half, scale=_row_scale(half))

@@ -1,9 +1,9 @@
 """Size doubling for low-complexity transforms.
 
-`build_scaled` is the one path from a parameter vector to a transform and
-its cost at 8, 16 or 32 points, and `build_scaled_sizes` the same path to
-several sizes at once; the 8-point transform is the seed with no
-doubling.  A transform of size N is lifted to size 2N by feeding an input
+One loop, `_grown`, takes a parameter vector to its transform and cost at
+8, 16 and 32 points: it starts at the gated ``orthonormal_approx`` and
+takes each doubling once from the size below; `build_scaled` returns its
+last size.  A transform of size N is lifted to size 2N by feeding an input
 butterfly of identity and counter-identity blocks into two copies of the
 N-point kernel.  Output rows are emitted frequency-interleaved: row 2k
 comes from the half-sum path (even frequencies), row 2k+1 from the
@@ -16,16 +16,13 @@ half-unit array, doubled in exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import SIZES, ParamVector, Transform, _row_scale, _seed_half_units, _square_half_units
+from .core import SIZES, ParamVector, Transform, _row_scale, _square_half_units, orthonormal_approx
 from .kernel import ComplexityCount, complexity
 
-__all__ = [
-    "ScaledTransform", "scale_once", "scaled_complexity", "build_scaled", "build_scaled_sizes",
-]
+__all__ = ["ScaledTransform", "scale_once", "scaled_complexity", "build_scaled"]
 
 
 @dataclass(frozen=True)
@@ -59,36 +56,27 @@ def scaled_complexity(c: ComplexityCount, n: int) -> ComplexityCount:
     )
 
 
+def _grown(params: ParamVector, largest: int = 32) -> list[ScaledTransform]:
+    """The seed's transforms at 8, 16, ... up to ``largest`` points, from
+    one growth: ``orthonormal_approx(params)`` and ``complexity(params)``,
+    then each doubling taken once from the size below."""
+    t, cost = orthonormal_approx(params), complexity(params)
+    grown = [ScaledTransform(seed=params, transform=t, complexity=cost)]
+    while t.n < largest:
+        m = scale_once(t.half_units)
+        cost = scaled_complexity(cost, t.n)
+        t = Transform(n=2 * t.n, half_units=m, scale=_row_scale(m))
+        grown.append(ScaledTransform(seed=params, transform=t, complexity=cost))
+    return grown
+
+
 def build_scaled(params: ParamVector, target: int) -> ScaledTransform:
     """Grow a feasible 8-point seed to an 8-, 16- or 32-point transform.
 
     At 8 no doubling runs: the transform equals ``orthonormal_approx(params)``
-    and the cost ``complexity(params)``.  Raises FeasibilityError for an
-    infeasible seed and ValueError for any other target size.
+    and the cost ``complexity(params)``.  Raises ValueError for any other
+    target size, checked first, and FeasibilityError for an infeasible seed.
     """
-    return build_scaled_sizes(params, (target,))[0]
-
-
-def build_scaled_sizes(
-    params: ParamVector, targets: Sequence[int]
-) -> tuple[ScaledTransform, ...]:
-    """``build_scaled(params, t)`` for each t in ``targets``, in order, from
-    one growth of the seed: each doubling is taken once, from the size
-    below it, up to the largest target."""
-    for target in targets:
-        if target not in SIZES:
-            raise ValueError(f"target size must be 8, 16 or 32, got {target}")
-    largest = max(targets, default=8)
-    m = _seed_half_units(params)
-    cost = complexity(params)
-    built = {}
-    n = 8
-    while True:
-        if n in targets:
-            transform = Transform(n=n, half_units=m, scale=_row_scale(m))
-            built[n] = ScaledTransform(seed=params, transform=transform, complexity=cost)
-        if n == largest:
-            return tuple(built[t] for t in targets)
-        m = scale_once(m)
-        cost = scaled_complexity(cost, n)
-        n *= 2
+    if target not in SIZES:
+        raise ValueError(f"target size must be 8, 16 or 32, got {target}")
+    return _grown(params, target)[-1]

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -210,7 +212,8 @@ class TestExitCodes:
         img = tmp_path / "bad.pgm"
         img.write_bytes(header + bytes(16))
         assert main(["compress", "--in", str(img), "--dct", "--r", "0.5"]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {img}: ") and named in err
 
     def test_argparse_error(self, capsys):
         assert main(["eval", "--bogus-flag"]) == 2
@@ -334,6 +337,42 @@ class TestTransformFile:
     def test_ill_typed_key(self, tmp_path, image, good, key, value):
         good[key] = value
         assert self._compress(tmp_path, image, good) == 2
+
+    @pytest.mark.parametrize("content, message, code", [
+        (b'{"n": 8', "Expecting ',' delimiter: line 1 column 8 (char 7)", 2),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff", 2),
+        ({"entries": [[1]]}, "transform 'entries' must be a (8, 8) array of integers", 2),
+        ({"scale": [1.0] * 8}, "transform scale does not normalize its rows", 3),
+    ], ids=["truncated", "not-utf8", "entries", "scale"])
+    def test_json_input_errors_name_the_file(self, tmp_path, image, good, capsys,
+                                             content, message, code):
+        # The same file through compress --transform and a sweep list's
+        # "file" entry: named once, with the exit code of its error.
+        path = tmp_path / "t.json"
+        if isinstance(content, dict):
+            content = json.dumps({**good, **content}).encode()
+        path.write_bytes(content)
+        tlist = tmp_path / "list.json"
+        tlist.write_text('[{"id": "t", "file": "t.json"}]')
+        commands = [
+            ["compress", "--in", str(image), "--transform", str(path), "--r", "1.0"],
+            ["sweep", "--corpus", str(tmp_path), "--transforms", str(tlist),
+             "--out", str(tmp_path / "o.csv")],
+        ]
+        for argv in commands:
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {message}")
+            assert err.count(str(path)) == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("content", [b"[", b"\xff"])
+    def test_malformed_transform_list_named(self, tmp_path, image, capsys, content):
+        tlist = tmp_path / "list.json"
+        tlist.write_bytes(content)
+        assert main(["sweep", "--corpus", str(tmp_path), "--transforms", str(tlist),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tlist}: ")
 
     def test_not_an_object(self, tmp_path, image, good):
         assert self._compress(tmp_path, image, [good]) == 2
@@ -744,6 +783,25 @@ class TestCompressAndSweep:
         assert calls == {"retention_sweep": 0}
         assert not out.exists()
 
+    def test_truncated_pgm_named_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_pgm(corpus / "a.pgm", ar1_test_image(64, 64, seed=24))
+        (corpus / "b.pgm").write_bytes(b"P5\n64 64\n255 # c")
+        tlist = tmp_path / "t.json"
+        tlist.write_text('[{"id": "dct8", "dct": 8}]')
+        calls = count_calls(monkeypatch, cli, ("retention_sweep",))
+        out = tmp_path / "o.csv"
+        line = (f"error: {corpus / 'b.pgm'}: truncated PGM raster: "
+                f"expected 4096 bytes, got 3\n")
+        assert main(["sweep", "--corpus", str(corpus), "--transforms", str(tlist),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
+        assert calls == {"retention_sweep": 0}
+        assert not out.exists()
+        assert main(["compress", "--in", str(corpus / "b.pgm"), "--dct", "--r", "0.5"]) == 2
+        assert capsys.readouterr().err == line
+
     def test_small_compress_input_named(self, tmp_path, capsys, monkeypatch):
         img = tmp_path / "s.pgm"
         write_pgm(img, ar1_test_image(40, 4, seed=26))
@@ -906,6 +964,45 @@ def test_sweep_golden_bytes(tmp_path, capsys, agg):
     assert len(written) == 1 + _GOLDEN_RUNS[agg][1]
     for path in written:
         assert path.read_bytes() == (DATA / "golden_sweep" / path.name).read_bytes(), path.name
+
+
+# The golden seed builds: gen, scale at 16 and 32 points, and eval at 8, 16
+# and 32 points with and without --complexity, for catalog entries 9 and 15.
+# Each run's stdout is kept as NAME.out beside the JSON files that gen and
+# scale write.  The golden files are this function's output; rewrite them
+# only for a deliberate change of these commands' output.
+def _golden_build_runs():
+    for k in (9, 15):
+        p = str(CATALOG[k])
+        yield f"c{k}_gen", ["gen", "--params", p, "--out", f"c{k}_gen.json"]
+        for n in (16, 32):
+            yield f"c{k}_scale{n}", ["scale", "--seed", p, "--size", str(n),
+                                     "--out", f"c{k}_scale{n}.json"]
+        for n in (8, 16, 32):
+            yield f"c{k}_eval{n}", ["eval", "--params", p, "--size", str(n)]
+            yield f"c{k}_eval{n}_complexity", ["eval", "--params", p, "--size", str(n),
+                                               "--complexity"]
+
+
+def golden_build() -> list[Path]:
+    """Run every golden seed build in the current directory; the files
+    there afterwards."""
+    for name, argv in _golden_build_runs():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        Path(f"{name}.out").write_text(stdout.getvalue(), encoding="utf-8")
+    return sorted(Path().iterdir())
+
+
+def test_seed_build_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("DCTAPPROX_RHO", raising=False)
+    monkeypatch.chdir(tmp_path)
+    written = golden_build()
+    golden = sorted((DATA / "golden_build").iterdir())
+    assert [p.name for p in written] == [p.name for p in golden]
+    for path, want in zip(written, golden):
+        assert path.read_bytes() == want.read_bytes(), path.name
 
 
 class TestSearchCli:

@@ -17,7 +17,8 @@ from dctapprox import (
     scaled_complexity,
 )
 from dctapprox import scaling
-from dctapprox.scaling import build_scaled_sizes
+from dctapprox.core import SIZES
+from dctapprox.scaling import _grown
 from helpers import (
     EXPECTED_16PT,
     EXPECTED_32PT,
@@ -139,20 +140,24 @@ class TestBuildScaled:
             build_scaled(CATALOG[1], 64)
 
 
-class TestBuildScaledSizes:
-    @pytest.mark.parametrize("targets", [(8, 16, 32), (32, 8), (16,), (16, 16), ()])
-    def test_equals_build_scaled_at_each_size(self, targets):
+class TestGrowthLoop:
+    def test_grown_equals_build_scaled_at_each_size(self):
         for pv in CATALOG.values():
-            built = build_scaled_sizes(pv, targets)
-            assert built == tuple(build_scaled(pv, t) for t in targets)
+            assert _grown(pv) == [build_scaled(pv, n) for n in SIZES]
 
-    def test_grows_the_seed_once(self, monkeypatch):
+    @pytest.mark.parametrize("grow", [lambda pv: build_scaled(pv, 32), _grown],
+                             ids=["build_scaled32", "grown"])
+    def test_grows_the_seed_once(self, monkeypatch, grow):
         calls = count_calls(monkeypatch, scaling, ("complexity", "scale_once"))
-        build_scaled_sizes(CATALOG[5], (8, 16, 32))
+        grow(CATALOG[5])
         assert calls == {"complexity": 1, "scale_once": 2}
 
     def test_infeasible_seed_and_bad_target_rejected(self):
         with pytest.raises(FeasibilityError):
-            build_scaled_sizes(ParamVector((0,) * 8), (8, 16))
+            _grown(ParamVector((0,) * 8))
         with pytest.raises(ValueError, match="8, 16 or 32"):
-            build_scaled_sizes(CATALOG[1], (8, 64))
+            build_scaled(CATALOG[1], 64)
+        # The size is checked before the seed.
+        with pytest.raises(ValueError, match="8, 16 or 32") as err:
+            build_scaled(ParamVector((0,) * 8), 64)
+        assert not isinstance(err.value, FeasibilityError)
