@@ -2,37 +2,38 @@
 for the six-objective problem (error energy, mse, -gain, -efficiency,
 additions, shifts).
 
-Both modes run one scoring pass over the odd rows of the 7^7 grid with a2
-pinned: all of them, or with the feasibility filter the 403 that pass the
-six integer checks (none reads a2), in one call of the checks on open
-axes, so no table of the 7^7 grid's rows is built.  After the input
-butterfly a candidate is block-diagonal, with an even block of a2 alone
-and an odd block of the other parameters, and every objective is an odd
-part plus an even part: the metrics are sums of the two blocks' kernel
-values, and the cost is the odd row's plus what a2 adds.  So each slice
-of odd rows is scored against the 4 values a2 >= 0 in one broadcast (a
-negative a2 gives a mirror twin of one of them that is always dominated,
-so it is counted but not scored), in two passes: a rho-free pass keeps
-the nonsingular odd rows (one integer determinant each) and builds what
-no signal model changes (their blocks, error energy, costs and synthesis
+Both modes run one loop over slices of the odd rows of the 7^7 grid with
+a2 pinned.  The first slice is the 403 rows that pass the six integer
+checks (none reads a2; one call on open axes finds them), where the
+filtered search stops; the unfiltered one goes on through the rest.  After
+the input butterfly a candidate is block-diagonal, with an even block of
+a2 alone and an odd block of the other parameters, and every objective is
+an odd part plus an even part: the metrics are sums of the two blocks'
+kernel values, and the cost is the odd row's plus what a2 adds.  So each
+slice is scored against the 4 values a2 >= 0 in one broadcast (a negative
+a2 gives a mirror twin of one of them that is always dominated, so it is
+counted but not scored), in two passes: a rho-free pass keeps the
+nonsingular odd rows (one integer determinant each) and builds what no
+signal model changes (their blocks, error energy, costs and synthesis
 gains), and a rho pass adds the mse, band variances and efficiency.  The
-even table and the filtered search's odd table are built once per
-process and kept read-only; the unfiltered search builds one odd table
-per slice and keeps none.
+even table and the first slice's are built once per process and kept.
 One non-dominated filter decides all dominance on the integer 1e-9 grid,
 visiting the rows by one argsort of their integer row sums, where a
-dominator's is strictly smaller.  The unfiltered search cuts each scored
-slice to its own front and then the union of those fronts once: the front
-of a union is the front of the union of its parts' fronts.  Scoring, the
-cut and the tie grouping pass two arrays, the (m, 6) metric rows and the
-(m, 8) int8 candidates, and pareto_front is one cut and the grouping.
-Each entry's output order is taken from its grid row, so the order of the
-rows that reach the grouping never shows.
+dominator's is strictly smaller.  Each slice is cut to its own front, and
+the union of the slice fronts, if more than one, once: the front of a
+union is the front of the union of its parts' fronts.  The first front
+(13 to 19 rows) pre-cuts each later slice in its cut, dropping most of
+it: a dropped row is dominated by a scored candidate, so it is neither on
+the front nor tied with a member.  Scoring, the cuts and the grouping pass
+the (m, 6) metric rows and the (m, 8) int8 candidates, and pareto_front is
+one cut and the grouping.  Each entry's output order is taken from its
+grid row, so the order of the rows that reach the grouping never shows.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Sequence
 
@@ -63,7 +64,8 @@ __all__ = [
 
 N_CANDIDATES = 7**8  # 5,764,801
 
-_SLICE = 3 * 7**4  # odd rows scored together; the 403 feasible ones form one slice
+_SLICE = 3 * 7**4  # odd rows scored together after the first slice
+_NO_ROWS = np.empty((0, 6), dtype=np.int64)  # no killers (see _cut)
 
 
 def _grid(columns) -> np.ndarray:
@@ -82,15 +84,15 @@ def all_candidates_doubled() -> np.ndarray:
 
 def _odd_rows(feasibility_filter: bool) -> np.ndarray:
     """The 7^7 grid of the parameters other than a2, as rows with a2 pinned
-    to 0, in _grid order; with the filter only its feasible rows.
+    to 0, in _grid order: with the filter only its 403 feasible rows,
+    without it the other 823,140, so the two never share a row.
     Feasibility does not depend on a2, so each feasible row gives 7 feasible
-    candidates.  The filter calls _feasible once on open axes, so no table
-    of the grid's rows is built, and the C order of its mask is _grid
-    order."""
+    candidates.  _feasible runs once on open axes, whose mask's C order is
+    _grid order, so the filter builds no table of the grid's rows."""
     columns = [np.array(c, dtype=np.int8) for c in [ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6]
-    if not feasibility_filter:
-        return _grid(columns)
     mask = _feasible(*np.ix_(*(c.astype(np.int32) for c in columns)))
+    if not feasibility_filter:
+        return _grid(columns)[~mask.ravel()]
     index = np.unravel_index(np.flatnonzero(mask), mask.shape)
     return np.column_stack([c[i] for c, i in zip(columns, index)])
 
@@ -304,18 +306,20 @@ def _with_rho(table: _Table, even_parts: np.ndarray, model: SignalModel):
 
 @functools.cache
 def _feasible_table() -> _Table:
-    """The odd table of the feasible odd rows (one slice), built on the
-    first filtered search and kept read-only for the process."""
+    """The odd table of the feasible odd rows, every search's first slice,
+    built on the first search and kept read-only for the process."""
     table = _odd_table(_odd_rows(True))
     for array in table:
         array.setflags(write=False)
     return table
 
 
-def _cut(values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cut(values: np.ndarray, rows: np.ndarray, killers=_NO_ROWS) -> tuple[np.ndarray, np.ndarray]:
     """The non-dominated (m, 6) metric rows and their (m, 8) candidates, in
-    input order."""
-    keep = _front(_minimized(values))
+    input order.  Killers, _minimized rows of scored candidates, pre-cut them:
+    they go ahead in the one _front call and are left out of its output."""
+    keep = _front(np.concatenate([killers, _minimized(values)]))
+    keep = keep[keep >= len(killers)] - len(killers)
     return values[keep], rows[keep]
 
 
@@ -324,21 +328,21 @@ def run_search(
     feasibility_filter: bool = True,
     workers: int = 1,
 ) -> SearchResult:
-    """Full pipeline: score each odd table (see _odd_table) with every
-    a2 >= 0, cut it to its front (see _cut), cut the union of those fronts
-    once, and group the survivors' ties (see _tie_grouped).  The cuts are
-    exact: a row off the whole front is dominated by a row on it, since
-    dominance on the integer grid is transitive, and that row survives its
-    own slice's cut.  A candidate with a2 < 0 is dominated by its mirror
-    twin (see _even_table), so it is not scored, but it is counted: each
-    nonsingular odd row stands for one candidate per a2.  The filtered
-    search reads one odd table, built on its first call (see
-    _feasible_table), so later calls at any rho run only the rho pass, one
-    cut and the grouping; a feasible candidate is nonsingular, so each one
-    is counted (1,612 scored stand for 2,821).  Without the filter every
-    nonsingular candidate is counted, and those with a2 >= 0 scored, with
-    row-norm diagonal scaling (orthogonality not required), about 1,900
-    times as many, one slice of odd rows at a time.  ``workers`` must be at
+    """Full pipeline, one loop over slices of odd rows: score each slice's
+    odd table (see _odd_table) with every a2 >= 0, cut it to its front (see
+    _cut), cut the union of the slice fronts once if there are more than
+    one, and group the survivors' ties (see _tie_grouped).  The first slice
+    is the feasible table (see _feasible_table), so later filtered searches,
+    which stop after it, run at any rho only the rho pass, one cut and the
+    grouping.  Without the filter the loop goes on through the other odd
+    rows (see _odd_rows), scored with row-norm diagonal scaling
+    (orthogonality not required), each slice pre-cut by the first front.
+    The cuts are exact: a row off the whole front is dominated by a row on
+    it (on the integer grid dominance is transitive), which survives its
+    own slice's cut and the pre-cut.  A candidate with a2 < 0 is dominated
+    by its mirror twin (see _even_table), so it is not scored, but it is
+    counted: each nonsingular odd row stands for one candidate per a2 (with
+    the filter, 1,612 scored stand for 2,821).  ``workers`` must be at
     least 1 and has no effect: the search runs in one process.
     """
     if model.n != 8:
@@ -346,21 +350,15 @@ def run_search(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     even_parts = _parts(_even_table(), 0, model)
-    n_evaluated = 0
-
-    def score(table: _Table):
-        nonlocal n_evaluated
+    odd = np.empty((0, 8), dtype=np.int8) if feasibility_filter else _odd_rows(False)
+    tables = (_odd_table(odd[i : i + _SLICE]) for i in range(0, len(odd), _SLICE))
+    n_evaluated, fronts = 0, []
+    for table in itertools.chain([_feasible_table()], tables):
         n_evaluated += len(table.rows) * len(ALLOWED_DOUBLED)  # every a2, scored or not
-        return _with_rho(table, even_parts, model)
-
-    if feasibility_filter:
-        values, rows = _cut(*score(_feasible_table()))
-    else:
-        odd = _odd_rows(False)
-        tables = (_odd_table(odd[i : i + _SLICE]) for i in range(0, len(odd), _SLICE))
-        # map drops each table before the next is built, so one slice's is live.
-        fronts = [_cut(*scored) for scored in map(score, tables)]
-        values, rows = _cut(*map(np.concatenate, zip(*fronts)))
+        killers = _minimized(fronts[0][0]) if fronts else _NO_ROWS  # the first front
+        fronts.append(_cut(*_with_rho(table, even_parts, model), killers))
+        del table  # released before the next slice's table is built
+    values, rows = fronts[0] if len(fronts) == 1 else _cut(*map(np.concatenate, zip(*fronts)))
     return SearchResult(
         entries=tuple(_tie_grouped(values, rows)),
         n_candidates=N_CANDIDATES,

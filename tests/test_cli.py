@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -1081,6 +1082,30 @@ class TestSearchCli:
         golden = (DATA / "golden_front_unfiltered.txt").read_text().splitlines()
         assert [head, *ties] == golden
         assert " evaluated=5368846 front=335" in head and len(ties) == 44
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "rho, csv_sha, ties_sha, front, n_ties",
+        [
+            ("0.90", "c866721786c3962f878fdd0b4402c2c07d24dfe8fc634f6076d747bbf4017031",
+             "8d6dc0a28f07f0ea1f8125be046105f04434898a50fc3bb1a12da278dc5e8855", 329, 49),
+            ("0.97", "8fd23e649be6519deea97d55e2bedb01a8a812c06674fe06c3371c47d6643e60",
+             "35ff8e4bdd4fd23625368ac623b7b040df065c0a7abc9f77bd6947e0a1e49c14", 345, 47),
+        ],
+        ids=["rho0.90", "rho0.97"],
+    )
+    def test_unfiltered_search_matches_front_digests(
+        self, tmp_path, capsys, rho, csv_sha, ties_sha, front, n_ties
+    ):
+        # The unfiltered front at two more rhos, pinned by the sha256 of the
+        # CSV and of the tie lines, each ending in a newline.
+        out = tmp_path / "front.csv"
+        assert main(["search", "--no-feasibility-filter", "--rho", rho, "--out", str(out)]) == 0
+        summary, *ties = capsys.readouterr().out.splitlines()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256("".join(t + "\n" for t in ties).encode()).hexdigest() == ties_sha
+        assert all(t.startswith("tie (objectives equal to a canonical member): ") for t in ties)
+        assert f" evaluated=5368846 front={front}" in summary and len(ties) == n_ties
 
 
 class TestReport:

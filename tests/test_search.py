@@ -46,6 +46,7 @@ from dctapprox.search import (
     _odd_rows,
     _odd_table,
     _parts,
+    _tie_grouped,
     _with_rho,
 )
 from helpers import (
@@ -132,6 +133,21 @@ class TestFeasibleSet:
         selected = _odd_rows(True)
         assert selected.dtype == reference.dtype
         assert np.array_equal(selected, reference)
+
+    def test_unfiltered_rows_are_the_rest_of_the_grid(self):
+        # Each odd row is scored once: the feasible ones from the feasible
+        # table only.  Rows keyed by their grid rank (values shifted to 0..8,
+        # base 9), which orders them as the grid does.
+        def keys(rows):
+            return (rows.astype(np.int64) + 4) @ 9 ** np.arange(7, -1, -1)
+
+        grid = keys(search_mod._grid([ALLOWED_DOUBLED, (0,)] + [ALLOWED_DOUBLED] * 6))
+        feasible, rest = keys(_odd_rows(True)), keys(_odd_rows(False))
+        assert (len(feasible), len(rest)) == (403, 823_140)
+        assert np.intersect1d(feasible, rest).size == 0
+        for part in (grid, feasible, rest):
+            assert np.all(np.diff(part) > 0)
+        assert np.array_equal(np.sort(np.concatenate([feasible, rest])), grid)
 
     def test_filter_materializes_no_grid(self):
         # The open-axes call builds masks and int32 products over at most the
@@ -467,15 +483,21 @@ class TestFeasibleTable:
             _feasible_table.cache_clear()
             assert _search_bytes(run_search(SignalModel(rho=rho))) == cached[rho]
 
-    def test_cached_equals_streamed_at_every_rho(self, monkeypatch):
-        # The same feasible rows through the streamed path, which keeps no
-        # table: a rho left anywhere in the filtered path would show here.
-        cached = {rho: _search_bytes(run_search(SignalModel(rho=rho))) for rho in _RHOS}
-        feasible = _odd_rows(True)
-        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: feasible)
+    def test_cached_equals_streamed_at_every_rho(self):
+        # A fresh odd table of the same feasible rows, scored and cut as the
+        # search loop scores a slice: a rho left anywhere in the cached table,
+        # built here at rho 0.7, would show here.
+        _even_table.cache_clear()
+        _feasible_table.cache_clear()
+        run_search(SignalModel(rho=0.7))
+        fresh = _odd_table(_odd_rows(True))
         for rho in _RHOS:
-            streamed = run_search(SignalModel(rho=rho), feasibility_filter=False)
-            assert _search_bytes(streamed) == cached[rho]
+            model = SignalModel(rho=rho)
+            cached = run_search(model)
+            even_parts = _parts(_even_table(), 0, model)
+            streamed = _tie_grouped(*_cut(*_with_rho(fresh, even_parts, model)))
+            assert pickle.dumps(streamed) == pickle.dumps(list(cached.entries))
+            assert cached.n_evaluated == len(fresh.rows) * len(ALLOWED_DOUBLED)
 
     def test_not_built_at_import(self):
         import dctapprox
@@ -595,13 +617,19 @@ class TestUnfilteredSweep:
             assert [tuple(r) in kept for r in odd.tolist()] == nonsingular.tolist()
 
     @staticmethod
-    def _mini_odd():
-        """300 odd rows, the 15 catalog vectors first and the rest drawn:
-        5 slices at _SLICE = 70."""
+    def _mini_slices(monkeypatch):
+        """300 odd rows, the 15 catalog vectors first and the rest drawn, set
+        up as the search loop's slices: the catalog rows (all feasible) as
+        the first slice, then the drawn rows less any feasible ones, 5
+        slices at _SLICE = 70.  Returns both sets."""
         odd = rng(13).choice([-4, -2, -1, 0, 1, 2, 4], size=(300, 8)).astype(np.int8)
         odd[:15] = np.array([list(pv.doubled) for pv in CATALOG.values()], dtype=np.int8)
         odd[:, 1] = 0
-        return odd
+        first, drawn = odd[:15], odd[15:][~feasible_mask(odd[15:])]
+        monkeypatch.setattr(search_mod, "_SLICE", 70)
+        monkeypatch.setattr(search_mod, "_feasible_table", lambda: _odd_table(first))
+        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: drawn)
+        return first, drawn
 
     def test_front_runs_once_per_slice_and_once_on_their_union(self, model8, monkeypatch):
         calls = count_calls(monkeypatch, search_mod, ("_front",))
@@ -609,16 +637,19 @@ class TestUnfilteredSweep:
         assert calls["_front"] == 1
         pareto_front([(CATALOG[1], evaluate(CATALOG[1], model8))])
         assert calls["_front"] == 2
-        odd = self._mini_odd()
-        monkeypatch.setattr(search_mod, "_SLICE", 70)
-        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: odd)
+        self._mini_slices(monkeypatch)
         run_search(model8, feasibility_filter=False)
-        assert calls["_front"] == 2 + 5 + 1
+        assert calls["_front"] == 2 + (1 + 5) + 1
+        # The first front's rows go ahead of each later slice's.
+        inputs, counted = [], search_mod._front
+        monkeypatch.setattr(search_mod, "_front", lambda o: inputs.append(o) or counted(o))
+        run_search(model8, feasibility_filter=False)
+        killers = inputs[0][counted(inputs[0])]
+        ahead = [np.array_equal(objs[: len(killers)], killers) for objs in inputs[:6]]
+        assert len(inputs) == 7 and ahead == [False] + [True] * 5
 
     def test_mini_sweep_equals_brute_force(self, model8, monkeypatch):
-        odd = self._mini_odd()
-        monkeypatch.setattr(search_mod, "_SLICE", 70)
-        monkeypatch.setattr(search_mod, "_odd_rows", lambda feasibility_filter: odd)
+        odd = np.vstack(self._mini_slices(monkeypatch))
         result = run_search(model8, feasibility_filter=False)
         reference = [self._reference_objectives(d, model8) for d in _expanded(odd)]
         objs = np.array([e for e in reference if e is not None], dtype=np.float64)
@@ -629,6 +660,45 @@ class TestUnfilteredSweep:
         assert result.n_feasible is None
         assert produced.shape == expected.shape
         assert np.allclose(produced, expected, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def three_slices():
+    """The first three slices of the unfiltered search's odd rows."""
+    odd, size = _odd_rows(False), search_mod._SLICE
+    return [odd[i : i + size] for i in range(0, 3 * size, size)]
+
+
+class TestPreCut:
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.95, 0.97])
+    def test_pre_cut_drops_only_what_the_first_front_dominates(self, three_slices, rho):
+        # Each real slice cut with the first front's rows ahead of it keeps
+        # its plain front less the rows a first-front row strictly
+        # dominates, and the union cut and the ties come out the same.
+        model = SignalModel(rho=rho)
+        even_parts = _parts(_even_table(), 0, model)
+        first = _cut(*_with_rho(_feasible_table(), even_parts, model))
+        killers = _minimized(first[0])
+        plain, pre_cut, dropped = [first], [first], 0
+        for odd in three_slices:
+            scored = _with_rho(_odd_table(odd), even_parts, model)
+            values, rows = _cut(*scored)
+            objs = _minimized(values)[None]
+            dominated = np.any(
+                np.all(killers[:, None] <= objs, axis=2) & np.any(killers[:, None] < objs, axis=2),
+                axis=0,
+            )
+            cut_values, cut_rows = _cut(*scored, killers)
+            assert np.array_equal(cut_values, values[~dominated])
+            assert np.array_equal(cut_rows, rows[~dominated])
+            plain.append((values, rows))
+            pre_cut.append((cut_values, cut_rows))
+            dropped += np.count_nonzero(dominated)
+        assert dropped > 0
+        unions = [_cut(*map(np.concatenate, zip(*fronts))) for fronts in (plain, pre_cut)]
+        assert all(np.array_equal(a, b) for a, b in zip(*unions))
+        grouped = [pickle.dumps(_tie_grouped(*union)) for union in unions]
+        assert grouped[0] == grouped[1]
 
 
 # a2 (doubled) of each pruned candidate and of its scored mirror twin.
