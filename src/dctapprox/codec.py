@@ -4,42 +4,30 @@ coefficient retention, reconstruction, and PSNR/SSIM/APE scoring.
 Quality scores are computed on the clamped floating-point reconstruction;
 quantization to 8-bit samples happens only when an image is written out.
 Images whose dimensions are not multiples of the block size are
-edge-replicated up and cropped back after reconstruction.
+edge-replicated up and cropped back after reconstruction.  The caller's
+image is read through float64 casts, never copied or written, and nothing
+is kept across calls.
 
-One ``compress_image`` call runs in two image-sized float64 buffers: the
-inverse buffer (the padded image, then the coefficients, masked in place,
-then the inverse, whose crop is returned) and a scratch buffer (the forward
-stage's intermediate, the half-inverse, PSNR's squared error, then the SSIM
-map); the caller's image is read through float64 casts, never copied, and
-SSIM makes one band pass over five channels (see ``_ssim``).
+Each part of the buffer and lane plan is stated once:
 
-A retention sweep forward-transforms the image once, into one coefficient
-buffer that every level only reads, and computes the image's SSIM window
-means and variances once (see ``_SsimReference``).  It then scores its
-levels in up to two lanes, one per usable CPU: lane 0 in the calling thread
-and lane 1 in one thread started and joined by the call, each scoring every
-other level into its grid-order slot (see ``_Lanes``).  Each lane owns one
-(inverse, scratch) buffer pair, in which retain, inverse, crop, clamp and
-PSNR run (see ``_reconstruct``), and one SSIM band set.  Once PSNR is
-taken, the scratch hosts the band set's integral images, in bands as tall
-as it holds, and it is allocated to hold bands tall enough that numpy runs
-their along-row cumsum without the GIL, so the lanes overlap; the level's
-SSIM map is built over the spent reconstruction, in the prefix of the
-inverse buffer, and the window means stay in small sub-band buffers (see
-``_SsimBands``).  The image is read through float64 casts, never copied.
+- ``_reconstruct``: the (inverse, scratch) pair of image-sized float64
+  buffers in which a level is retained, inverted and scored, and what each
+  holds in turn (``_forward`` for the forward stage);
+- ``_SsimBands``: SSIM's integral images, built one band of window rows at
+  a time in a small buffer or a caller's, bit-identical to whole-image
+  integral images;
+- ``_SsimReference``: a sweep's one pass over the image's window means and
+  variances, and its SSIM map built over the spent reconstruction;
+- ``_sweep_lane``: what a sweep lane holds, and why its scratch holds tall
+  bands; ``_run_lanes``: how the lanes run.
 
-Traced peaks on a 500x524 image, in image-sized float64 arrays at 8, 16
-and 32 points: a warm ``compress_image`` call 2.9-3.0, a one-lane sweep
-5.4-5.5 and a two-lane sweep 7.7-8.0, the shared coefficients, means and
-variances included.  A two-lane sweep of an image under 174 rows peaks
-higher, about 12.5 at 8 points on 100x1000 and 60x2000 images, as each
-lane's scratch holds the whole image's band set (see ``retention_sweep``).
-
-SSIM builds its integral images one band of window rows at a time, in a
-small buffer that stays in cache or in a sweep lane's scratch, so no
-integral image is made whole; the scores are bit-identical to SSIM over
-whole-image integral images (see ``_SsimBands``).  Nothing is kept across
-calls, and the caller's image is never written.
+Traced peaks in image-sized float64 arrays, measured 2026-10-22 on a
+500x524 image at 8, 16 and 32 points: a warm ``compress_image`` call
+2.9-3.0, a one-lane sweep 5.4-5.5 and a two-lane sweep 7.8-8.0, the shared
+coefficients, means and variances included.  A two-lane sweep of an image
+under 174 rows peaks higher, 12.5-12.6 at 8 points on 100x1000 and 60x2000
+images, as each lane's scratch holds the whole image's band set; with an
+image-sized scratch and shorter bands it would peak at 8.6-8.8.
 """
 
 from __future__ import annotations
@@ -50,7 +38,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -246,15 +234,10 @@ class _SsimBands:
     pairs (see ``_band_size``).  With no host, the band set allocates a
     buffer of one sub-band, small enough to stay in cache; ``_ssim`` scores
     one image this way.  With a host, a caller's float64 buffer, the
-    integral buffer is its prefix of whole bands.  A sweep lane hosts its
-    band set in its scratch, which ``retention_sweep`` allocates to hold
-    bands of more than 500 / channels window rows, or of the whole image:
-    the along-row cumsum of every band but a short last one then runs over
-    more than 500 rows, and only then does numpy release the GIL for it
-    (``NPY_BEGIN_THREADS_THRESHOLDED`` in numpy's ``ndarraytypes.h``), so
-    that two lanes' passes overlap.  A sub-band is ``_SSIM_SUB_ELEMENTS``
-    per channel over the width + 1 integral columns, at most one band, so
-    the means buffers do not grow with the host.
+    integral buffer is its prefix of whole bands; a sweep lane hosts its
+    band set in its scratch (see ``_sweep_lane``).  A sub-band is
+    ``_SSIM_SUB_ELEMENTS`` per channel over the width + 1 integral columns,
+    at most one band, so the means buffers do not grow with the host.
 
     The window step copies the lower-right corner view into the sub-band's
     means buffer, subtracts the upper-right and lower-left views from it
@@ -513,13 +496,14 @@ def _reconstruct(image, m, coeffs, mask, inverse, scratch):
     - ``inverse`` holds the masked coefficients, then the inverse in image
       layout, written through its block view.  The reconstruction is its
       crop, clamped in place.  coeffs may be inverse itself (masked in
-      place) or a buffer that is only read, so that several pairs can
-      share it.
-    - ``scratch`` holds the half-inverted blocks M^t (C * mask); once the
-      inverse is taken, its first rows x cols elements are PSNR's
+      place, as in ``compress_image``) or a buffer that is only read, so
+      that a sweep's lanes can share it.
+    - ``scratch`` holds the half-inverted blocks M^t (C * mask), after the
+      forward stage's M @ A in ``compress_image`` (see ``_forward``); once
+      the inverse is taken, its first rows x cols elements are PSNR's
       squared-error buffer (see ``_psnr``), and then it is free for the
       caller: ``compress_image`` builds its SSIM map there, a sweep lane
-      its SSIM integral bands.
+      hosts its SSIM integral bands (see ``_sweep_lane``).
 
     Each product is the same IEEE operation on the same operands as
     ``retain`` and ``inverse_2d``.  The returned reconstruction is
@@ -545,13 +529,9 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
     different calls are independent.
 
     The shape, the SSIM window and the block size are checked before any
-    transform work.  A call runs in two image-sized float64 buffers (see
-    ``_forward`` and ``_reconstruct``): the inverse buffer, which holds the
-    coefficients, masked in place, and whose crop is returned, and the
-    scratch buffer, which holds the forward stage's intermediate, the
-    half-inverse, PSNR's squared error and then the SSIM map.  SSIM runs
-    in one band pass over five channels (see ``_ssim``).  The image is read
-    through float64 casts, never copied.
+    transform work.  A call runs in one (inverse, scratch) pair (see
+    ``_reconstruct``), and SSIM in one band pass over five channels (see
+    ``_ssim``).
     """
     m = _as_matrix(transform)
     image = np.asarray(image)
@@ -565,53 +545,67 @@ def compress_image(image: np.ndarray, transform, policy: RetentionPolicy):
 
 
 def _lane_count() -> int:
-    """The usable CPUs, at most two: the most lanes ``_Lanes`` runs."""
+    """The usable CPUs, at most two: the most lanes a sweep runs."""
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return min(2, os.cpu_count() or 1)
 
 
-class _Lanes:
-    """Lanes that share out one or more independent items: lane k takes
-    items k, k + L, k + 2L, ..., with L = ``count`` = min(2, usable CPUs,
-    items).  A caller reads ``count`` first, to give each lane buffers of
-    its own, then calls ``run``.
+def _sweep_lane(shape: tuple[int, int], n: int):
+    """One retention-sweep lane for an image of this shape at n points:
+    (inverse, scratch, bands), an (inverse, scratch) pair (see
+    ``_reconstruct``) and a three-channel SSIM band set hosted in the
+    scratch, which is free once PSNR is taken.
 
-    ``run(step)`` calls step(k, i) for each item i of lane k.  Lane 0 runs
-    in the calling thread and lane 1 in one thread started by the call, in
-    a copy of the caller's context, so that the caller's ``np.errstate``
-    governs both.  The thread is joined before ``run`` returns or raises,
-    and an exception in either lane stops the other at its next item and
-    is raised by ``run``.  With one lane no thread starts.
+    The scratch holds the larger of the padded image and a band of
+    ``_GIL_FREE_ROWS // 3 + 1`` window rows, or of the whole image if it has
+    fewer, and the bands are as tall as it holds (see ``_SsimBands``).  So
+    the along-row cumsum of every band but a short last one runs over more
+    than ``_GIL_FREE_ROWS`` rows, numpy releases the GIL for it, and two
+    lanes' SSIM passes overlap.  On an image under 174 rows that band is
+    the whole image's, about three image sizes.  An image-sized scratch
+    with shorter bands peaks lower on such an image (see the module
+    docstring), but ran 8-10% slower (2026-10-20), so the scratch holds the
+    whole band.
     """
+    tall = _band_size(shape, 3, min(_ssim_window(shape)[0], _GIL_FREE_ROWS // 3 + 1))
+    inverse, scratch = _transform_buffers(shape, n, tall)
+    return inverse, scratch, _SsimBands(shape, 3, scratch)
 
-    def __init__(self, items: int) -> None:
-        self.count = min(_lane_count(), items)
-        self._items = items
 
-    def run(self, step: Callable[[int, int], None]) -> None:
-        failed: list[BaseException] = []
+def _run_lanes(lanes: Sequence, items: Sequence, step: Callable) -> None:
+    """Call step(lanes[k], item) for each item, lane k taking items k,
+    k + L, k + 2L, ... of L = len(lanes).
 
-        def lane(k: int) -> None:
-            try:
-                for i in range(k, self._items, self.count):
-                    if failed:
-                        return
-                    step(k, i)
-            except BaseException as exc:   # raised again by the caller below
-                failed.append(exc)
+    Lane 0 runs in the calling thread and each other lane in one thread of
+    its own, in a copy of the caller's context, so that the caller's
+    ``np.errstate`` governs every lane.  Every thread is joined before the
+    call returns or raises.  The first exception in any lane stops the
+    others at their next item and is raised again here.  With one lane no
+    thread starts.
+    """
+    failed: list[BaseException] = []
 
-        workers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, k))
-                   for k in range(1, self.count)]
-        for worker in workers:
-            worker.start()
+    def run(k: int) -> None:
         try:
-            lane(0)
-        finally:
-            for worker in workers:
-                worker.join()
-        if failed:
-            raise failed[0]
+            for item in items[k :: len(lanes)]:
+                if failed:
+                    return
+                step(lanes[k], item)
+        except BaseException as exc:   # raised again by the caller below
+            failed.append(exc)
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+               for k in range(1, len(lanes))]
+    for worker in workers:
+        worker.start()
+    try:
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if failed:
+        raise failed[0]
 
 
 def retention_sweep(
@@ -626,21 +620,9 @@ def retention_sweep(
     The image is forward-transformed once, into one coefficient buffer
     that the levels only read, and its SSIM window means and variances are
     computed once (see ``_SsimReference``).  The levels are then scored in
-    ``_Lanes``, up to two, one per usable CPU, each level into its
-    grid-order slot.  Each lane owns one (inverse, scratch) pair (see
-    ``_reconstruct``) and one three-channel SSIM band set hosted in its
-    scratch, which is free once PSNR is taken.  The scratch is allocated as
-    the larger of the padded image and a band of min(window rows, 167)
-    window rows, and the bands are as tall as it holds, so that numpy
-    releases the GIL for their along-row cumsum and the lanes overlap (see
-    ``_SsimBands``).  On an image under 174 rows that band is the whole
-    image's, about three image sizes per lane.  An image-sized scratch with
-    shorter bands would cut a two-lane 100x1000 sweep's traced peak from
-    12.6 to 8.7 image-sized arrays, but ran 8-10% slower, so the scratch
-    holds the whole band.  The SSIM map is built over the spent
-    reconstruction, in the prefix of the inverse buffer (see
-    ``_SsimReference``).  The image is read through float64 casts, never
-    copied.
+    min(``_lane_count()``, levels) lanes (see ``_run_lanes``), each level
+    into its grid-order slot, and each lane in buffers of its own (see
+    ``_sweep_lane``).
 
     Scores equal per-level ``compress_image`` exactly, whatever the lane
     count.
@@ -648,29 +630,27 @@ def retention_sweep(
     m = _as_matrix(transform)
     n = m.shape[0]
     image = np.asarray(image)
-    window = _ssim_window(image.shape)
+    _ssim_window(image.shape)
     policies = [RetentionPolicy(n=n, r_fraction=r) for r in r_values]
     if not policies:
         return []
-    levels = [(p.r_fraction, p.mask) for p in policies]
-    lanes = _Lanes(len(levels))
-    tall = _band_size(image.shape, 3, min(window[0], _GIL_FREE_ROWS // 3 + 1))
-    pairs = [_transform_buffers(image.shape, n, tall) for _ in range(lanes.count)]
-    bands = [_SsimBands(image.shape, 3, scratch) for _, scratch in pairs]
-    reference = _SsimReference(image, bands[0])
-    coeffs = np.empty(pairs[0][0].size)
-    _forward(image, m, *pairs[0], coeffs)
+    levels = [(i, p.r_fraction, p.mask) for i, p in enumerate(policies)]
+    lanes = [_sweep_lane(image.shape, n) for _ in range(min(_lane_count(), len(levels)))]
+    inverse, scratch, bands = lanes[0]
+    reference = _SsimReference(image, bands)
+    coeffs = np.empty(inverse.size)
+    _forward(image, m, inverse, scratch, coeffs)
     scores: list = [None] * len(levels)
 
-    def score(k: int, i: int) -> None:
+    def score(lane, level) -> None:
         # Private kernels only: no lane calls a public function, which a
         # caller may have wrapped with state that is not thread-safe.
-        inverse, scratch = pairs[k]
-        r, mask = levels[i]
+        inverse, scratch, bands = lane
+        i, r, mask = level
         recon, psnr_db = _reconstruct(image, m, coeffs, mask, inverse, scratch)
-        scores[i] = (r, psnr_db, reference(recon, bands[k], inverse.reshape(-1)))
+        scores[i] = (r, psnr_db, reference(recon, bands, inverse.reshape(-1)))
 
-    lanes.run(score)
+    _run_lanes(lanes, levels, score)
     return scores
 
 

@@ -13,7 +13,7 @@ kernel values, and the cost is the odd row's plus what a2 adds.  So each
 slice is scored against the 4 values a2 >= 0 in one broadcast (a negative
 a2 gives a mirror twin of one of them that is always dominated, so it is
 counted but not scored), in two passes: a rho-free pass keeps the
-nonsingular odd rows (one integer determinant each) and builds what no
+nonsingular odd rows (one float determinant each) and builds what no
 signal model changes (their blocks, error energy, costs and synthesis
 gains), and a rho pass adds the mse, band variances and efficiency.  The
 even table and the first slice's are built once per process and kept.
@@ -284,9 +284,14 @@ def _odd_table(odd: np.ndarray) -> _Table:
     rule weighs a2 alike (2) and no chain holds it, so a2 neither changes
     which rules apply nor which is cheapest.  The even rows are orthogonal
     and nonzero for every a2, so the odd block alone decides singularity,
-    and so does the int 4x4 of its antisymmetric rows' first halves, whose
-    determinant is an integer of magnitude at most 3,072.  Singular rows
-    are dropped before they are scaled or inverted."""
+    and so does the int 4x4 of its antisymmetric rows' first halves.  Its
+    determinant is an integer of magnitude at most 3,072, and a row is kept
+    when LAPACK's float ``np.linalg.det`` of the 4x4 exceeds 0.5 in
+    magnitude.  That is exact while the float error stays below 0.5:
+    test_odd_determinant_decides_every_a2_on_a_full_slice bounds it by
+    1e-9, and over all 823,543 odd rows it measured at most 4.6e-12
+    (numpy 2.4.6, 2026-10-22).  Singular rows are dropped before they are
+    scaled or inverted."""
     half = _half_units(*odd.T)
     live = np.abs(np.linalg.det(half[:, 1::2, :4])) > 0.5
     return _table(odd[live], _blocks(half[live], 1), 1)

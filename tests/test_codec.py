@@ -35,6 +35,7 @@ from dctapprox.codec import (
     _reconstruct,
     _SsimBands,
     _SsimReference,
+    _sweep_lane,
     _transform_buffers,
 )
 from helpers import (
@@ -53,8 +54,7 @@ def _one_lane_reference(a, n: int = 8):
     band set).  The band set is hosted in the lane's scratch buffer, and
     score(b) copies b into the crop of the lane's inverse buffer and builds
     the map over it, as a lane builds it over the spent reconstruction."""
-    inverse, scratch = _transform_buffers(a.shape, n, _lane_host(a.shape))
-    bands = _SsimBands(a.shape, 3, scratch)
+    inverse, _, bands = _sweep_lane(a.shape, n)
     reference = _SsimReference(a, bands)
     recon = inverse[: a.shape[0], : a.shape[1]]
 
@@ -65,15 +65,9 @@ def _one_lane_reference(a, n: int = 8):
     return score, bands
 
 
-# Window rows of a sweep lane's shortest tall integral band: 3 channels x
-# 167 rows is the fewest over numpy's 500-row GIL threshold.
-_TALL = codec._GIL_FREE_ROWS // 3 + 1
-
-
-def _lane_host(shape) -> int:
-    """The fewest elements of a sweep lane's scratch: a three-channel band
-    of 500 / 3 + 1 window rows, or of the whole image if it has fewer."""
-    return codec._band_size(shape, 3, min(shape[0] - 7, _TALL))
+# Window rows of a sweep lane's shortest tall integral band, as the lane
+# builder makes it where the padded image is too small to hold it.
+_TALL = _sweep_lane((400, 400), 8)[2]._band
 
 
 def _force_lanes(monkeypatch, lanes: int) -> None:
@@ -275,16 +269,24 @@ class TestSsimBands:
     def test_seam_cases_have_their_geometry(self, shape, bands, subs, host):
         # A band is as many window rows as the lane's scratch holds, at most
         # the whole image; a sub-band is 16,384 elements per channel.
-        scratch = _transform_buffers(shape, 8, _lane_host(shape))[1]
-        band_set = _SsimBands(shape, 3, scratch)
+        inverse, scratch, band_set = _sweep_lane(shape, 8)
         held = scratch.size // (2 * 3 * ((shape[1] + 2) // 2)) - 8
         assert band_set._band == min(shape[0] - 7, held)
         assert band_set._sub == min(band_set._band, _sub_rows(shape[1]))
         assert math.ceil((shape[0] - 7) / band_set._band) == bands
         assert _sub_bands(band_set) == subs
-        larger = _lane_host(shape) <= _transform_buffers(shape, 8)[1].size
+        larger = scratch.size == inverse.size
         assert larger == (host == "larger")
         assert (band_set._band > _TALL) == (larger and shape[0] - 7 > _TALL)
+        # Each band of three channels but a short last one runs over more
+        # than numpy's GIL threshold of rows, and a scratch allocated past
+        # the padded image holds one such band, or the whole image, and no
+        # more.
+        whole = band_set._band == shape[0] - 7
+        assert whole or 3 * band_set._band > codec._GIL_FREE_ROWS
+        if not larger:
+            assert scratch.size == codec._band_size(shape, 3, band_set._band)
+            assert whole or 3 * (band_set._band - 1) <= codec._GIL_FREE_ROWS
 
     @pytest.mark.parametrize("shape, bands", [
         ((3 * _sub_rows(40) + 7, 40), 3),    # the last band ends on a band edge
@@ -311,7 +313,9 @@ class TestSsimBands:
         a = scale * rng(23).random(shape)
         mu = _box_means(a, 8)
         # Bands of one sub-band, and bands as tall as a lane's scratch holds.
-        for host in (None, np.full(_lane_host(shape), np.nan)):
+        _, scratch, _ = _sweep_lane(shape, 8)
+        scratch.fill(np.nan)
+        for host in (None, scratch):
             score = _SsimReference(a, _SsimBands(shape, 3, host))
             assert np.array_equal(score._mu_a, mu)
             assert np.array_equal(score._var_a, _box_means(a * a, 8) - mu * mu)
@@ -453,8 +457,8 @@ class TestSsimBands:
         # lane's scratch is allocated for it: 3 channels x (window rows + 8)
         # rows, about three image sizes, against one padded image.  Two
         # lanes then peak near 12.5 image-sized arrays at 8 points (see the
-        # codec module docstring, and ``retention_sweep`` for why the
-        # scratch is not cut to the image).  The bound keeps the peak from
+        # codec module docstring, and ``_sweep_lane`` for why the scratch
+        # is not cut to the image).  The bound keeps the peak from
         # growing unseen.
         img = ar1_test_image(*shape, seed=35)
         t = exact_dct_matrix(8)
@@ -497,6 +501,32 @@ class TestSweepLanes:
                     db = 10.0 * np.log10(255.0**2 / np.mean((ref - rec) ** 2))
                     expected.append((r, db, ssim_reference(ref, rec)))
                 assert swept[0] == swept[1] == expected, (shape, levels)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_a_sweep_runs_one_lane_per_level_up_to_the_cap(self, cap, monkeypatch):
+        # min(cap, levels) lanes, each built once; lane 0 runs in the
+        # calling thread, so one thread starts per lane past the first.
+        # Structure only: nothing here is timed.
+        img = ar1_test_image(40, 56, seed=36)
+        t = exact_dct_matrix(8)
+        _force_lanes(monkeypatch, cap)
+        start = threading.Thread.start
+        started = []
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        built = count_calls(monkeypatch, codec, ["_sweep_lane"])
+        for levels in (0, 1, 2, 38):
+            started.clear()
+            built["_sweep_lane"] = 0
+            assert len(retention_sweep(img, t, default_r_grid()[:levels])) == levels
+            lanes = min(cap, levels)
+            assert built["_sweep_lane"] == lanes, levels
+            assert len(started) == max(0, lanes - 1), levels
+            assert not any(thread.is_alive() for thread in started)
 
     def test_concurrent_sweeps_fill_their_own_slots(self, monkeypatch):
         # Four callers of two-lane sweeps at once, eight threads on fewer
